@@ -16,6 +16,7 @@ from .tangles import WirtingerCode, TangleDiagram, torus2n, fig8, longitude_word
 from .colorings import (
     Coloring,
     star_polygon,
+    star_beta,
     torus_interval,
     torus_theta_interval,
     fig8_betas,

@@ -24,14 +24,14 @@ from . import verification
 from .colorings import (
     DEFAULT_GRID,
     fig8_betas,
+    residual,
     solve_colorings,
-    star_polygon,
+    star_beta,
     torus_interval,
     torus_theta_interval,
 )
 from .errors import LongmapError, OutOfInterval
 from .longitudes import fig8_closed_form, t2n_closed_form
-from .quaternions import geodesic_distance
 from .tangles import fig8, parse, torus2n
 
 FMT = "{:.17g}"
@@ -41,21 +41,49 @@ def _fmt(x):
     return FMT.format(float(x))
 
 
+def _parse_knot(spec):
+    """The knot named by ``fig8`` or ``torus:n[:sign]``: None for the
+    figure-eight knot, (n, sign) for the (2, n) torus knot."""
+    parts = spec.strip().split(":")
+    if parts == ["fig8"]:
+        return None
+    if parts[0] == "torus" and len(parts) in (2, 3):
+        try:
+            n = int(parts[1])
+            sign = int(parts[2]) if len(parts) == 3 else 1
+        except ValueError:
+            pass
+        else:
+            if sign in (1, -1):
+                return n, sign
+    raise LongmapError(f"unknown knot {spec!r} (use fig8 or torus:n[:sign])")
+
+
+def _parse_branches(text, allowed):
+    """The branch list of ``sweep --branches``: 'all' or a comma-separated
+    list of members of ``allowed``."""
+    if text == "all":
+        return list(allowed)
+    try:
+        branches = [int(b) for b in text.split(",")]
+    except ValueError:
+        branches = None
+    if branches is None or not set(branches) <= set(allowed):
+        raise LongmapError(
+            f"--branches takes 'all' or a comma-separated list from "
+            f"{allowed[0]}..{allowed[-1]}, not {text!r}"
+        )
+    return branches
+
+
 def _load_diagram(args):
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
             return parse(fh.read())
     if args.knot is None:
         raise LongmapError("give either --knot or --file")
-    spec = args.knot.strip()
-    if spec == "fig8":
-        return fig8()
-    if spec.startswith("torus:"):
-        parts = spec.split(":")
-        n = int(parts[1])
-        sign = int(parts[2]) if len(parts) > 2 else 1
-        return torus2n(n, sign)
-    raise LongmapError(f"unknown knot {spec!r} (use fig8 or torus:n[:sign])")
+    knot = _parse_knot(args.knot)
+    return fig8() if knot is None else torus2n(*knot)
 
 
 def _angle(value, args):
@@ -79,8 +107,6 @@ def cmd_color(args):
     seeds = solve_colorings(diagram, psi, grid=args.grid)
     records = []
     for beta, coloring in seeds:
-        from .colorings import residual
-
         records.append(
             {
                 "beta": beta,
@@ -115,20 +141,15 @@ def _sweep_rows_fig8(thetas, branches):
 
 
 def _sweep_rows_torus(n, sign, thetas, branches):
-    k = (n - 1) // 2
-    hs = branches if branches else range(1, k + 1)
     for theta in thetas:
         psi = 2.0 * math.pi - 2.0 * theta
-        for h in hs:
-            lo, hi = torus_theta_interval(n, h)
-            if not lo < theta < hi:
+        for h in branches:
+            try:
+                beta = star_beta(n, h, psi)
+                value = t2n_closed_form(n, theta, mirror=(sign < 0))
+            except OutOfInterval:
                 yield (theta, h, None, None, None, None)
                 continue
-            coloring = star_polygon(n, h, psi)
-            beta = float(
-                geodesic_distance(coloring.colors[0], coloring.colors[k + 1])
-            )
-            value = t2n_closed_form(n, theta, mirror=(sign < 0))
             yield (theta, h, beta, value.q.a, value.q.b, value.phi)
 
 
@@ -138,22 +159,15 @@ def cmd_sweep(args):
     if not theta_min < theta_max or args.steps < 2:
         raise LongmapError("need theta_min < theta_max and steps >= 2")
     thetas = np.linspace(theta_min, theta_max, args.steps)
-    branches = (
-        [int(b) for b in args.branches.split(",")]
-        if args.branches != "all"
-        else None
-    )
-
-    spec = args.knot.strip()
-    if spec == "fig8":
-        rows = _sweep_rows_fig8(thetas, branches or [1, 2])
-    elif spec.startswith("torus:"):
-        parts = spec.split(":")
-        n = int(parts[1])
-        sign = int(parts[2]) if len(parts) > 2 else 1
-        rows = _sweep_rows_torus(n, sign, thetas, branches)
+    knot = _parse_knot(args.knot)
+    if knot is None:
+        rows = _sweep_rows_fig8(thetas, _parse_branches(args.branches, (1, 2)))
     else:
-        raise LongmapError(f"unknown knot {spec!r}")
+        n, sign = knot
+        torus_interval(n, 1)  # BadParameter unless n is odd and >= 3
+        steps = range(1, (n - 1) // 2 + 1)
+        rows = _sweep_rows_torus(n, sign, thetas,
+                                 _parse_branches(args.branches, steps))
 
     lines = ["theta,branch,beta,L_re,L_im,phi"]
     for theta, branch, beta, l_re, l_im, phi in rows:

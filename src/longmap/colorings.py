@@ -17,18 +17,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ArityMismatch,
     BadParameter,
-    NoConvergence,
     NoSchedule,
     OutOfInterval,
     ResidualTooLarge,
 )
 from .quandles import DihedralQuandle, SphereQuandle
-from .quaternions import directed_angle, geodesic_distance, normalize, rotate
+from .quaternions import geodesic_distance, rotate
 from .tangles import TangleDiagram
 
 EPS_COLOR = 1e-8        # residual acceptance for a valid coloring
@@ -50,6 +48,7 @@ __all__ = [
     "torus_theta_interval",
     "admissible_steps",
     "star_polygon",
+    "star_beta",
     "fig8_betas",
     "fig8_coloring",
     "solve_colorings",
@@ -144,67 +143,56 @@ def admissible_steps(n, psi, margin=0.0):
     return out
 
 
-def _star_vertices(r, n):
-    s = math.sqrt(max(1.0 - r * r, 0.0))
-    idx = np.arange(n)
-    return np.stack(
-        [
-            s * np.cos(2.0 * math.pi * idx / n),
-            s * np.sin(2.0 * math.pi * idx / n),
-            np.full(n, r),
-        ],
-        axis=-1,
-    )
+def _star_latitude(n, h, psi):
+    """Height r and radius s = sqrt(1 - r^2) of the circle of latitude that
+    carries the step-h spherical star n-gon with vertex angle psi, and the
+    half step angle a = pi*h/n.
 
-
-def _star_vertex_angle(r, n, h):
-    """Directed vertex angle of the step-h star polygon at latitude r."""
-    p = _star_vertices(r, n)
-    return float(directed_angle(p[(-h) % n], p[0], p[h % n]))
-
-
-def star_polygon(n, h, psi, base_rotation=0.0):
-    """Star-polygon coloring of torus2n(n, +1) over SphereQuandle(psi).
-
-    Solves for the latitude r at which the step-h spherical star n-gon has
-    vertex angle psi, places the vertices so that the initial arc is colored
-    (1, 0, 0) and the second bridge lands on the half-equator, then applies
-    a global rotation about the x-axis by ``base_rotation``.
+    Napier's rule on the right triangle formed by the pole, a vertex and the
+    midpoint of a step-h side gives r = cot(a) * cot(theta) with
+    theta = pi - psi/2, so |r| < 1 exactly on the open psi-window.  Near a
+    window end the polygon shrinks to a point and its vertices move by
+    orders of magnitude more than r, so r is evaluated as
+    -cot(a) * cot(psi/2), which never forms the rounded pi - psi/2, with
+    cot(a) taken from a tangent argument in (0, pi/4].
     """
     lo, hi = torus_interval(n, h)
     if not lo < psi < hi:
         raise OutOfInterval(
             f"psi={psi:.6f} outside ({lo:.6f}, {hi:.6f}) for n={n}, h={h}"
         )
-    eps = 1e-12
-    f = lambda r: _star_vertex_angle(r, n, h) - psi
-    f_lo, f_hi = f(-1.0 + eps), f(1.0 - eps)
-    if f_lo == 0.0:
-        r = -1.0 + eps
-    elif f_hi == 0.0:
-        r = 1.0 - eps
-    elif f_lo * f_hi > 0:
-        raise NoConvergence("vertex angle does not bracket psi")
+    a = math.pi * h / n
+    if 4 * h <= n:
+        cot_a = 1.0 / math.tan(a)
     else:
-        r = brentq(f, -1.0 + eps, 1.0 - eps, xtol=1e-15, rtol=1e-15)
+        cot_a = math.tan(math.pi * (n - 2 * h) / (2 * n))
+    half = 0.5 * psi
+    r = -cot_a * math.cos(half) / math.sin(half)
+    return r, math.sqrt((1.0 - r) * (1.0 + r)), a
 
-    verts = _star_vertices(r, n)
-    # rigid motion: vertex 0 to the basepoint, vertex h onto the half-equator
-    p0 = verts[0]
-    if geodesic_distance(p0, BASEPOINT) > 1e-14:
-        axis = np.cross(p0, BASEPOINT)
-        axis_norm = np.linalg.norm(axis)
-        if axis_norm < 1e-14:  # antipodal; rotate about z
-            axis, ang = np.array([0.0, 0.0, 1.0]), math.pi
-        else:
-            axis, ang = axis / axis_norm, float(geodesic_distance(p0, BASEPOINT))
-        verts = rotate(verts, ang, axis)
-    delta = float(geodesic_distance(BASEPOINT, verts[h]))
-    target = np.array([math.cos(delta), math.sin(delta), 0.0])
-    spin = float(directed_angle(verts[h], BASEPOINT, target))
-    verts = rotate(verts, spin, BASEPOINT)
-    verts = normalize(verts)
-    verts[0] = BASEPOINT
+
+def star_beta(n, h, psi):
+    """Seed angle of ``star_polygon(n, h, psi)``: the geodesic distance
+    between its two bridge colors, two vertices a step h apart."""
+    r, s, a = _star_latitude(n, h, psi)
+    return 2.0 * math.atan2(s * math.sin(a), math.hypot(r, s * math.cos(a)))
+
+
+def star_polygon(n, h, psi, base_rotation=0.0):
+    """Star-polygon coloring of torus2n(n, +1) over SphereQuandle(psi).
+
+    The step-h spherical star n-gon with vertex angle psi, at the latitude
+    given by ``_star_latitude``, placed so that the initial arc is colored
+    (1, 0, 0) and the second bridge lands on the upper half-equator, then
+    rotated globally about the x-axis by ``base_rotation``.
+    """
+    r, s, a = _star_latitude(n, h, psi)
+    # vertex m is the basepoint turned by 2*pi*m/n about the pole p; p.x = r
+    # and (p.y, p.z) is parallel to (r sin a, cos a), so that vertex h has
+    # z = 0 and y >= 0
+    scale = s / math.hypot(r * math.sin(a), math.cos(a))
+    pole = np.array([r, scale * r * math.sin(a), scale * math.cos(a)])
+    verts = rotate(BASEPOINT, 2.0 * math.pi * np.arange(n) / n, pole)
 
     # arc j carries braid color q_(2j mod n); the step-h coloring sends q_m
     # to vertex h*m
@@ -363,6 +351,8 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
         raise NoSchedule("solve_colorings needs a 2-bridge schedule")
     if grid < 16:
         raise BadParameter("grid too coarse")
+    if not 0.0 < psi < 2.0 * math.pi:  # also rejects nan
+        raise BadParameter(f"psi must lie in (0, 2*pi), not {psi}")
     betas = np.linspace(0.0, math.pi, grid)
     colors = _propagate_batch(diagram, psi, betas)
     res = _batch_residual(diagram, psi, colors)

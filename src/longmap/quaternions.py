@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NORM_TOL = 1e-12
 POLE_TOL = 1e-12
 
 __all__ = [
-    "NORM_TOL",
     "POLE_TOL",
     "Quaternion",
     "AxisAngle",

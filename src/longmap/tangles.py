@@ -266,6 +266,10 @@ def parse(text):
                 bridges = tuple(int(s) for s in val.split(","))
             except ValueError:
                 raise ParseError("bridge entries must be integers", lineno) from None
+            if len(bridges) != 2:
+                raise ParseError(
+                    f"expected exactly two bridges, got {len(bridges)}", lineno
+                )
         elif key == "schedule":
             schedule = []
             for item in val.split(";"):

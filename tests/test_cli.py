@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import longmap
 from longmap.cli import main
+from longmap.colorings import star_polygon
 from longmap.longitudes import wrap_angle
+from longmap.quaternions import geodesic_distance
 from longmap.tangles import fig8, serialize
 
 
@@ -75,6 +82,35 @@ def test_unknown_knot_exits_two(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["color", "--knot", "torus:x", "--psi", "2.8"],
+    ["sweep", "--knot", "torus:7", "--theta-min", "1", "--theta-max", "2",
+     "--branches", "a"],
+    ["sweep", "--knot", "fig8", "--theta-min", "1.1", "--theta-max", "2",
+     "--branches", "3"],
+    ["color", "--knot", "fig8", "--psi", "nan"],
+], ids=["torus-spec", "branches-not-int", "fig8-branch", "psi-nan"])
+def test_malformed_command_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+def test_bad_torus_sign_step_and_psi_exit_two(capsys):
+    for argv in (
+        ["color", "--knot", "torus:7:2", "--psi", "2.8"],
+        ["sweep", "--knot", "torus:7:2", "--theta-min", "1",
+         "--theta-max", "2"],
+        ["sweep", "--knot", "torus:7", "--theta-min", "1", "--theta-max", "2",
+         "--branches", "4"],
+        ["color", "--knot", "fig8", "--psi", "7"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ")
+
+
 def test_missing_source_exits_two(capsys):
     code, _, err = run(capsys, "color", "--psi", "3.0")
     assert code == 2
@@ -101,6 +137,35 @@ def test_sweep_torus3_phi_column(tmp_path, capsys):
         assert abs(float(l_re) - math.cos(float(phi))) <= 1e-12
         assert abs(float(l_im) - math.sin(float(phi))) <= 1e-12
     assert seen >= 30
+
+
+def test_sweep_beta_is_the_star_polygon_seed(capsys):
+    n, k = 21, 10
+    code, out, _ = run(
+        capsys, "sweep", "--knot", f"torus:{n}",
+        "--theta-min", "0.05", "--theta-max", "3.09", "--steps", "60",
+    )
+    assert code == 0
+    seen = 0
+    for row in out.splitlines()[1:]:
+        theta, h, beta = row.split(",")[:3]
+        if beta == "":
+            continue
+        seen += 1
+        c = star_polygon(n, int(h), 2.0 * math.pi - 2.0 * float(theta))
+        want = geodesic_distance(c.colors[0], c.colors[k + 1])
+        assert abs(float(beta) - want) <= 1e-12
+    assert seen >= 300
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(longmap.__file__).resolve().parents[1])
+    code = ("import sys, longmap.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sweep_marks_uncolorable_rows(capsys):

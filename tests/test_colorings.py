@@ -15,13 +15,14 @@ from longmap.colorings import (
     residual,
     rotate_coloring,
     solve_colorings,
+    star_beta,
     star_polygon,
     torus_interval,
     torus_theta_interval,
 )
 from longmap.errors import BadParameter, NoSchedule, OutOfInterval
 from longmap.quandles import DihedralQuandle, SphereQuandle
-from longmap.quaternions import geodesic_distance
+from longmap.quaternions import directed_angle, geodesic_distance
 from longmap.tangles import TangleDiagram, WirtingerCode, fig8, torus2n
 
 PI = math.pi
@@ -65,6 +66,37 @@ def test_star_polygon_is_a_coloring(n, h):
         k1 = (n - 1) // 2 + 1
         assert abs(c.colors[k1][2]) <= 1e-9
         assert c.colors[k1][1] >= -1e-12
+
+
+def _window_psis(n, h):
+    lo, hi = torus_interval(n, h)
+    return [lo + 1e-9, lo + 1e-6, 0.5 * (lo + hi) + 0.1 * (hi - lo),
+            hi - 1e-6, hi - 1e-9]
+
+
+@pytest.mark.parametrize("n", [3, 7, 21, 51, 101])
+def test_star_polygon_vertex_angle(n):
+    # the vertex angle measured from the colors themselves: arcs j+k and
+    # j+k+1 carry the two star-polygon neighbours of the vertex on arc j
+    k = (n - 1) // 2
+    j = np.arange(n)
+    for h in range(1, k + 1):
+        for psi in _window_psis(n, h):
+            c = np.array(star_polygon(n, h, psi).colors)
+            angles = directed_angle(c[(j + k) % n], c[j], c[(j + k + 1) % n])
+            assert np.max(np.abs(angles - psi)) <= 1e-12, (h, psi)
+
+
+@pytest.mark.parametrize("n", [3, 7, 21, 51, 101])
+def test_star_beta_is_the_seed_distance(n):
+    k = (n - 1) // 2
+    for h in range(1, k + 1):
+        for psi in _window_psis(n, h):
+            c = star_polygon(n, h, psi)
+            want = geodesic_distance(c.colors[0], c.colors[k + 1])
+            assert abs(star_beta(n, h, psi) - want) <= 1e-12, (h, psi)
+    with pytest.raises(OutOfInterval):
+        star_beta(n, 1, torus_interval(n, 1)[1])
 
 
 def test_star_polygon_out_of_interval():
@@ -147,6 +179,13 @@ def test_solver_matches_closed_forms():
     )
     betas = [b for b, _ in solve_colorings(torus2n(n), psi)]
     assert min(abs(b - want) for b in betas) <= 1e-8
+
+
+def test_solver_rejects_psi_out_of_range():
+    # checked up front, not only once a seed is found
+    for psi in (math.nan, math.inf, 0.0, 7.0):
+        with pytest.raises(BadParameter):
+            solve_colorings(fig8(), psi)
 
 
 def test_solver_requires_schedule():

@@ -161,6 +161,17 @@ def test_parse_bridges_without_schedule():
         parse("tangle n=3\nkappa=1,2,0\neps=+,+,+\nbridges=0,2\n")
 
 
+def test_parse_requires_two_bridges():
+    # a valid schedule for three seeded arcs; the solver seeds only two
+    text = ("tangle n=4\nkappa=2,3,0,1\neps=+,-,+,-\nbridges=0,2,4\n"
+            "schedule=1:1;3:4\n")
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert ei.value.line == 4
+    with pytest.raises(ParseError):
+        parse(text.replace("bridges=0,2,4", "bridges=0"))
+
+
 def test_parse_infers_terminal_identification():
     d = parse(serialize(fig8()))
     assert d.terminal_is_initial
