@@ -26,8 +26,7 @@ from .errors import (
     ResidualTooLarge,
 )
 from .quandles import DihedralQuandle, SphereQuandle
-from .quaternions import geodesic_distance, rotate
-from .tangles import TangleDiagram
+from .quaternions import _cross, rotate
 
 EPS_COLOR = 1e-8        # residual acceptance for a valid coloring
 SEED_TOL = 1e-6         # dedup tolerance between solver seeds
@@ -70,7 +69,11 @@ class Coloring:
 
 
 def propagate(diagram, quandle, bridge_colors):
-    """Colors of all arcs from the bridge colors via the diagram schedule."""
+    """Colors of all arcs from the bridge colors via the diagram schedule.
+
+    Sphere colors may be stacks of shape (..., 3); every arc then carries
+    a stack, one coloring per row.
+    """
     if not diagram.has_schedule:
         raise NoSchedule(f"diagram {diagram.name or diagram!r} has no schedule")
     code = diagram.code
@@ -91,7 +94,8 @@ def propagate(diagram, quandle, bridge_colors):
 
 def residual(coloring, diagram, crossings=None):
     """Max deviation over crossings between the actual out-arc color and the
-    one demanded by the crossing relation."""
+    one demanded by the crossing relation; an array of them for a stack of
+    sphere colorings."""
     code = diagram.code
     if len(coloring.colors) != code.n + 1:
         raise ArityMismatch(
@@ -104,7 +108,7 @@ def residual(coloring, diagram, crossings=None):
         expected = q.op_signed(
             cols[ci - 1], cols[code.kappa[ci - 1]], code.eps[ci - 1]
         )
-        worst = max(worst, q.distance(cols[ci], expected))
+        worst = np.maximum(worst, q.distance(cols[ci], expected))
     return worst
 
 
@@ -262,53 +266,174 @@ def fig8_coloring(psi, branch, base_rotation=0.0):
 # numeric seed solver
 
 
-def _propagate_batch(diagram, psi, betas):
-    """Vectorized sphere propagation for a whole array of seed angles.
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_POLISH_STEPS = 4  # Gauss-Newton steps; each about squares the error
 
-    Returns colors of shape (len(betas), n_arcs, 3).
+
+def _seed_colorings(diagram, quandle, betas):
+    """Propagated colorings for an array of seed angles: a list over the
+    arcs of (len(betas), 3) stacks."""
+    seeds = np.stack(
+        [np.cos(betas), np.sin(betas), np.zeros_like(betas)], axis=-1
+    )
+    base = np.broadcast_to(BASEPOINT, seeds.shape)
+    return propagate(diagram, quandle, (base, seeds))
+
+
+def _objective(diagram, quandle, betas):
+    """Propagation residual over the residual crossings for each seed."""
+    colors = _seed_colorings(diagram, quandle, betas)
+    return residual(
+        Coloring(quandle, colors), diagram, diagram.residual_crossings
+    )
+
+
+def _golden_lockstep(f, lo, hi, xtol=1e-13):
+    """Golden-section minima of f on every bracket [lo[i], hi[i]] at once.
+
+    f maps an array of points to their values.  Each step calls it once,
+    on the new point of every bracket still wider than xtol, so every
+    bracket takes exactly the iterates of a scalar search.  Golden section
+    is robust for the V-shaped residual at a simple root, where parabolic
+    interpolation stalls short of EPS_COLOR.
+    """
+    a, b = lo.copy(), hi.copy()
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = np.split(f(np.concatenate([c, d])), 2)
+    live = b - a > xtol
+    while live.any():
+        left = live & (fc < fd)  # the minimum lies in [a, d]
+        right = live & ~left
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        c[left] = b[left] - _INV_PHI * (b[left] - a[left])
+        d[right] = a[right] + _INV_PHI * (b[right] - a[right])
+        fx = f(np.where(left, c, d)[live])
+        fc[left] = fx[left[live]]
+        fd[right] = fx[right[live]]
+        live = b - a > xtol
+    return 0.5 * (a + b)
+
+
+def _refined_seeds(diagram, quandle, grid):
+    """Stages 1 and 2 of ``solve_colorings``: the seed angle at every grid
+    minimum of the propagation residual, refined in lockstep."""
+    betas = np.linspace(0.0, math.pi, grid)
+    res = _objective(diagram, quandle, betas)
+    padded = np.concatenate([[np.inf], res, [np.inf]])
+    j = np.flatnonzero((res <= padded[:-2]) & (res <= padded[2:]))
+    return _golden_lockstep(
+        lambda b: _objective(diagram, quandle, b),
+        betas[np.maximum(j - 1, 0)],
+        betas[np.minimum(j + 1, grid - 1)],
+    )
+
+
+def _tangent_frames(u):
+    """Orthonormal tangent vectors e1, e2 at each unit vector of a stack,
+    branch-free (Duff et al., "Building an orthonormal basis, revisited",
+    JCGT 6(1), 2017)."""
+    x, y, z = u[..., 0], u[..., 1], u[..., 2]
+    s = np.copysign(1.0, z)
+    a = -1.0 / (s + z)
+    b = x * y * a
+    e1 = np.stack([1.0 + s * x * x * a, s * b, -s * x], axis=-1)
+    e2 = np.stack([b, s + y * y * a, -y], axis=-1)
+    return e1, e2
+
+
+def _solve_stack(a, b):
+    """np.linalg.solve over a stack of systems, nan where one is singular."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i in range(len(a)):
+            try:
+                out[i] = np.linalg.solve(a[i], b[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _polish(diagram, quandle, betas):
+    """Gauss-Newton on all n crossing relations of a stack of colorings.
+
+    Forward propagation amplifies rounding along the arc chain (by about
+    1e10 on T(2,21)), so a propagated coloring can miss EPS_COLOR even at
+    the float64 seed nearest the root.  Here every arc but the basepoint is
+    unknown: two tangent coordinates per arc, and beta alone for the seed
+    arc, which stays on the equator.  Each of the _POLISH_STEPS steps solves
+    the least-squares problem of the 3n relation components with the
+    closed-form Rodrigues Jacobian, then moves the colors back to the
+    sphere.
+
+    Starts from the propagated colorings of the seed angles ``betas``.
+    Returns the polished betas, colors of shape (arcs, len(betas), 3) and a
+    mask of the candidates whose every step was finite and nonsingular and
+    kept beta in [0, pi].
     """
     code = diagram.code
-    m = len(betas)
-    colors = np.empty((m, code.n + 1, 3))
-    colors[:] = np.nan
-    seeds = np.stack(
-        [np.cos(betas), np.sin(betas), np.zeros(m)], axis=-1
-    )
-    colors[:, diagram.bridge_arcs[0]] = BASEPOINT
-    colors[:, diagram.bridge_arcs[1]] = seeds
-    if diagram.terminal_is_initial:
-        colors[:, code.n] = colors[:, 0]
-    for target, ci in diagram.schedule:
-        kap = code.kappa[ci - 1]
-        e = code.eps[ci - 1]
-        if target == ci:
-            colors[:, ci] = rotate(colors[:, ci - 1], e * psi, colors[:, kap])
-        else:
-            colors[:, ci - 1] = rotate(colors[:, ci], -e * psi, colors[:, kap])
-    return colors
+    n = code.n
+    seed_arc = diagram.bridge_arcs[1]
+    fixed = {0, n} if diagram.terminal_is_initial else {0}
+    free = np.array([j for j in range(n + 1) if j not in fixed | {seed_arc}])
+    # coordinate t of arc j is column 2j + t; the seed arc has only beta
+    unknowns = np.concatenate([[2 * seed_arc], 2 * free, 2 * free + 1])
+    crossings = np.arange(n)
+    ins, outs, over = crossings, crossings + 1, np.array(code.kappa)
+    phi = quandle.psi * np.array(code.eps, dtype=float)[:, np.newaxis]
+    c = np.cos(phi)[..., np.newaxis, np.newaxis]
+    s = np.sin(phi)[..., np.newaxis, np.newaxis]
 
+    x = np.array(_seed_colorings(diagram, quandle, betas))
+    k = len(betas)
+    ok = np.ones(k, dtype=bool)
+    for _ in range(_POLISH_STEPS):
+        # frame[j, :, t] is the derivative of arc j's color in coordinate t
+        frame = np.zeros((n + 1, k, 2, 3))
+        frame[seed_arc, :, 0, 0] = -np.sin(betas)
+        frame[seed_arc, :, 0, 1] = np.cos(betas)
+        frame[free, :, 0], frame[free, :, 1] = _tangent_frames(x[free])
 
-def _batch_residual(diagram, psi, colors):
-    code = diagram.code
-    res = np.zeros(colors.shape[0])
-    for ci in diagram.residual_crossings:
-        expected = rotate(
-            colors[:, ci - 1],
-            code.eps[ci - 1] * psi,
-            colors[:, code.kappa[ci - 1]],
+        # relation g = out - R in, R w = c w + s v x w + (1 - c) v (v.w)
+        # the rotation about v = over; its derivative is
+        # dg = d out - R d in - s dv x in - (1 - c) (dv (v.in) + v (in.dv))
+        u, v = x[ins], x[over]
+        g = x[outs] - rotate(u, phi, v)
+        f_in, f_over = frame[ins], frame[over]
+        u, v = u[:, :, np.newaxis], v[:, :, np.newaxis]
+        rot_in = rotate(f_in, phi[..., np.newaxis], v)
+        daxis_over = s * _cross(f_over, u) + (1.0 - c) * (
+            f_over * np.sum(u * v, axis=-1, keepdims=True)
+            + v * np.sum(u * f_over, axis=-1, keepdims=True)
         )
-        res = np.maximum(res, geodesic_distance(colors[:, ci], expected))
-    return res
+        # (candidate, crossing, component, arc, coordinate); each term adds
+        # at distinct (crossing, arc) pairs, so += is safe with fancy indices
+        jac = np.zeros((k, n, 3, n + 1, 2))
+        jac[:, crossings, :, outs] += frame[outs].swapaxes(-1, -2)
+        jac[:, crossings, :, ins] -= rot_in.swapaxes(-1, -2)
+        jac[:, crossings, :, over] -= daxis_over.swapaxes(-1, -2)
+        jac = jac.reshape(k, 3 * n, 2 * (n + 1))[:, :, unknowns]
+        rhs = g.transpose(1, 0, 2).reshape(k, 3 * n, 1)
+        jac_t = jac.transpose(0, 2, 1)
+        step = -_solve_stack(jac_t @ jac, jac_t @ rhs)[..., 0]
 
-
-def _seed_residual(diagram, psi, beta):
-    colors = _propagate_batch(diagram, psi, np.array([beta]))
-    return float(_batch_residual(diagram, psi, colors)[0])
-
-
-def _coloring_from_seed(diagram, psi, beta):
-    colors = _propagate_batch(diagram, psi, np.array([beta]))[0]
-    return Coloring(SphereQuandle(psi), tuple(colors))
+        beta_next = betas + step[:, 0]
+        ok &= (np.isfinite(step).all(axis=-1)
+               & (0.0 <= beta_next) & (beta_next <= math.pi))
+        step[~ok] = 0.0
+        full = np.zeros((k, 2 * (n + 1)))
+        full[:, unknowns] = step
+        d = full.reshape(k, n + 1, 2, 1).transpose(1, 0, 2, 3)
+        betas = betas + d[seed_arc, :, 0, 0]
+        x[seed_arc] = np.stack(
+            [np.cos(betas), np.sin(betas), np.zeros(k)], axis=-1
+        )
+        moved = x[free] + np.sum(d[free] * frame[free], axis=2)
+        x[free] = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
+    return betas, x, ok
 
 
 def _spread(colors):
@@ -317,35 +442,26 @@ def _spread(colors):
     return float(np.max(np.linalg.norm(diff, axis=-1)))
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, lo, hi, xtol=1e-13):
-    """Golden-section minimization; robust for V-shaped objectives."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     """Nontrivial colorings of a 2-bridge diagram over SphereQuandle(psi).
 
-    Scans the seed angle beta over [0, pi] at ``grid`` points, brackets the
-    local minima of the propagation residual, refines each bracket to
-    ~1e-12, and keeps the seeds whose residual is at most EPS_COLOR.  The
-    trivial constant coloring (beta = 0) and duplicate seeds within
-    SEED_TOL are dropped.  Returns a sorted list of (beta, Coloring).
+    Every stage runs on all candidates at once:
+
+    1. grid scan: the propagation residual over the residual crossings at
+       ``grid`` seed angles beta in [0, pi]; each local minimum brackets a
+       candidate between its two grid neighbours;
+    2. lockstep refinement: golden section on every bracket to width
+       1e-13, one batched propagation per step (``_golden_lockstep``);
+    3. polish: Gauss-Newton on all crossing relations from the propagated
+       colorings (``_polish``), which removes the rounding error that
+       propagation amplifies along the arc chain;
+    4. acceptance: a candidate is kept if its polish stayed finite with
+       beta in [0, pi] and the ``residual`` of the returned coloring over
+       all crossings is at most EPS_COLOR.
+
+    The trivial constant coloring (spread at most SPREAD_TOL) and duplicate
+    seeds within SEED_TOL are dropped.  Returns a list of (beta, Coloring)
+    sorted by beta.
     """
     if not diagram.has_schedule:
         raise NoSchedule("solve_colorings needs a 2-bridge schedule")
@@ -353,38 +469,20 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
         raise BadParameter("grid too coarse")
     if not 0.0 < psi < 2.0 * math.pi:  # also rejects nan
         raise BadParameter(f"psi must lie in (0, 2*pi), not {psi}")
-    betas = np.linspace(0.0, math.pi, grid)
-    colors = _propagate_batch(diagram, psi, betas)
-    res = _batch_residual(diagram, psi, colors)
-
-    candidates = []
-    for j in range(grid):
-        left = res[j - 1] if j > 0 else np.inf
-        right = res[j + 1] if j < grid - 1 else np.inf
-        if res[j] <= left and res[j] <= right:
-            candidates.append(j)
+    quandle = SphereQuandle(psi)
+    betas, colors, ok = _polish(
+        diagram, quandle, _refined_seeds(diagram, quandle, grid)
+    )
+    ok &= residual(Coloring(quandle, colors), diagram) <= EPS_COLOR
 
     found = []
-    cell = math.pi / (grid - 1)
-    for j in candidates:
-        lo = betas[max(j - 1, 0)]
-        hi = betas[min(j + 1, grid - 1)]
-        if hi - lo < 1e-13:
-            beta_star = betas[j]
-        else:
-            # golden section: the residual is V-shaped at a simple root, so
-            # parabolic-interpolation minimizers stall short of EPS_COLOR
-            beta_star = _golden_min(
-                lambda b: _seed_residual(diagram, psi, b), lo, hi
-            )
-        if _seed_residual(diagram, psi, beta_star) > EPS_COLOR:
-            continue
-        coloring = _coloring_from_seed(diagram, psi, beta_star)
-        if _spread(coloring.colors) <= SPREAD_TOL:
+    for i in np.flatnonzero(ok):
+        if _spread(colors[:, i]) <= SPREAD_TOL:
             continue  # trivial (constant) coloring
-        found.append((beta_star, coloring))
+        found.append((float(betas[i]), Coloring(quandle, tuple(colors[:, i]))))
 
     found.sort(key=lambda t: t[0])
+    cell = math.pi / (grid - 1)
     deduped = []
     for beta_star, coloring in found:
         if deduped and abs(beta_star - deduped[-1][0]) <= SEED_TOL:

@@ -111,7 +111,7 @@ class SphereQuandle(Quandle):
         return random_sphere_point(rng)
 
     def distance(self, a, b):
-        return float(geodesic_distance(a, b))
+        return geodesic_distance(a, b)
 
 
 @dataclass(frozen=True)

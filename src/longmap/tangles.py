@@ -17,8 +17,7 @@ are residual consistency constraints.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BadParameter, ParseError, ValidationError
 
@@ -85,9 +84,10 @@ def longitude_word(code):
 class TangleDiagram:
     """Wirtinger code plus 2-bridge propagation data.
 
-    ``schedule`` entries are (target_arc, crossing) pairs: the relation of
-    that crossing, solved for the target arc (the target must be the
-    incoming or outgoing under-arc of the crossing).  When
+    ``bridge_arcs`` are arc 0, which carries the basepoint, and the arc
+    that carries the seed.  ``schedule`` entries are (target_arc, crossing)
+    pairs: the relation of that crossing, solved for the target arc (the
+    target must be the incoming or outgoing under-arc of the crossing).  When
     ``terminal_is_initial`` is set the terminal arc is pre-seeded with the
     initial arc's color before the schedule runs.
     """
@@ -120,6 +120,14 @@ class TangleDiagram:
 
     def _validate_schedule(self):
         n = self.code.n
+        if len(self.bridge_arcs) != 2 or self.bridge_arcs[0] != 0 or (
+            self.bridge_arcs[1] == 0
+        ):
+            # the basepoint convention colors arc 0 and seeds the other
+            raise ValidationError(
+                "bridge arcs must be arc 0 followed by one other arc, "
+                f"not {self.bridge_arcs}"
+            )
         known = set(self.bridge_arcs)
         if self.terminal_is_initial:
             known.add(n)

@@ -76,6 +76,14 @@ def test_color_from_file(tmp_path, capsys):
     assert "2 nontrivial seed(s)" in out
 
 
+def test_color_file_with_misplaced_basepoint_exits_two(tmp_path, capsys):
+    path = tmp_path / "fig8.tangle"
+    path.write_text(serialize(fig8()).replace("bridges=0,2", "bridges=2,0"))
+    code, out, err = run(capsys, "color", "--file", str(path), "--psi", "2.5")
+    assert code == 2
+    assert out == "" and "bridge" in err and "Traceback" not in err
+
+
 def test_unknown_knot_exits_two(capsys):
     code, _, err = run(capsys, "color", "--knot", "granny", "--psi", "3.0")
     assert code == 2

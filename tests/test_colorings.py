@@ -5,7 +5,10 @@ import pytest
 
 from longmap.colorings import (
     BASEPOINT,
+    DEFAULT_GRID,
     Coloring,
+    _refined_seeds,
+    _solve_stack,
     admissible_steps,
     fig8_betas,
     fig8_coloring,
@@ -21,8 +24,9 @@ from longmap.colorings import (
     torus_theta_interval,
 )
 from longmap.errors import BadParameter, NoSchedule, OutOfInterval
+from longmap.longitudes import eval_word, t2n_closed_form
 from longmap.quandles import DihedralQuandle, SphereQuandle
-from longmap.quaternions import directed_angle, geodesic_distance
+from longmap.quaternions import directed_angle, distance, geodesic_distance
 from longmap.tangles import TangleDiagram, WirtingerCode, fig8, torus2n
 
 PI = math.pi
@@ -179,6 +183,148 @@ def test_solver_matches_closed_forms():
     )
     betas = [b for b, _ in solve_colorings(torus2n(n), psi)]
     assert min(abs(b - want) for b in betas) <= 1e-8
+
+
+def _band_psis(n, frac):
+    """One psi in every other band between consecutive window ends of
+    T(2, n), at fraction frac of the band: at least 0.05 inside or outside
+    every window for the n and frac used here."""
+    ends = [(2 * i + 1) * PI / n for i in range(n)]
+    return [lo + frac * (hi - lo) for lo, hi in zip(ends, ends[1:])][::2]
+
+
+@pytest.mark.parametrize("n,sign,frac", [(15, 1, 0.5), (21, 1, 0.3),
+                                         (21, -1, 0.7)])
+def test_solver_oracle_beyond_small_n(n, sign, frac):
+    # the seed set, unit colors and longitudes of every solver coloring
+    # against the star-polygon closed forms, on knots with long arc chains
+    d = torus2n(n, sign)
+    for psi in _band_psis(n, frac):
+        assert admissible_steps(n, psi) == admissible_steps(n, psi, 0.05)
+        want = sorted(star_beta(n, h, psi) for h in admissible_steps(n, psi))
+        seeds = solve_colorings(d, psi)
+        assert len(seeds) == len(want), psi
+        theta = PI - psi / 2
+        for (beta, c), w in zip(seeds, want):
+            assert abs(beta - w) <= 1e-8, (psi, beta, w)
+            assert np.array_equal(c.colors[0], BASEPOINT)
+            norms = np.linalg.norm(np.array(c.colors), axis=-1)
+            assert np.max(np.abs(norms - 1.0)) <= 1e-12, psi
+            got = eval_word(d, c).q
+            closed = t2n_closed_form(n, theta, mirror=sign < 0).q
+            assert distance(got, closed) <= 1e-8, psi
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _scalar_golden(lo, hi, xtol=1e-13):
+    """Reference golden-section search on one bracket.  A generator: it
+    yields each point to evaluate and is sent the value back."""
+    a, b = lo, hi
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc = yield c
+    fd = yield d
+    while b - a > xtol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = yield c
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = yield d
+    return 0.5 * (a + b)
+
+
+def _scalar_refined_seeds(diagram, psi, stacked, grid=DEFAULT_GRID):
+    """Grid minima of the propagation residual, each refined by its own
+    scalar search.  The searches advance side by side; their pending points
+    are evaluated one coloring at a time, or as one stack if ``stacked``."""
+    q = SphereQuandle(psi)
+
+    def seed_residuals(betas):
+        seeds = np.stack([np.cos(betas), np.sin(betas), 0.0 * betas], -1)
+        colors = propagate(diagram, q, (np.broadcast_to(BASEPOINT,
+                                                        seeds.shape), seeds))
+        return residual(Coloring(q, colors), diagram,
+                        diagram.residual_crossings)
+
+    def evaluate(points):
+        if stacked:
+            return seed_residuals(np.array(points)).tolist()
+        return [float(seed_residuals(np.float64(x))) for x in points]
+
+    betas = np.linspace(0.0, PI, grid)
+    res = seed_residuals(betas)
+    searches = []
+    for j in range(grid):
+        left = res[j - 1] if j > 0 else np.inf
+        right = res[j + 1] if j < grid - 1 else np.inf
+        if res[j] <= left and res[j] <= right:
+            searches.append(_scalar_golden(betas[max(j - 1, 0)],
+                                           betas[min(j + 1, grid - 1)]))
+    out = [None] * len(searches)
+    pending = {i: next(g) for i, g in enumerate(searches)}
+    while pending:
+        for i, fx in zip(list(pending), evaluate(list(pending.values()))):
+            try:
+                pending[i] = searches[i].send(fx)
+            except StopIteration as done:
+                out[i] = done.value
+                del pending[i]
+    return out
+
+
+def _criterion_6_cases():
+    """The psi points of acceptance criterion 6 (tests/test_acceptance.py)."""
+    cases = []
+    for n in (3, 5, 7, 9):
+        k = (n - 1) // 2
+        samples = [(n - 2 * k) * PI / n - 0.2, PI + 0.1]
+        for h in range(1, k + 1):
+            lo = (n - 2 * h) * PI / n
+            hi = (n - 2 * h + 2) * PI / n
+            samples.append(0.5 * (lo + hi))
+        cases += [(torus2n(n), psi) for psi in samples if psi > 0]
+    cases += [(fig8(), psi) for psi in (PI, 2 * PI / 3 + 0.07,
+                                        2 * PI / 3 - 0.07, 4 * PI / 3 + 0.07)]
+    return cases
+
+
+def _solver_found_cases():
+    """Every psi of the solver_found fixture (tests/test_acceptance.py)."""
+    cases = [(fig8(), float(psi)) for psi in
+             np.linspace(2 * PI / 3 + 0.08, 4 * PI / 3 - 0.08, 60)]
+    for n in (5, 7):
+        cases += [(torus2n(n), float(psi))
+                  for psi in np.linspace(0.55 * PI, 1.35 * PI, 20)]
+    return cases
+
+
+def test_lockstep_refinement_matches_scalar_search():
+    # the lockstep search runs every bracket in one batch; each bracket must
+    # still take the scalar search's iterates, bit for bit.  On the
+    # criterion-6 points the reference evaluates one coloring at a time, so
+    # a stacked propagation must also match a single one; on the larger
+    # solver_found grid it evaluates its pending points as one stack.
+    cases = [(d, psi, False) for d, psi in _criterion_6_cases()]
+    cases += [(d, psi, True) for d, psi in _solver_found_cases()]
+    for diagram, psi, stacked in cases:
+        got = _refined_seeds(diagram, SphereQuandle(psi), DEFAULT_GRID)
+        want = _scalar_refined_seeds(diagram, psi, stacked)
+        assert got.tolist() == want, (diagram.name, psi)
+
+
+def test_singular_polish_system_gives_nan_not_an_error():
+    # a candidate whose Gauss-Newton system is singular is dropped, and the
+    # other candidates of the stack keep their steps
+    a = np.stack([2.0 * np.eye(2), np.zeros((2, 2))])
+    b = np.ones((2, 2, 1))
+    out = _solve_stack(a, b)
+    assert np.array_equal(out[0], 0.5 * b[0])
+    assert np.isnan(out[1]).all()
 
 
 def test_solver_rejects_psi_out_of_range():

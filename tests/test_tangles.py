@@ -172,6 +172,19 @@ def test_parse_requires_two_bridges():
         parse(text.replace("bridges=0,2,4", "bridges=0"))
 
 
+def test_bridges_start_at_the_basepoint_arc():
+    # bridges=2,0 would put the basepoint on arc 2 and the seed on arc 0
+    text = serialize(fig8()).replace("bridges=0,2", "bridges=2,0")
+    with pytest.raises(ValidationError):
+        parse(text)
+    d = fig8()
+    for bridges in ((2, 0), (0, 0)):
+        with pytest.raises(ValidationError):
+            TangleDiagram(d.code, bridge_arcs=bridges, schedule=d.schedule,
+                          residual_crossings=d.residual_crossings,
+                          terminal_is_initial=True)
+
+
 def test_parse_infers_terminal_identification():
     d = parse(serialize(fig8()))
     assert d.terminal_is_initial
