@@ -156,6 +156,8 @@ def _sweep_rows_torus(n, sign, thetas, branches):
 def cmd_sweep(args):
     theta_min = _angle(args.theta_min, args)
     theta_max = _angle(args.theta_max, args)
+    if not math.isfinite(theta_min) or not math.isfinite(theta_max):
+        raise LongmapError("theta_min and theta_max must be finite")
     if not theta_min < theta_max or args.steps < 2:
         raise LongmapError("need theta_min < theta_max and steps >= 2")
     thetas = np.linspace(theta_min, theta_max, args.steps)
@@ -189,6 +191,7 @@ def cmd_sweep(args):
 
 def cmd_intervals(args):
     n = args.n
+    torus_interval(n, 1)  # BadParameter unless n is odd and >= 3
     k = (n - 1) // 2
     rows = []
     for h in range(1, k + 1):

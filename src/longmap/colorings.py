@@ -266,7 +266,6 @@ def fig8_coloring(psi, branch, base_rotation=0.0):
 # numeric seed solver
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _POLISH_STEPS = 4  # Gauss-Newton steps; each about squares the error
 
 
@@ -280,54 +279,17 @@ def _seed_colorings(diagram, quandle, betas):
     return propagate(diagram, quandle, (base, seeds))
 
 
-def _objective(diagram, quandle, betas):
-    """Propagation residual over the residual crossings for each seed."""
+def _grid_minima(diagram, quandle, grid):
+    """Stage 1 of ``solve_colorings``: the seed angles on a uniform grid of
+    [0, pi] where the propagation residual over the residual crossings is a
+    local minimum."""
+    betas = np.linspace(0.0, math.pi, grid)
     colors = _seed_colorings(diagram, quandle, betas)
-    return residual(
+    res = residual(
         Coloring(quandle, colors), diagram, diagram.residual_crossings
     )
-
-
-def _golden_lockstep(f, lo, hi, xtol=1e-13):
-    """Golden-section minima of f on every bracket [lo[i], hi[i]] at once.
-
-    f maps an array of points to their values.  Each step calls it once,
-    on the new point of every bracket still wider than xtol, so every
-    bracket takes exactly the iterates of a scalar search.  Golden section
-    is robust for the V-shaped residual at a simple root, where parabolic
-    interpolation stalls short of EPS_COLOR.
-    """
-    a, b = lo.copy(), hi.copy()
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = np.split(f(np.concatenate([c, d])), 2)
-    live = b - a > xtol
-    while live.any():
-        left = live & (fc < fd)  # the minimum lies in [a, d]
-        right = live & ~left
-        b[left], d[left], fd[left] = d[left], c[left], fc[left]
-        a[right], c[right], fc[right] = c[right], d[right], fd[right]
-        c[left] = b[left] - _INV_PHI * (b[left] - a[left])
-        d[right] = a[right] + _INV_PHI * (b[right] - a[right])
-        fx = f(np.where(left, c, d)[live])
-        fc[left] = fx[left[live]]
-        fd[right] = fx[right[live]]
-        live = b - a > xtol
-    return 0.5 * (a + b)
-
-
-def _refined_seeds(diagram, quandle, grid):
-    """Stages 1 and 2 of ``solve_colorings``: the seed angle at every grid
-    minimum of the propagation residual, refined in lockstep."""
-    betas = np.linspace(0.0, math.pi, grid)
-    res = _objective(diagram, quandle, betas)
     padded = np.concatenate([[np.inf], res, [np.inf]])
-    j = np.flatnonzero((res <= padded[:-2]) & (res <= padded[2:]))
-    return _golden_lockstep(
-        lambda b: _objective(diagram, quandle, b),
-        betas[np.maximum(j - 1, 0)],
-        betas[np.minimum(j + 1, grid - 1)],
-    )
+    return betas[(res <= padded[:-2]) & (res <= padded[2:])]
 
 
 def _tangent_frames(u):
@@ -445,17 +407,19 @@ def _spread(colors):
 def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     """Nontrivial colorings of a 2-bridge diagram over SphereQuandle(psi).
 
-    Every stage runs on all candidates at once:
+    Three stages, each run on all candidates at once:
 
     1. grid scan: the propagation residual over the residual crossings at
-       ``grid`` seed angles beta in [0, pi]; each local minimum brackets a
-       candidate between its two grid neighbours;
-    2. lockstep refinement: golden section on every bracket to width
-       1e-13, one batched propagation per step (``_golden_lockstep``);
-    3. polish: Gauss-Newton on all crossing relations from the propagated
-       colorings (``_polish``), which removes the rounding error that
-       propagation amplifies along the arc chain;
-    4. acceptance: a candidate is kept if its polish stayed finite with
+       ``grid`` seed angles beta in [0, pi]; every local minimum is a
+       candidate (``_grid_minima``);
+    2. polish: Gauss-Newton on all crossing relations, started from the
+       propagated colorings of the grid minima (``_polish``).  It converges
+       quadratically at a simple root and also removes the rounding error
+       that propagation amplifies along the arc chain.  At a window end,
+       where two seeds merge into a double root, it converges only
+       linearly: the seed can land some 1e-5 from the root there (2.6e-5
+       for fig8 at psi = 2*pi/3), with a residual still under EPS_COLOR;
+    3. acceptance: a candidate is kept if its polish stayed finite with
        beta in [0, pi] and the ``residual`` of the returned coloring over
        all crossings is at most EPS_COLOR.
 
@@ -471,7 +435,7 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
         raise BadParameter(f"psi must lie in (0, 2*pi), not {psi}")
     quandle = SphereQuandle(psi)
     betas, colors, ok = _polish(
-        diagram, quandle, _refined_seeds(diagram, quandle, grid)
+        diagram, quandle, _grid_minima(diagram, quandle, grid)
     )
     ok &= residual(Coloring(quandle, colors), diagram) <= EPS_COLOR
 

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .quandles import ConjClassQuandle, SphereQuandle, iso_sphere_to_conj
 from .quaternions import Quaternion, distance
+from .tangles import longitude_word
 
 LAMBDA_TOL = 1e-9
 
@@ -76,12 +77,15 @@ class LongitudeValue:
             raise NotInLambda(
                 "longitude value does not commute with the basepoint"
             )
-        phi = math.atan2(q.b, q.a)
-        if distance(Quaternion.exp(phi, [1.0, 0.0, 0.0]), q) > tol:
+        return LongitudeValue(q=q, phi=math.atan2(q.b, q.a))._on_circle(tol)
+
+    def _on_circle(self, tol):
+        """This value, checked to satisfy q = exp(phi, i) within tol."""
+        if distance(Quaternion.exp(self.phi, [1.0, 0.0, 0.0]), self.q) > tol:
             raise NotInLambda(
                 "longitude value does not lie on the circle about i"
             )
-        return LongitudeValue(q=q, phi=phi)
+        return self
 
 
 def to_conj_coloring(coloring):
@@ -110,10 +114,11 @@ def eval_word(diagram, coloring):
         raise ArityMismatch(
             f"{len(cc.colors)} colors for {code.n + 1} arcs"
         )
+    word = longitude_word(code)
     x0 = cc.colors[0]
-    value = x0.pow(-code.writhe)
-    for kap, e in zip(code.kappa, code.eps):
-        factor = cc.colors[kap] if e > 0 else cc.colors[kap].inverse()
+    value = x0.pow(word.lead_exponent)
+    for arc, e in word.factors:
+        factor = cc.colors[arc] if e > 0 else cc.colors[arc].inverse()
         value = value * factor
     return LongitudeValue.from_quaternion(value, basepoint=x0)
 
@@ -134,8 +139,8 @@ def galex_lift(diagram, coloring):
         )
     x = cc.colors[0]
     g = Quaternion.one()
-    for kap, e in zip(code.kappa, code.eps):
-        u = cc.colors[kap] if e > 0 else cc.colors[kap].inverse()
+    for arc, e in longitude_word(code).factors:
+        u = cc.colors[arc] if e > 0 else cc.colors[arc].inverse()
         g = x.pow(-e) * g * u
     return g
 
@@ -191,11 +196,7 @@ def fig8_closed_form(theta, branch):
 
 def longitude_angle(value, tol=LAMBDA_TOL):
     """The angle phi in (-pi, pi] with value.q = exp(phi, i)."""
-    if distance(
-        Quaternion.exp(value.phi, [1.0, 0.0, 0.0]), value.q
-    ) > tol:
-        raise NotInLambda("value does not lie on the circle about i")
-    return value.phi
+    return value._on_circle(tol).phi
 
 
 def qn_check(diagram, coloring, tol=1e-9):

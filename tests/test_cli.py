@@ -218,6 +218,17 @@ def test_sweep_bad_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("lo,hi", [("1", "inf"), ("-inf", "1"),
+                                   ("nan", "1"), ("-inf", "inf")])
+def test_sweep_non_finite_bounds(capsys, lo, hi):
+    # theta-max inf printed nan/inf rows and a numpy warning, exit 0
+    code, out, err = run(capsys, "sweep", "--knot", "fig8",
+                         f"--theta-min={lo}", f"--theta-max={hi}",
+                         "--steps", "3")
+    assert code == 2
+    assert err.startswith("error:") and out == ""
+
+
 def test_intervals_table(capsys):
     code, out, _ = run(capsys, "intervals", "7")
     assert code == 0
@@ -244,3 +255,11 @@ def test_intervals_n3(capsys):
 def test_intervals_bad_n(capsys):
     code, _, err = run(capsys, "intervals", "6")
     assert code == 2
+
+
+@pytest.mark.parametrize("n", ["1", "-3", "2"])
+def test_intervals_n_below_three(capsys, n):
+    # these printed an empty table and exited 0
+    code, out, err = run(capsys, "intervals", n)
+    assert code == 2
+    assert err.startswith("error:") and out == ""

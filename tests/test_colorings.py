@@ -5,9 +5,8 @@ import pytest
 
 from longmap.colorings import (
     BASEPOINT,
-    DEFAULT_GRID,
+    EPS_COLOR,
     Coloring,
-    _refined_seeds,
     _solve_stack,
     admissible_steps,
     fig8_betas,
@@ -215,106 +214,50 @@ def test_solver_oracle_beyond_small_n(n, sign, frac):
             assert distance(got, closed) <= 1e-8, psi
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _oracle_psis(ends):
+    """The midpoint of every band between consecutive window ends in
+    (0, 2*pi): at least 0.05 from every end for the knots used here."""
+    cuts = [0.0] + sorted(ends) + [2 * PI]
+    return [0.5 * (lo + hi) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _scalar_golden(lo, hi, xtol=1e-13):
-    """Reference golden-section search on one bracket.  A generator: it
-    yields each point to evaluate and is sent the value back."""
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc = yield c
-    fd = yield d
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = yield c
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = yield d
-    return 0.5 * (a + b)
+def _assert_oracle_seeds(d, psi, want):
+    seeds = solve_colorings(d, psi)
+    assert len(seeds) == len(want), (d.name, psi)
+    for (beta, c), w in zip(seeds, want):
+        assert abs(beta - w) <= 1e-8, (d.name, psi, beta, w)
+        assert residual(c, d) <= EPS_COLOR, (d.name, psi)
 
 
-def _scalar_refined_seeds(diagram, psi, stacked, grid=DEFAULT_GRID):
-    """Grid minima of the propagation residual, each refined by its own
-    scalar search.  The searches advance side by side; their pending points
-    are evaluated one coloring at a time, or as one stack if ``stacked``."""
-    q = SphereQuandle(psi)
-
-    def seed_residuals(betas):
-        seeds = np.stack([np.cos(betas), np.sin(betas), 0.0 * betas], -1)
-        colors = propagate(diagram, q, (np.broadcast_to(BASEPOINT,
-                                                        seeds.shape), seeds))
-        return residual(Coloring(q, colors), diagram,
-                        diagram.residual_crossings)
-
-    def evaluate(points):
-        if stacked:
-            return seed_residuals(np.array(points)).tolist()
-        return [float(seed_residuals(np.float64(x))) for x in points]
-
-    betas = np.linspace(0.0, PI, grid)
-    res = seed_residuals(betas)
-    searches = []
-    for j in range(grid):
-        left = res[j - 1] if j > 0 else np.inf
-        right = res[j + 1] if j < grid - 1 else np.inf
-        if res[j] <= left and res[j] <= right:
-            searches.append(_scalar_golden(betas[max(j - 1, 0)],
-                                           betas[min(j + 1, grid - 1)]))
-    out = [None] * len(searches)
-    pending = {i: next(g) for i, g in enumerate(searches)}
-    while pending:
-        for i, fx in zip(list(pending), evaluate(list(pending.values()))):
-            try:
-                pending[i] = searches[i].send(fx)
-            except StopIteration as done:
-                out[i] = done.value
-                del pending[i]
-    return out
+@pytest.mark.parametrize("n,sign", [(n, 1) for n in range(3, 22, 2)]
+                         + [(11, -1)])
+def test_solver_oracle_sweep_torus(n, sign):
+    # the seed set at one psi in every band of T(2, n) is the set of
+    # star-polygon seed angles of the windows containing psi
+    d = torus2n(n, sign)
+    for psi in _oracle_psis([(2 * i + 1) * PI / n for i in range(n)]):
+        assert admissible_steps(n, psi) == admissible_steps(n, psi, 0.05)
+        want = sorted(star_beta(n, h, psi) for h in admissible_steps(n, psi))
+        _assert_oracle_seeds(d, psi, want)
 
 
-def _criterion_6_cases():
-    """The psi points of acceptance criterion 6 (tests/test_acceptance.py)."""
-    cases = []
-    for n in (3, 5, 7, 9):
-        k = (n - 1) // 2
-        samples = [(n - 2 * k) * PI / n - 0.2, PI + 0.1]
-        for h in range(1, k + 1):
-            lo = (n - 2 * h) * PI / n
-            hi = (n - 2 * h + 2) * PI / n
-            samples.append(0.5 * (lo + hi))
-        cases += [(torus2n(n), psi) for psi in samples if psi > 0]
-    cases += [(fig8(), psi) for psi in (PI, 2 * PI / 3 + 0.07,
-                                        2 * PI / 3 - 0.07, 4 * PI / 3 + 0.07)]
-    return cases
+def test_solver_oracle_sweep_fig8():
+    inside = np.linspace(2 * PI / 3 + 0.05, 4 * PI / 3 - 0.05, 5)
+    for psi in inside:
+        _assert_oracle_seeds(fig8(), psi, sorted(fig8_betas(psi)))
+    for psi in _oracle_psis([2 * PI / 3, 4 * PI / 3])[::2]:
+        _assert_oracle_seeds(fig8(), psi, [])
 
 
-def _solver_found_cases():
-    """Every psi of the solver_found fixture (tests/test_acceptance.py)."""
-    cases = [(fig8(), float(psi)) for psi in
-             np.linspace(2 * PI / 3 + 0.08, 4 * PI / 3 - 0.08, 60)]
-    for n in (5, 7):
-        cases += [(torus2n(n), float(psi))
-                  for psi in np.linspace(0.55 * PI, 1.35 * PI, 20)]
-    return cases
-
-
-def test_lockstep_refinement_matches_scalar_search():
-    # the lockstep search runs every bracket in one batch; each bracket must
-    # still take the scalar search's iterates, bit for bit.  On the
-    # criterion-6 points the reference evaluates one coloring at a time, so
-    # a stacked propagation must also match a single one; on the larger
-    # solver_found grid it evaluates its pending points as one stack.
-    cases = [(d, psi, False) for d, psi in _criterion_6_cases()]
-    cases += [(d, psi, True) for d, psi in _solver_found_cases()]
-    for diagram, psi, stacked in cases:
-        got = _refined_seeds(diagram, SphereQuandle(psi), DEFAULT_GRID)
-        want = _scalar_refined_seeds(diagram, psi, stacked)
-        assert got.tolist() == want, (diagram.name, psi)
+@pytest.mark.parametrize("psi", [2 * PI / 3, 4 * PI / 3])
+def test_solver_fig8_window_end_double_root(psi):
+    # the two seeds merge into a double root, where Gauss-Newton converges
+    # only linearly from the grid minimum: one seed, near arccos(-1/3)
+    seeds = solve_colorings(fig8(), psi)
+    assert len(seeds) == 1
+    beta, c = seeds[0]
+    assert abs(beta - math.acos(-1.0 / 3.0)) <= 1e-4
+    assert residual(c, fig8()) <= EPS_COLOR
 
 
 def test_singular_polish_system_gives_nan_not_an_error():
