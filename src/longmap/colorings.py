@@ -1,9 +1,9 @@
 """Quandle colorings of tangle diagrams.
 
 Closed-form families (spherical star polygons for the (2, n) torus knots,
-the two-branch figure-eight family), a 1-parameter numeric solver for
-2-bridge diagrams over spherical quandles, and an exhaustive Fox-coloring
-oracle over dihedral quandles.
+the two-branch figure-eight family), a numeric solver that colors 2-bridge
+diagrams over spherical quandles by words in the bridge generators, and an
+exhaustive Fox-coloring oracle over dihedral quandles.
 
 Basepoint convention: the initial arc is always colored x = (1, 0, 0), and
 the second bridge color is sought on the half-equator
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .errors import (
     ResidualTooLarge,
 )
 from .quandles import DihedralQuandle, SphereQuandle
-from .quaternions import _cross, rotate
+from .quaternions import rotate
 
 EPS_COLOR = 1e-8        # residual acceptance for a valid coloring
 SEED_TOL = 1e-6         # dedup tolerance between solver seeds
@@ -92,7 +93,7 @@ def propagate(diagram, quandle, bridge_colors):
     return colors
 
 
-def residual(coloring, diagram, crossings=None):
+def residual(coloring, diagram):
     """Max deviation over crossings between the actual out-arc color and the
     one demanded by the crossing relation; an array of them for a stack of
     sphere colorings."""
@@ -104,7 +105,7 @@ def residual(coloring, diagram, crossings=None):
     q = coloring.quandle
     cols = coloring.colors
     worst = 0.0
-    for ci in crossings if crossings is not None else range(1, code.n + 1):
+    for ci in range(1, code.n + 1):
         expected = q.op_signed(
             cols[ci - 1], cols[code.kappa[ci - 1]], code.eps[ci - 1]
         )
@@ -172,6 +173,8 @@ def _star_latitude(n, h, psi):
         cot_a = math.tan(math.pi * (n - 2 * h) / (2 * n))
     half = 0.5 * psi
     r = -cot_a * math.cos(half) / math.sin(half)
+    if not abs(r) < 1.0:  # psi within rounding of a window end
+        raise OutOfInterval(f"psi={psi!r} rounds onto a window end")
     return r, math.sqrt((1.0 - r) * (1.0 + r)), a
 
 
@@ -263,139 +266,127 @@ def fig8_coloring(psi, branch, base_rotation=0.0):
 
 
 # ---------------------------------------------------------------------------
-# numeric seed solver
+# numeric seed solver on arc words
 
 
-_POLISH_STEPS = 4  # Gauss-Newton steps; each about squares the error
+_POLISH_STEPS = 4  # Gauss-Newton steps in beta
+_CSTEP = 1e-20     # complex step for the slope in beta
+
+# the flattened M with p @ M = p*i = (-b, a, d, -c), p*j = (-c, -d, a, b)
+# and p, for a quaternion row p = (a, b, c, d)
+_TIMES = np.stack([np.eye(4)[[1, 0, 3, 2]].T * [-1, 1, 1, -1],
+                   np.eye(4)[[2, 3, 0, 1]].T * [-1, -1, 1, 1],
+                   np.eye(4)]).reshape(3, 16)
 
 
-def _seed_colorings(diagram, quandle, betas):
-    """Propagated colorings for an array of seed angles: a list over the
-    arcs of (len(betas), 3) stacks."""
-    seeds = np.stack(
-        [np.cos(betas), np.sin(betas), np.zeros_like(betas)], axis=-1
-    )
-    base = np.broadcast_to(BASEPOINT, seeds.shape)
-    return propagate(diagram, quandle, (base, seeds))
+def _arc_words(diagram):
+    """Arc j colored W_j b_j W_j^-1: the reduced word W_j and base b_j (0
+    for the basepoint x, 1 for the seed y) of every arc, and the word and
+    base that each residual crossing's relation demands of its out-arc.
+
+    A syllable (letter, a) is exp(a*psi/2 * b_letter), whose conjugation
+    turns by a*psi about b_letter, so a crossing turns the source arc into
+    W_over B_over^(+-1) W_over^-1 W_source.  No word ends in a syllable of
+    its own base, which fixes the base, so only W_source can cancel.
+    """
+    code = diagram.code
+    arcs = [((), 0)] * (code.n + 1)
+    arcs[diagram.bridge_arcs[1]] = ((), 1)
+
+    def moved(target, ci):
+        source, sign = ci - 1, code.eps[ci - 1]
+        if target != ci:
+            source, sign = ci, -sign
+        (w, over), (tail, base) = arcs[code.kappa[ci - 1]], arcs[source]
+        word = [*w, (over, sign), *((letter, -a) for letter, a in reversed(w))]
+        for letter, a in tail:
+            if word and word[-1][0] == letter:
+                a += word.pop()[1]
+            if a:
+                word.append((letter, a))
+        if word and word[-1][0] == base:
+            word.pop()
+        return tuple(word), base
+
+    for target, ci in diagram.schedule:
+        arcs[target] = moved(target, ci)
+    return arcs, [moved(ci, ci) for ci in diagram.residual_crossings]
 
 
-def _grid_minima(diagram, quandle, grid):
+def _word_colors(pairs, psi, betas):
+    """Colors W b W^-1 of (word, base) pairs over a stack of seed angles,
+    shape (3, len(pairs), len(betas)); complex betas give the complex-step
+    extension.  Each prefix of the words is multiplied out once, as its own
+    prefix times a syllable c + s (u i + v j), c = cos(a*psi/2)."""
+    paths, ids = [[0] for _ in pairs], {}
+    for path, (word, _) in zip(paths, pairs):
+        for letter, a in word:
+            path.append(ids.setdefault((path[-1], letter, a), len(ids) + 1))
+    # drop a product once its only child is formed, unless a word ends there
+    keep = {path[-1] for path in paths}
+    keep |= {k for k, n in Counter(key[0] for key in ids).items() if n > 1}
+
+    cos_b, sin_b = np.cos(betas), np.sin(betas)
+    # right multiplication by c + s (u i + v j) is (s u, s v, c) @ _TIMES,
+    # with (u, v) = (1, 0) for x; rows are components, columns are betas
+    axes = [np.array([[1.0], [0.0], [1.0]]),
+            np.stack([cos_b, sin_b, np.ones_like(cos_b)])]
+    mats, prods = {}, {0: np.eye(4, 1) + 0.0 * cos_b}
+    for (parent, letter, a), node in ids.items():  # parents come first
+        if (letter, a) not in mats:
+            c, s = math.cos(0.5 * a * psi), math.sin(0.5 * a * psi)
+            mats[letter, a] = (_TIMES.T @ (axes[letter] * [[s], [s], [c]])
+                               ).reshape(4, 4, -1)
+        prods[node] = np.einsum("jk,jlk->lk", prods[parent], mats[letter, a])
+        if parent not in keep:
+            del prods[parent]
+
+    # b = (bx, by, 0) turned by W = s + v: b + s t + v x t, t = 2 v x b
+    s, v1, v2, v3 = np.stack([prods[path[-1]] for path in paths], axis=1)
+    del mats, prods  # freed before the color temporaries below
+    bases = np.array([base for _, base in pairs])[:, np.newaxis]
+    bx, by = np.where(bases, cos_b, 1.0), np.where(bases, sin_b, 0.0)
+    t1, t2, t3 = -2.0 * v3 * by, 2.0 * v3 * bx, 2.0 * (v1 * by - v2 * bx)
+    return np.stack([bx + s * t1 + v2 * t3 - v3 * t2,
+                     by + s * t2 + v3 * t1 - v1 * t3,
+                     s * t3 + v1 * t2 - v2 * t1])
+
+
+def _grid_minima(gaps, grid):
     """Stage 1 of ``solve_colorings``: the seed angles on a uniform grid of
-    [0, pi] where the propagation residual over the residual crossings is a
-    local minimum."""
+    [0, pi] where the largest of the relation ``gaps`` is a local minimum."""
     betas = np.linspace(0.0, math.pi, grid)
-    colors = _seed_colorings(diagram, quandle, betas)
-    res = residual(
-        Coloring(quandle, colors), diagram, diagram.residual_crossings
-    )
+    res = np.max(np.sum(gaps(betas) ** 2, axis=0), axis=0)
     padded = np.concatenate([[np.inf], res, [np.inf]])
     return betas[(res <= padded[:-2]) & (res <= padded[2:])]
 
 
-def _tangent_frames(u):
-    """Orthonormal tangent vectors e1, e2 at each unit vector of a stack,
-    branch-free (Duff et al., "Building an orthonormal basis, revisited",
-    JCGT 6(1), 2017)."""
-    x, y, z = u[..., 0], u[..., 1], u[..., 2]
-    s = np.copysign(1.0, z)
-    a = -1.0 / (s + z)
-    b = x * y * a
-    e1 = np.stack([1.0 + s * x * x * a, s * b, -s * x], axis=-1)
-    e2 = np.stack([b, s + y * y * a, -y], axis=-1)
-    return e1, e2
+def _refine(gaps, betas):
+    """Stage 2 of ``solve_colorings``: _POLISH_STEPS Gauss-Newton steps in
+    beta on the relation gaps, with slopes from a complex step.  The step
+    and the doubled step, exact at a double root, are tried together; the
+    one that lowers the squared gaps more is taken, or neither.  Returns
+    the betas and a mask of the steps that were finite and in [0, pi]."""
+    def gaps_and_slopes(b):
+        g = gaps(b.ravel() + 1j * _CSTEP).reshape((-1,) + b.shape)
+        return g.real, g.imag / _CSTEP
 
-
-def _solve_stack(a, b):
-    """np.linalg.solve over a stack of systems, nan where one is singular."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for i in range(len(a)):
-            try:
-                out[i] = np.linalg.solve(a[i], b[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
-
-
-def _polish(diagram, quandle, betas):
-    """Gauss-Newton on all n crossing relations of a stack of colorings.
-
-    Forward propagation amplifies rounding along the arc chain (by about
-    1e10 on T(2,21)), so a propagated coloring can miss EPS_COLOR even at
-    the float64 seed nearest the root.  Here every arc but the basepoint is
-    unknown: two tangent coordinates per arc, and beta alone for the seed
-    arc, which stays on the equator.  Each of the _POLISH_STEPS steps solves
-    the least-squares problem of the 3n relation components with the
-    closed-form Rodrigues Jacobian, then moves the colors back to the
-    sphere.
-
-    Starts from the propagated colorings of the seed angles ``betas``.
-    Returns the polished betas, colors of shape (arcs, len(betas), 3) and a
-    mask of the candidates whose every step was finite and nonsingular and
-    kept beta in [0, pi].
-    """
-    code = diagram.code
-    n = code.n
-    seed_arc = diagram.bridge_arcs[1]
-    fixed = {0, n} if diagram.terminal_is_initial else {0}
-    free = np.array([j for j in range(n + 1) if j not in fixed | {seed_arc}])
-    # coordinate t of arc j is column 2j + t; the seed arc has only beta
-    unknowns = np.concatenate([[2 * seed_arc], 2 * free, 2 * free + 1])
-    crossings = np.arange(n)
-    ins, outs, over = crossings, crossings + 1, np.array(code.kappa)
-    phi = quandle.psi * np.array(code.eps, dtype=float)[:, np.newaxis]
-    c = np.cos(phi)[..., np.newaxis, np.newaxis]
-    s = np.sin(phi)[..., np.newaxis, np.newaxis]
-
-    x = np.array(_seed_colorings(diagram, quandle, betas))
-    k = len(betas)
-    ok = np.ones(k, dtype=bool)
+    rows = np.arange(len(betas))
+    g, dg = gaps_and_slopes(betas)
+    ok = np.ones(len(betas), dtype=bool)
     for _ in range(_POLISH_STEPS):
-        # frame[j, :, t] is the derivative of arc j's color in coordinate t
-        frame = np.zeros((n + 1, k, 2, 3))
-        frame[seed_arc, :, 0, 0] = -np.sin(betas)
-        frame[seed_arc, :, 0, 1] = np.cos(betas)
-        frame[free, :, 0], frame[free, :, 1] = _tangent_frames(x[free])
-
-        # relation g = out - R in, R w = c w + s v x w + (1 - c) v (v.w)
-        # the rotation about v = over; its derivative is
-        # dg = d out - R d in - s dv x in - (1 - c) (dv (v.in) + v (in.dv))
-        u, v = x[ins], x[over]
-        g = x[outs] - rotate(u, phi, v)
-        f_in, f_over = frame[ins], frame[over]
-        u, v = u[:, :, np.newaxis], v[:, :, np.newaxis]
-        rot_in = rotate(f_in, phi[..., np.newaxis], v)
-        daxis_over = s * _cross(f_over, u) + (1.0 - c) * (
-            f_over * np.sum(u * v, axis=-1, keepdims=True)
-            + v * np.sum(u * f_over, axis=-1, keepdims=True)
-        )
-        # (candidate, crossing, component, arc, coordinate); each term adds
-        # at distinct (crossing, arc) pairs, so += is safe with fancy indices
-        jac = np.zeros((k, n, 3, n + 1, 2))
-        jac[:, crossings, :, outs] += frame[outs].swapaxes(-1, -2)
-        jac[:, crossings, :, ins] -= rot_in.swapaxes(-1, -2)
-        jac[:, crossings, :, over] -= daxis_over.swapaxes(-1, -2)
-        jac = jac.reshape(k, 3 * n, 2 * (n + 1))[:, :, unknowns]
-        rhs = g.transpose(1, 0, 2).reshape(k, 3 * n, 1)
-        jac_t = jac.transpose(0, 2, 1)
-        step = -_solve_stack(jac_t @ jac, jac_t @ rhs)[..., 0]
-
-        beta_next = betas + step[:, 0]
-        ok &= (np.isfinite(step).all(axis=-1)
-               & (0.0 <= beta_next) & (beta_next <= math.pi))
-        step[~ok] = 0.0
-        full = np.zeros((k, 2 * (n + 1)))
-        full[:, unknowns] = step
-        d = full.reshape(k, n + 1, 2, 1).transpose(1, 0, 2, 3)
-        betas = betas + d[seed_arc, :, 0, 0]
-        x[seed_arc] = np.stack(
-            [np.cos(betas), np.sin(betas), np.zeros(k)], axis=-1
-        )
-        moved = x[free] + np.sum(d[free] * frame[free], axis=2)
-        x[free] = moved / np.linalg.norm(moved, axis=-1, keepdims=True)
-    return betas, x, ok
+        jj = np.sum(dg * dg, axis=0)
+        step = -np.divide(np.sum(g * dg, axis=0), jj,
+                          out=np.zeros_like(jj), where=jj > 0.0)
+        # beta itself comes first, so that it stays unless a step is lower
+        trial = betas[:, np.newaxis] + step[:, np.newaxis] * [0.0, 1.0, 2.0]
+        tg, tdg = gaps_and_slopes(trial)
+        cost = np.where((0.0 <= trial) & (trial <= math.pi),
+                        np.sum(tg * tg, axis=0), np.inf)
+        ok &= cost[:, 1] < np.inf  # the step is finite and in [0, pi]
+        best = np.argmin(cost, axis=1)
+        betas, g, dg = trial[rows, best], tg[:, rows, best], tdg[:, rows, best]
+    return betas, ok
 
 
 def _spread(colors):
@@ -407,21 +398,18 @@ def _spread(colors):
 def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     """Nontrivial colorings of a 2-bridge diagram over SphereQuandle(psi).
 
-    Three stages, each run on all candidates at once:
+    Arc j is colored W_j b_j W_j^-1, with W_j a reduced word in the two
+    bridge generators and b_j a bridge color (``_arc_words``), so rounding
+    grows with the word length, not along the arc chain as in
+    ``propagate``.  Three stages, each run on all candidates at once:
 
-    1. grid scan: the propagation residual over the residual crossings at
-       ``grid`` seed angles beta in [0, pi]; every local minimum is a
-       candidate (``_grid_minima``);
-    2. polish: Gauss-Newton on all crossing relations, started from the
-       propagated colorings of the grid minima (``_polish``).  It converges
-       quadratically at a simple root and also removes the rounding error
-       that propagation amplifies along the arc chain.  At a window end,
-       where two seeds merge into a double root, it converges only
-       linearly: the seed can land some 1e-5 from the root there (2.6e-5
-       for fig8 at psi = 2*pi/3), with a residual still under EPS_COLOR;
-    3. acceptance: a candidate is kept if its polish stayed finite with
-       beta in [0, pi] and the ``residual`` of the returned coloring over
-       all crossings is at most EPS_COLOR.
+    1. grid scan: every local minimum over ``grid`` seed angles in [0, pi]
+       of the largest relation gap of a residual crossing;
+    2. refinement: Gauss-Newton in beta alone on those gaps, reaching a
+       simple root and also the double root at a window end (``_refine``);
+    3. acceptance: the refinement stayed finite in [0, pi] and the
+       ``residual`` over all crossings of the coloring, all arcs evaluated
+       from their words, is at most EPS_COLOR.
 
     The trivial constant coloring (spread at most SPREAD_TOL) and duplicate
     seeds within SEED_TOL are dropped.  Returns a list of (beta, Coloring)
@@ -434,9 +422,14 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     if not 0.0 < psi < 2.0 * math.pi:  # also rejects nan
         raise BadParameter(f"psi must lie in (0, 2*pi), not {psi}")
     quandle = SphereQuandle(psi)
-    betas, colors, ok = _polish(
-        diagram, quandle, _grid_minima(diagram, quandle, grid)
-    )
+    arcs, relations = _arc_words(diagram)
+    pairs = [arcs[ci] for ci in diagram.residual_crossings] + relations
+
+    def gaps(b):  # each residual crossing's out-arc minus its demanded color
+        return np.subtract(*np.split(_word_colors(pairs, psi, b), 2, axis=1))
+
+    betas, ok = _refine(gaps, _grid_minima(gaps, grid))
+    colors = np.moveaxis(_word_colors(arcs, psi, betas), 0, -1)
     ok &= residual(Coloring(quandle, colors), diagram) <= EPS_COLOR
 
     found = []

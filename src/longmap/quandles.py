@@ -26,7 +26,6 @@ from .quaternions import (
     Quaternion,
     distance,
     geodesic_distance,
-    normalize,
     rotate,
 )
 
@@ -244,7 +243,14 @@ def iso_sphere_to_conj(u, theta):
     """u -> exp(theta, u): S^2_(2*pi - 2*theta) -> conjugacy class of theta."""
     if not 0.0 < theta < math.pi:
         raise BadParameter("theta must lie in (0, pi)")
-    return Quaternion.exp(theta, normalize(u))
+    x, y, z = (float(c) for c in u)
+    nrm = math.sqrt(x * x + y * y + z * z)
+    if nrm == 0.0:
+        raise ValueError("cannot normalize a zero vector")
+    s = math.sin(theta)
+    return Quaternion.from_components(
+        math.cos(theta), s * (x / nrm), s * (y / nrm), s * (z / nrm)
+    )
 
 
 def eis_to_galex(elem):

@@ -46,6 +46,13 @@ def test_color_torus7_three_seeds(capsys):
     assert "3 nontrivial seed(s)" in out
 
 
+def test_color_torus51_all_seeds(capsys):
+    code, out, _ = run(capsys, "color", "--knot", "torus:51",
+                       "--psi", "2.827")
+    assert code == 0
+    assert "23 nontrivial seed(s)" in out
+
+
 def test_color_outside_interval(capsys):
     code, out, _ = run(capsys, "color", "--knot", "fig8", "--psi", "1.571")
     assert code == 0
@@ -202,6 +209,17 @@ def test_sweep_fig8_branches(capsys):
         # conjugate branches: equal real parts, opposite imaginary parts
         assert abs(float(r1[3]) - float(r2[3])) <= 1e-9
         assert abs(float(r1[4]) + float(r2[4])) <= 1e-9
+
+
+def test_sweep_rounding_onto_a_window_end(capsys):
+    # psi = 2*pi - 2*theta lies within rounding of a window end of h = 1
+    code, out, err = run(
+        capsys, "sweep", "--knot", "torus:13",
+        "--theta-min", "1.8124573001479576",
+        "--theta-max", "1.8134573001479576", "--steps", "2", "--branches", "1",
+    )
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 3
 
 
 def test_sweep_deterministic(capsys):

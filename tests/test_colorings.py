@@ -7,7 +7,8 @@ from longmap.colorings import (
     BASEPOINT,
     EPS_COLOR,
     Coloring,
-    _solve_stack,
+    _arc_words,
+    _word_colors,
     admissible_steps,
     fig8_betas,
     fig8_coloring,
@@ -23,10 +24,10 @@ from longmap.colorings import (
     torus_theta_interval,
 )
 from longmap.errors import BadParameter, NoSchedule, OutOfInterval
-from longmap.longitudes import eval_word, t2n_closed_form
+from longmap.longitudes import eval_word, fig8_closed_form, t2n_closed_form
 from longmap.quandles import DihedralQuandle, SphereQuandle
 from longmap.quaternions import directed_angle, distance, geodesic_distance
-from longmap.tangles import TangleDiagram, WirtingerCode, fig8, torus2n
+from longmap.tangles import TangleDiagram, WirtingerCode, fig8, parse, torus2n
 
 PI = math.pi
 
@@ -100,6 +101,16 @@ def test_star_beta_is_the_seed_distance(n):
             assert abs(star_beta(n, h, psi) - want) <= 1e-12, (h, psi)
     with pytest.raises(OutOfInterval):
         star_beta(n, 1, torus_interval(n, 1)[1])
+
+
+def test_star_beta_rounding_onto_a_window_end():
+    # psi lies inside torus_interval(17, 3), but the latitude rounds to
+    # |r| >= 1
+    psi = 2 * PI * 33 / 102
+    lo, hi = torus_interval(17, 3)
+    assert lo < psi < hi
+    with pytest.raises(OutOfInterval):
+        star_beta(17, 3, psi)
 
 
 def test_star_polygon_out_of_interval():
@@ -251,23 +262,85 @@ def test_solver_oracle_sweep_fig8():
 
 @pytest.mark.parametrize("psi", [2 * PI / 3, 4 * PI / 3])
 def test_solver_fig8_window_end_double_root(psi):
-    # the two seeds merge into a double root, where Gauss-Newton converges
-    # only linearly from the grid minimum: one seed, near arccos(-1/3)
+    # the two seeds merge into a double root, where the doubled
+    # Gauss-Newton step lands on it: one seed, precise enough for the
+    # longitude word
     seeds = solve_colorings(fig8(), psi)
     assert len(seeds) == 1
     beta, c = seeds[0]
-    assert abs(beta - math.acos(-1.0 / 3.0)) <= 1e-4
+    assert abs(beta - math.acos(-1.0 / 3.0)) <= 1e-9
     assert residual(c, fig8()) <= EPS_COLOR
+    got = eval_word(fig8(), c).q
+    for branch in (1, 2):
+        closed = fig8_closed_form(PI - psi / 2, branch).q
+        assert distance(got, closed) <= 1e-8
 
 
-def test_singular_polish_system_gives_nan_not_an_error():
-    # a candidate whose Gauss-Newton system is singular is dropped, and the
-    # other candidates of the stack keep their steps
-    a = np.stack([2.0 * np.eye(2), np.zeros((2, 2))])
-    b = np.ones((2, 2, 1))
-    out = _solve_stack(a, b)
-    assert np.array_equal(out[0], 0.5 * b[0])
-    assert np.isnan(out[1]).all()
+def test_solver_oracle_sweep_long_chain():
+    # forward propagation loses seeds on arc chains this long; the arc
+    # words keep every one
+    n = 31
+    d = torus2n(n)
+    for psi in _oracle_psis([(2 * i + 1) * PI / n for i in range(n)]):
+        assert admissible_steps(n, psi) == admissible_steps(n, psi, 0.05)
+        want = sorted(star_beta(n, h, psi) for h in admissible_steps(n, psi))
+        _assert_oracle_seeds(d, psi, want)
+
+
+@pytest.mark.parametrize("n,sign", [(51, 1), (51, -1), (101, 1)])
+def test_solver_oracle_large_n(n, sign):
+    d = torus2n(n, sign)
+    for psi in (0.5 * PI, 0.9 * PI, 1.3 * PI):
+        want = sorted(star_beta(n, h, psi) for h in admissible_steps(n, psi))
+        seeds = solve_colorings(d, psi)
+        assert len(seeds) == len(want), psi
+        closed = t2n_closed_form(n, PI - psi / 2, mirror=sign < 0).q
+        for (beta, c), w in zip(seeds, want):
+            assert abs(beta - w) <= 1e-8, (psi, beta, w)
+            assert distance(eval_word(d, c).q, closed) <= 1e-8, psi
+
+
+# the figure-eight with forward entries only and residual crossings 2, 4
+_CUSTOM = """tangle n=4
+kappa=2,3,0,1
+eps=+,-,+,-
+bridges=0,2
+schedule=1:1;3:3
+"""
+
+
+@pytest.mark.parametrize("diagram", [fig8(), parse(_CUSTOM), torus2n(7),
+                                     torus2n(5, -1)],
+                         ids=["fig8", "parsed", "T7", "T5-"])
+def test_arc_words_reproduce_propagation(diagram):
+    # every arc word W b W^-1 equals the forward-propagated color, on
+    # chains short enough for propagation to be exact to 1e-12
+    psi, betas = 0.9 * PI, np.linspace(0.1, 3.0, 7)
+    arcs, _ = _arc_words(diagram)
+    got = np.moveaxis(_word_colors(arcs, psi, betas), 0, -1)
+    seeds = np.stack([np.cos(betas), np.sin(betas), 0.0 * betas], axis=-1)
+    base = np.broadcast_to(BASEPOINT, seeds.shape)
+    want = propagate(diagram, SphereQuandle(psi), (base, seeds))
+    for arc in range(diagram.n_arcs):
+        assert np.max(np.abs(got[arc] - want[arc])) <= 1e-12, arc
+    # no word ends in a syllable of its own base
+    assert all(not w or w[-1][0] != b for w, b in arcs)
+
+
+def test_word_colors_share_prefixes():
+    # words that extend, branch from and repeat each other, in either
+    # order: each color is the same as when its word is evaluated alone
+    x, y = 0, 1
+    pairs = [(((y, 1), (x, 1), (y, -1)), x), (((y, 1), (x, 1)), y), ((), y),
+             (((y, 1), (x, 1), (y, -1), (x, 2), (y, 3)), x),
+             (((y, 1), (x, -1)), x), (((y, 1), (x, 1), (y, -1)), y)]
+    betas = np.linspace(0.1, 3.0, 5)
+    alone = np.stack([_word_colors([p], 0.7, betas)[:, 0] for p in pairs],
+                     axis=1)
+    for order in (pairs, pairs[::-1]):
+        got = _word_colors(order, 0.7, betas)
+        want = alone if order is pairs else alone[:, ::-1]
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_solver_rejects_psi_out_of_range():
