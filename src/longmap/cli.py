@@ -30,7 +30,7 @@ from .colorings import (
     torus_interval,
     torus_theta_interval,
 )
-from .errors import LongmapError, OutOfInterval
+from .errors import LongmapError, OutOfInterval, ParseError
 from .longitudes import fig8_closed_form, t2n_closed_form
 from .tangles import fig8, parse, torus2n
 
@@ -78,8 +78,11 @@ def _parse_branches(text, allowed):
 
 def _load_diagram(args):
     if args.file:
-        with open(args.file, encoding="utf-8") as fh:
-            return parse(fh.read())
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                return parse(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{args.file} is not UTF-8 text: {exc}") from None
     if args.knot is None:
         raise LongmapError("give either --knot or --file")
     knot = _parse_knot(args.knot)
@@ -127,30 +130,20 @@ def cmd_color(args):
     return 0
 
 
-def _sweep_rows_fig8(thetas, branches):
+def _sweep_rows(thetas, branches, seed_beta, longitude):
+    """Rows (theta, branch, beta, L_re, L_im, phi) from
+    ``seed_beta(psi, branch)`` and ``longitude(theta, branch)``; a branch
+    outside its window gives a row of None after theta and branch."""
     for theta in thetas:
         psi = 2.0 * math.pi - 2.0 * theta
         for branch in branches:
             try:
-                beta = fig8_betas(psi)[branch - 1]
-                value = fig8_closed_form(theta, branch)
+                beta = seed_beta(psi, branch)
+                value = longitude(theta, branch)
             except OutOfInterval:
                 yield (theta, branch, None, None, None, None)
                 continue
             yield (theta, branch, beta, value.q.a, value.q.b, value.phi)
-
-
-def _sweep_rows_torus(n, sign, thetas, branches):
-    for theta in thetas:
-        psi = 2.0 * math.pi - 2.0 * theta
-        for h in branches:
-            try:
-                beta = star_beta(n, h, psi)
-                value = t2n_closed_form(n, theta, mirror=(sign < 0))
-            except OutOfInterval:
-                yield (theta, h, None, None, None, None)
-                continue
-            yield (theta, h, beta, value.q.a, value.q.b, value.phi)
 
 
 def cmd_sweep(args):
@@ -163,13 +156,17 @@ def cmd_sweep(args):
     thetas = np.linspace(theta_min, theta_max, args.steps)
     knot = _parse_knot(args.knot)
     if knot is None:
-        rows = _sweep_rows_fig8(thetas, _parse_branches(args.branches, (1, 2)))
+        rows = _sweep_rows(thetas, _parse_branches(args.branches, (1, 2)),
+                           lambda psi, b: fig8_betas(psi)[b - 1],
+                           fig8_closed_form)
     else:
         n, sign = knot
         torus_interval(n, 1)  # BadParameter unless n is odd and >= 3
         steps = range(1, (n - 1) // 2 + 1)
-        rows = _sweep_rows_torus(n, sign, thetas,
-                                 _parse_branches(args.branches, steps))
+        rows = _sweep_rows(thetas, _parse_branches(args.branches, steps),
+                           lambda psi, h: star_beta(n, h, psi),
+                           lambda theta, h: t2n_closed_form(
+                               n, theta, mirror=sign < 0))
 
     lines = ["theta,branch,beta,L_re,L_im,phi"]
     for theta, branch, beta, l_re, l_im, phi in rows:
@@ -267,10 +264,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LongmapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LongmapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

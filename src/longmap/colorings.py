@@ -77,19 +77,13 @@ def propagate(diagram, quandle, bridge_colors):
     """
     if not diagram.has_schedule:
         raise NoSchedule(f"diagram {diagram.name or diagram!r} has no schedule")
-    code = diagram.code
-    colors = [None] * (code.n + 1)
+    colors = [None] * diagram.n_arcs
     for arc, col in zip(diagram.bridge_arcs, bridge_colors):
         colors[arc] = col
     if diagram.terminal_is_initial:
-        colors[code.n] = colors[0]
-    for target, ci in diagram.schedule:
-        kap = code.kappa[ci - 1]
-        e = code.eps[ci - 1]
-        if target == ci:
-            colors[ci] = quandle.op_signed(colors[ci - 1], colors[kap], e)
-        else:
-            colors[ci - 1] = quandle.op_signed(colors[ci], colors[kap], -e)
+        colors[-1] = colors[0]
+    for target, source, over, sign in diagram.steps():
+        colors[target] = quandle.op_signed(colors[source], colors[over], sign)
     return colors
 
 
@@ -185,13 +179,12 @@ def star_beta(n, h, psi):
     return 2.0 * math.atan2(s * math.sin(a), math.hypot(r, s * math.cos(a)))
 
 
-def star_polygon(n, h, psi, base_rotation=0.0):
+def star_polygon(n, h, psi):
     """Star-polygon coloring of torus2n(n, +1) over SphereQuandle(psi).
 
     The step-h spherical star n-gon with vertex angle psi, at the latitude
     given by ``_star_latitude``, placed so that the initial arc is colored
-    (1, 0, 0) and the second bridge lands on the upper half-equator, then
-    rotated globally about the x-axis by ``base_rotation``.
+    (1, 0, 0) and the second bridge lands on the upper half-equator.
     """
     r, s, a = _star_latitude(n, h, psi)
     # vertex m is the basepoint turned by 2*pi*m/n about the pole p; p.x = r
@@ -206,10 +199,7 @@ def star_polygon(n, h, psi, base_rotation=0.0):
     colors = tuple(
         verts[(h * (2 * j % n)) % n] for j in range(n + 1)
     )
-    out = Coloring(SphereQuandle(psi), colors)
-    if base_rotation:
-        out = rotate_coloring(out, base_rotation)
-    return out
+    return Coloring(SphereQuandle(psi), colors)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +233,7 @@ def _clip1(x):
     return min(1.0, max(-1.0, x))
 
 
-def fig8_coloring(psi, branch, base_rotation=0.0):
+def fig8_coloring(psi, branch):
     """Figure-eight coloring over SphereQuandle(psi) for branch 1 or 2."""
     if branch not in (1, 2):
         raise BadParameter("branch must be 1 or 2")
@@ -260,8 +250,6 @@ def fig8_coloring(psi, branch, base_rotation=0.0):
         raise ResidualTooLarge(
             f"closed-form beta fails its own equations (residual {res:.3e})"
         )
-    if base_rotation:
-        out = rotate_coloring(out, base_rotation)
     return out
 
 
@@ -293,11 +281,8 @@ def _arc_words(diagram):
     arcs = [((), 0)] * (code.n + 1)
     arcs[diagram.bridge_arcs[1]] = ((), 1)
 
-    def moved(target, ci):
-        source, sign = ci - 1, code.eps[ci - 1]
-        if target != ci:
-            source, sign = ci, -sign
-        (w, over), (tail, base) = arcs[code.kappa[ci - 1]], arcs[source]
+    def moved(source, over_arc, sign):
+        (w, over), (tail, base) = arcs[over_arc], arcs[source]
         word = [*w, (over, sign), *((letter, -a) for letter, a in reversed(w))]
         for letter, a in tail:
             if word and word[-1][0] == letter:
@@ -308,9 +293,10 @@ def _arc_words(diagram):
             word.pop()
         return tuple(word), base
 
-    for target, ci in diagram.schedule:
-        arcs[target] = moved(target, ci)
-    return arcs, [moved(ci, ci) for ci in diagram.residual_crossings]
+    for target, source, over_arc, sign in diagram.steps():
+        arcs[target] = moved(source, over_arc, sign)
+    return arcs, [moved(ci - 1, code.kappa[ci - 1], code.eps[ci - 1])
+                  for ci in diagram.residual_crossings]
 
 
 def _word_colors(pairs, psi, betas):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .colorings import Coloring
+from .colorings import Coloring, torus_theta_interval
 from .errors import (
     ArityMismatch,
     BadParameter,
@@ -141,7 +141,7 @@ def galex_lift(diagram, coloring):
     g = Quaternion.one()
     for arc, e in longitude_word(code).factors:
         u = cc.colors[arc] if e > 0 else cc.colors[arc].inverse()
-        g = x.pow(-e) * g * u
+        g = (x.inverse() if e > 0 else x) * g * u
     return g
 
 
@@ -149,11 +149,7 @@ def t2n_closed_form(n, theta, mirror=False):
     """Closed-form longitude of the (2, n) torus knot at basepoint angle
     theta: exp(pi - 2n*theta, i), independent of the particular coloring;
     the mirror knot takes the inverse value."""
-    if n < 3 or n % 2 == 0:
-        raise BadParameter("n must be an odd integer >= 3")
-    k = (n - 1) // 2
-    lo = (n - 2 * k) * math.pi / (2 * n)
-    hi = (n + 2 * k) * math.pi / (2 * n)
+    lo, hi = torus_theta_interval(n, (n - 1) // 2)
     if not lo < theta < hi:
         raise OutOfInterval(
             f"theta={theta:.6f} admits no coloring of T(2,{n})"

@@ -87,25 +87,21 @@ class TangleDiagram:
     ``bridge_arcs`` are arc 0, which carries the basepoint, and the arc
     that carries the seed.  ``schedule`` entries are (target_arc, crossing)
     pairs: the relation of that crossing, solved for the target arc (the
-    target must be the incoming or outgoing under-arc of the crossing).  When
-    ``terminal_is_initial`` is set the terminal arc is pre-seeded with the
-    initial arc's color before the schedule runs.
+    target must be the incoming or outgoing under-arc of the crossing).
+    The crossings the schedule does not use are ``residual_crossings``;
+    when the bridges and the schedule leave the terminal arc undefined, it
+    takes the initial arc's color (``terminal_is_initial``).
     """
 
     code: WirtingerCode
     bridge_arcs: tuple = ()
     schedule: tuple = ()
-    residual_crossings: tuple = ()
-    terminal_is_initial: bool = False
     name: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "bridge_arcs", tuple(self.bridge_arcs))
         object.__setattr__(
             self, "schedule", tuple((int(a), int(c)) for a, c in self.schedule)
-        )
-        object.__setattr__(
-            self, "residual_crossings", tuple(self.residual_crossings)
         )
         if self.bridge_arcs or self.schedule:
             self._validate_schedule()
@@ -117,6 +113,29 @@ class TangleDiagram:
     @property
     def has_schedule(self):
         return bool(self.schedule)
+
+    @property
+    def residual_crossings(self):
+        """The crossings the schedule does not use, in order."""
+        used = {ci for _, ci in self.schedule}
+        return tuple(ci for ci in range(1, self.code.n + 1) if ci not in used)
+
+    @property
+    def terminal_is_initial(self):
+        """True when the bridges and the schedule leave arc n undefined."""
+        defined = {*self.bridge_arcs, *(t for t, _ in self.schedule)}
+        return bool(self.bridge_arcs) and self.code.n not in defined
+
+    def steps(self):
+        """Each schedule entry as (target, source, over, sign), with target
+        = op_signed(source, over, sign): the crossing relation read forward
+        for the out-arc and inverted for the in-arc."""
+        kappa, eps = self.code.kappa, self.code.eps
+        for target, ci in self.schedule:
+            if target == ci:
+                yield target, ci - 1, kappa[ci - 1], eps[ci - 1]
+            else:
+                yield target, ci, kappa[ci - 1], -eps[ci - 1]
 
     def _validate_schedule(self):
         n = self.code.n
@@ -134,8 +153,7 @@ class TangleDiagram:
         targets = [t for t, _ in self.schedule]
         if len(set(targets)) != len(targets):
             raise ValidationError("schedule targets must be distinct")
-        non_bridge = set(range(n + 1)) - known
-        if set(targets) != non_bridge:
+        if set(targets) != set(range(n + 1)) - known:
             raise ValidationError(
                 "schedule targets must cover exactly the non-seeded arcs"
             )
@@ -152,13 +170,6 @@ class TangleDiagram:
                     f"schedule entry ({target}, {ci}) references undefined arcs"
                 )
             known.add(target)
-        used = {ci for _, ci in self.schedule}
-        if used | set(self.residual_crossings) != set(range(1, n + 1)) or (
-            used & set(self.residual_crossings)
-        ):
-            raise ValidationError(
-                "schedule and residual crossings must partition the crossings"
-            )
 
 
 def torus2n(n, sign=1):
@@ -181,12 +192,10 @@ def torus2n(n, sign=1):
     # arc of q_j is j*(k+1) mod n because 2*(k+1) = 1 (mod n)
     schedule = [(j * (k + 1) % n, j * (k + 1) % n) for j in range(2, n)]
     schedule.append((n, n))
-    residual = (k + 1,)
     return TangleDiagram(
         code=code,
         bridge_arcs=(0, k + 1),
         schedule=tuple(schedule),
-        residual_crossings=residual,
         name=f"torus2n({n},{sign:+d})",
     )
 
@@ -203,8 +212,6 @@ def fig8():
         code=code,
         bridge_arcs=(0, 2),
         schedule=((1, 1), (3, 4)),
-        residual_crossings=(2, 3),
-        terminal_is_initial=True,
         name="fig8",
     )
 
@@ -232,10 +239,9 @@ def parse(text):
         bridges=<a>,<b>               (optional)
         schedule=<arc>:<crossing>;... (optional)
 
-    Comments start with '#'; unknown keys are rejected.  Residual crossings
-    are the crossings absent from the schedule, and the terminal arc is
-    identified with the initial arc when the schedule leaves exactly the
-    terminal arc undefined.
+    Comments start with '#'; unknown keys are rejected.  The residual
+    crossings and the terminal identification follow from the bridges and
+    the schedule (see ``TangleDiagram``).
     """
     n = kappa = eps = bridges = schedule = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -306,15 +312,4 @@ def parse(text):
         return TangleDiagram(code=code)
     if bridges is None or schedule is None:
         raise ValidationError("bridges and schedule must be given together")
-    residual = tuple(
-        c for c in range(1, n + 1) if c not in {ci for _, ci in schedule}
-    )
-    defined = set(bridges) | {t for t, _ in schedule}
-    terminal_is_initial = set(range(n + 1)) - defined == {n}
-    return TangleDiagram(
-        code=code,
-        bridge_arcs=bridges,
-        schedule=schedule,
-        residual_crossings=residual,
-        terminal_is_initial=terminal_is_initial,
-    )
+    return TangleDiagram(code=code, bridge_arcs=bridges, schedule=schedule)

@@ -91,6 +91,23 @@ def test_color_file_with_misplaced_basepoint_exits_two(tmp_path, capsys):
     assert out == "" and "bridge" in err and "Traceback" not in err
 
 
+def test_color_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.tangle"
+    path.write_bytes(b"tangle n=3\n\xff\n")
+    code, out, err = run(capsys, "color", "--file", str(path), "--psi", "2")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_verify_all_passes(capsys):
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 17
+    assert all(line.startswith("[PASS] ") for line in lines)
+
+
 def test_unknown_knot_exits_two(capsys):
     code, _, err = run(capsys, "color", "--knot", "granny", "--psi", "3.0")
     assert code == 2
@@ -209,6 +226,22 @@ def test_sweep_fig8_branches(capsys):
         # conjugate branches: equal real parts, opposite imaginary parts
         assert abs(float(r1[3]) - float(r2[3])) <= 1e-9
         assert abs(float(r1[4]) + float(r2[4])) <= 1e-9
+
+
+def test_sweep_fig8_rows_outside_the_window(capsys):
+    code, out, _ = run(
+        capsys, "sweep", "--knot", "fig8",
+        "--theta-min", "0.5", "--theta-max", "2.5", "--steps", "9",
+    )
+    assert code == 0
+    rows = [r.split(",") for r in out.splitlines()[1:]]
+    assert [r[1] for r in rows] == ["1", "2"] * 9
+    for r in rows:
+        inside = math.pi / 3 <= float(r[0]) <= 2 * math.pi / 3
+        assert len(r) == 6 and r[0]
+        assert all(r[2:]) if inside else r[2:] == [""] * 4
+    # theta = 0.5, 0.75, 1.0, 2.25 and 2.5 lie outside, on both branches
+    assert sum(1 for r in rows if not r[2]) == 10
 
 
 def test_sweep_rounding_onto_a_window_end(capsys):

@@ -91,19 +91,14 @@ def test_schedule_validation():
     with pytest.raises(ValidationError):
         # duplicate targets
         TangleDiagram(code, bridge_arcs=(0, 2),
-                      schedule=((1, 1), (1, 2)), residual_crossings=(3,))
+                      schedule=((1, 1), (1, 2)))
     with pytest.raises(ValidationError):
-        # arc 3 never defined
-        TangleDiagram(code, bridge_arcs=(0, 2),
-                      schedule=((1, 1),), residual_crossings=(2, 3))
+        # arc 1 never defined
+        TangleDiagram(code, bridge_arcs=(0, 2), schedule=((3, 3),))
     with pytest.raises(ValidationError):
         # crossing 3 cannot define arc 1
         TangleDiagram(code, bridge_arcs=(0, 2),
-                      schedule=((1, 3), (3, 3)), residual_crossings=(1, 2))
-    with pytest.raises(ValidationError):
-        # crossings not partitioned
-        TangleDiagram(code, bridge_arcs=(0, 2),
-                      schedule=((1, 1), (3, 3)), residual_crossings=(2, 3))
+                      schedule=((1, 3), (3, 3)))
 
 
 def test_bad_torus_params():
@@ -180,11 +175,31 @@ def test_bridges_start_at_the_basepoint_arc():
     d = fig8()
     for bridges in ((2, 0), (0, 0)):
         with pytest.raises(ValidationError):
-            TangleDiagram(d.code, bridge_arcs=bridges, schedule=d.schedule,
-                          residual_crossings=d.residual_crossings,
-                          terminal_is_initial=True)
+            TangleDiagram(d.code, bridge_arcs=bridges, schedule=d.schedule)
 
 
 def test_parse_infers_terminal_identification():
     d = parse(serialize(fig8()))
     assert d.terminal_is_initial
+
+
+def test_residual_crossings_and_terminal_arc_are_derived():
+    # T(2,n) leaves its second bridge's crossing for the residual check
+    # and defines the terminal arc; fig8 leaves arc 4 to the basepoint
+    for n in range(3, 102, 2):
+        for sign in (1, -1):
+            for d in (torus2n(n, sign), parse(serialize(torus2n(n, sign)))):
+                assert d.residual_crossings == ((n + 1) // 2,)
+                assert not d.terminal_is_initial
+    for d in (fig8(), parse(serialize(fig8()))):
+        assert d.residual_crossings == (2, 3)
+        assert d.terminal_is_initial
+    assert not TangleDiagram(fig8().code).terminal_is_initial
+
+
+def test_steps_read_the_crossing_relation_both_ways():
+    # fig8 defines arc 1 forward at crossing 1 (from arc 0 under arc 2)
+    # and arc 3 backward at crossing 4 (from arc 4 under arc 1, sign
+    # flipped from eps(4) = -1)
+    assert list(fig8().steps()) == [(1, 0, 2, 1), (3, 4, 1, 1)]
+    assert list(torus2n(3, -1).steps()) == [(1, 0, 2, -1), (3, 2, 1, -1)]
