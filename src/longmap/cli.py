@@ -23,6 +23,7 @@ import numpy as np
 from . import verification
 from .colorings import (
     DEFAULT_GRID,
+    MAX_GRID,
     fig8_betas,
     residual,
     solve_colorings,
@@ -235,7 +236,8 @@ def build_parser():
     pc.add_argument("--knot", help="fig8 or torus:n[:sign]")
     pc.add_argument("--file", help="tangle text file")
     pc.add_argument("--psi", type=float, required=True)
-    pc.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    pc.add_argument("--grid", type=int, default=DEFAULT_GRID,
+                    help=f"seed angles in the scan, 16..{MAX_GRID}")
     pc.add_argument("--deg", action="store_true", help="angles in degrees")
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_color)

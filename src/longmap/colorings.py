@@ -32,7 +32,8 @@ from .quaternions import rotate
 EPS_COLOR = 1e-8        # residual acceptance for a valid coloring
 SEED_TOL = 1e-6         # dedup tolerance between solver seeds
 DEFAULT_GRID = 2000
-SPREAD_TOL = 1e-6       # below this max pairwise distance a coloring is trivial
+MAX_GRID = 100_000      # scan memory grows with the grid
+SPREAD_TOL = 1e-6       # a seed angle at most this is the trivial coloring
 
 BASEPOINT = np.array([1.0, 0.0, 0.0])
 
@@ -40,6 +41,7 @@ __all__ = [
     "EPS_COLOR",
     "SEED_TOL",
     "DEFAULT_GRID",
+    "MAX_GRID",
     "BASEPOINT",
     "Coloring",
     "propagate",
@@ -144,8 +146,9 @@ def admissible_steps(n, psi, margin=0.0):
 
 def _star_latitude(n, h, psi):
     """Height r and radius s = sqrt(1 - r^2) of the circle of latitude that
-    carries the step-h spherical star n-gon with vertex angle psi, and the
-    half step angle a = pi*h/n.
+    carries the step-h spherical star n-gon with vertex angle psi, the half
+    step angle a = pi*h/n and the seed angle beta between two vertices a
+    step h apart.
 
     Napier's rule on the right triangle formed by the pole, a vertex and the
     midpoint of a step-h side gives r = cot(a) * cot(theta) with
@@ -154,6 +157,10 @@ def _star_latitude(n, h, psi):
     orders of magnitude more than r, so r is evaluated as
     -cot(a) * cot(psi/2), which never forms the rounded pi - psi/2, with
     cot(a) taken from a tangent argument in (0, pi/4].
+
+    The solver's rule for the trivial coloring applies: a beta at most
+    SPREAD_TOL, as where |r| rounds to 1 or more and s clamps to 0, raises
+    OutOfInterval.
     """
     lo, hi = torus_interval(n, h)
     if not lo < psi < hi:
@@ -167,16 +174,17 @@ def _star_latitude(n, h, psi):
         cot_a = math.tan(math.pi * (n - 2 * h) / (2 * n))
     half = 0.5 * psi
     r = -cot_a * math.cos(half) / math.sin(half)
-    if not abs(r) < 1.0:  # psi within rounding of a window end
+    s = math.sqrt(max(0.0, (1.0 - r) * (1.0 + r)))
+    beta = 2.0 * math.atan2(s * math.sin(a), math.hypot(r, s * math.cos(a)))
+    if beta <= SPREAD_TOL:  # psi within rounding of a window end
         raise OutOfInterval(f"psi={psi!r} rounds onto a window end")
-    return r, math.sqrt((1.0 - r) * (1.0 + r)), a
+    return r, s, a, beta
 
 
 def star_beta(n, h, psi):
     """Seed angle of ``star_polygon(n, h, psi)``: the geodesic distance
     between its two bridge colors, two vertices a step h apart."""
-    r, s, a = _star_latitude(n, h, psi)
-    return 2.0 * math.atan2(s * math.sin(a), math.hypot(r, s * math.cos(a)))
+    return _star_latitude(n, h, psi)[3]
 
 
 def star_polygon(n, h, psi):
@@ -186,7 +194,7 @@ def star_polygon(n, h, psi):
     given by ``_star_latitude``, placed so that the initial arc is colored
     (1, 0, 0) and the second bridge lands on the upper half-equator.
     """
-    r, s, a = _star_latitude(n, h, psi)
+    r, s, a, _ = _star_latitude(n, h, psi)
     # vertex m is the basepoint turned by 2*pi*m/n about the pole p; p.x = r
     # and (p.y, p.z) is parallel to (r sin a, cos a), so that vertex h has
     # z = 0 and y >= 0
@@ -375,12 +383,6 @@ def _refine(gaps, betas):
     return betas, ok
 
 
-def _spread(colors):
-    pts = np.asarray(colors)
-    diff = pts[:, np.newaxis] - pts[np.newaxis, :]
-    return float(np.max(np.linalg.norm(diff, axis=-1)))
-
-
 def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     """Nontrivial colorings of a 2-bridge diagram over SphereQuandle(psi).
 
@@ -397,14 +399,15 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
        ``residual`` over all crossings of the coloring, all arcs evaluated
        from their words, is at most EPS_COLOR.
 
-    The trivial constant coloring (spread at most SPREAD_TOL) and duplicate
-    seeds within SEED_TOL are dropped.  Returns a list of (beta, Coloring)
-    sorted by beta.
+    A seed angle beta at most SPREAD_TOL puts the seed on the basepoint,
+    which gives the trivial constant coloring; it is dropped, as are
+    duplicate seeds within SEED_TOL.  ``grid`` lies in 16..MAX_GRID.
+    Returns a list of (beta, Coloring) sorted by beta.
     """
     if not diagram.has_schedule:
         raise NoSchedule("solve_colorings needs a 2-bridge schedule")
-    if grid < 16:
-        raise BadParameter("grid too coarse")
+    if not 16 <= grid <= MAX_GRID:
+        raise BadParameter(f"grid must lie in 16..{MAX_GRID}, not {grid}")
     if not 0.0 < psi < 2.0 * math.pi:  # also rejects nan
         raise BadParameter(f"psi must lie in (0, 2*pi), not {psi}")
     quandle = SphereQuandle(psi)
@@ -417,26 +420,21 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     betas, ok = _refine(gaps, _grid_minima(gaps, grid))
     colors = np.moveaxis(_word_colors(arcs, psi, betas), 0, -1)
     ok &= residual(Coloring(quandle, colors), diagram) <= EPS_COLOR
+    ok &= betas > SPREAD_TOL  # a seed on the basepoint colors every arc x
 
-    found = []
-    for i in np.flatnonzero(ok):
-        if _spread(colors[:, i]) <= SPREAD_TOL:
-            continue  # trivial (constant) coloring
-        found.append((float(betas[i]), Coloring(quandle, tuple(colors[:, i]))))
-
-    found.sort(key=lambda t: t[0])
     cell = math.pi / (grid - 1)
-    deduped = []
-    for beta_star, coloring in found:
-        if deduped and abs(beta_star - deduped[-1][0]) <= SEED_TOL:
+    seeds = []
+    for i in np.flatnonzero(ok)[np.argsort(betas[ok], kind="stable")]:
+        beta = float(betas[i])
+        if seeds and beta - seeds[-1][0] <= SEED_TOL:
             continue
-        if deduped and abs(beta_star - deduped[-1][0]) <= cell:
+        if seeds and beta - seeds[-1][0] <= cell:
             warnings.warn(
                 "two seeds inside one grid cell; increase the grid",
                 stacklevel=2,
             )
-        deduped.append((beta_star, coloring))
-    return deduped
+        seeds.append((beta, Coloring(quandle, tuple(colors[:, i]))))
+    return seeds
 
 
 # ---------------------------------------------------------------------------

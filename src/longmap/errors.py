@@ -31,10 +31,6 @@ class OutOfInterval(LongmapError):
     """The requested angle lies outside the colorable interval."""
 
 
-class NoConvergence(LongmapError):
-    """An iterative solve failed to converge."""
-
-
 class NoSchedule(LongmapError):
     """The diagram carries no propagation schedule."""
 
@@ -53,7 +49,3 @@ class NotInLambda(LongmapError):
 
 class NotMinusOne(LongmapError):
     """The braid product power q^n is not -1; the coloring is broken."""
-
-
-class NegativeDiscriminant(LongmapError):
-    """The closed-form discriminant is negative: no coloring at this angle."""

@@ -24,7 +24,6 @@ from .colorings import Coloring, torus_theta_interval
 from .errors import (
     ArityMismatch,
     BadParameter,
-    NegativeDiscriminant,
     NotInLambda,
     NotMinusOne,
     OutOfInterval,
@@ -176,13 +175,12 @@ def fig8_closed_form(theta, branch):
             f"theta={theta:.6f} admits no coloring of the figure-eight knot"
         )
     disc = -1.0 + 2.0 * math.cos(4.0 * theta) - 4.0 * math.cos(2.0 * theta)
-    if disc < -1e-9:
-        raise NegativeDiscriminant(f"discriminant {disc:.3e} < 0")
     if disc < 1e-12:
-        # the discriminant vanishes at theta = pi/3, 2pi/3 and rounding
-        # noise under the square root would fake an imaginary part ~1e-8;
-        # it grows away from the endpoints fast enough that this clamp only
-        # touches a ~1e-13 neighborhood of them
+        # the discriminant (2c - 3)(2c + 1), c = cos 2theta, vanishes at
+        # theta = pi/3, 2pi/3 (at least -1.4e-11 within the 1e-12 slack of
+        # the window check) and rounding noise under the square root would
+        # fake an imaginary part ~1e-8; it grows away from the endpoints
+        # fast enough that this clamp only touches a ~1e-13 neighborhood
         disc = 0.0
     re = math.cos(4.0 * theta) - math.cos(2.0 * theta) - 1.0
     im = FIG8_BRANCH_SIGN[branch] * math.sqrt(disc) * math.sin(2.0 * theta)

@@ -139,12 +139,12 @@ class TangleDiagram:
 
     def _validate_schedule(self):
         n = self.code.n
-        if len(self.bridge_arcs) != 2 or self.bridge_arcs[0] != 0 or (
-            self.bridge_arcs[1] == 0
+        if len(self.bridge_arcs) != 2 or self.bridge_arcs[0] != 0 or not (
+            1 <= self.bridge_arcs[1] <= n
         ):
             # the basepoint convention colors arc 0 and seeds the other
             raise ValidationError(
-                "bridge arcs must be arc 0 followed by one other arc, "
+                f"bridge arcs must be arc 0 followed by an arc in 1..{n}, "
                 f"not {self.bridge_arcs}"
             )
         known = set(self.bridge_arcs)

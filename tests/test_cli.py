@@ -8,8 +8,16 @@ from pathlib import Path
 import pytest
 
 import longmap
+from longmap import colorings
 from longmap.cli import main
-from longmap.colorings import star_polygon
+from longmap.colorings import (
+    MAX_GRID,
+    admissible_steps,
+    star_beta,
+    star_polygon,
+    torus_interval,
+)
+from longmap.errors import OutOfInterval
 from longmap.longitudes import wrap_angle
 from longmap.quaternions import geodesic_distance
 from longmap.tangles import fig8, serialize
@@ -98,6 +106,29 @@ def test_color_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert code == 2
     assert out == "" and err.startswith("error: ") and "UTF-8" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bridges", ["0,99", "0,-1"])
+def test_color_file_with_seed_arc_out_of_range_exits_two(tmp_path, capsys,
+                                                         bridges):
+    path = tmp_path / "bad.tangle"
+    path.write_text("tangle n=3\nkappa=0,0,0\neps=+,+,+\n"
+                    f"bridges={bridges}\nschedule=1:1;2:2\n")
+    code, out, err = run(capsys, "color", "--file", str(path), "--psi", "2")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "1..3" in err
+    assert "Traceback" not in err
+
+
+def test_color_grid_above_the_cap_exits_two(capsys, monkeypatch):
+    def scan(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(colorings, "_word_colors", scan)
+    code, out, err = run(capsys, "color", "--knot", "torus:101", "--psi",
+                         "2.8", "--grid", str(MAX_GRID + 1))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and str(MAX_GRID) in err
 
 
 def test_verify_all_passes(capsys):
@@ -253,6 +284,34 @@ def test_sweep_rounding_onto_a_window_end(capsys):
     )
     assert code == 0 and err == ""
     assert len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("n, i", [(3, 17), (9, 17), (15, 17), (21, 17),
+                                  (17, 45)])
+def test_window_ends_agree_across_star_beta_sweep_and_color(capsys, n, i):
+    # psi = 2*pi*i/102 is a window end of one step of T(2, n) and rounds
+    # just inside it: the polygon is a point, the constant coloring
+    theta = math.pi - math.pi * i / 102
+    psi = 2.0 * math.pi - 2.0 * theta  # as sweep forms it
+    steps = admissible_steps(n, psi)
+    (end,) = [h for h in steps
+              if min(abs(psi - e) for e in torus_interval(n, h)) < 1e-12]
+    for angle in (psi, 2.0 * math.pi * i / 102):
+        with pytest.raises(OutOfInterval):
+            star_beta(n, end, angle)
+
+    code, out, _ = run(capsys, "sweep", "--knot", f"torus:{n}",
+                       "--theta-min", repr(theta), "--theta-max", "3",
+                       "--steps", "2")
+    assert code == 0
+    rows = [r.split(",") for r in out.splitlines()[1:(n + 1) // 2]]
+    assert [float(r[0]) for r in rows] == [theta] * ((n - 1) // 2)
+    assert [int(r[1]) for r in rows if r[2]] == [h for h in steps if h != end]
+
+    code, out, _ = run(capsys, "color", "--knot", f"torus:{n}",
+                       "--psi", repr(psi))
+    assert code == 0
+    assert f"{len(steps) - 1} nontrivial seed(s)" in out
 
 
 def test_sweep_deterministic(capsys):
