@@ -11,7 +11,9 @@ u -> exp(theta, u) with theta = pi - psi/2.
 
 Two independent evaluation routes are provided: direct word evaluation and
 the generalized-Alexander lift recurrence; they must agree on every valid
-coloring.  Closed forms for the (2, n) torus knots, their mirrors, and the
+coloring.  Both run on component rows (a, b, c, d): every arc is converted
+in one numpy pass, and only the final value becomes a ``Quaternion``.
+Closed forms for the (2, n) torus knots, their mirrors, and the
 figure-eight knot are the third route.
 """
 
@@ -28,8 +30,12 @@ from .errors import (
     NotMinusOne,
     OutOfInterval,
 )
-from .quandles import ConjClassQuandle, SphereQuandle, iso_sphere_to_conj
-from .quaternions import Quaternion, distance
+from .quandles import (
+    ConjClassQuandle,
+    SphereQuandle,
+    _iso_sphere_to_conj_rows,
+)
+from .quaternions import Quaternion, _mul, distance
 from .tangles import longitude_word
 
 LAMBDA_TOL = 1e-9
@@ -87,18 +93,40 @@ class LongitudeValue:
         return self
 
 
-def to_conj_coloring(coloring):
-    """Convert a spherical coloring to conjugation-quandle coordinates."""
+def _check_arity(diagram, coloring):
+    """ArityMismatch unless the coloring has a color for every arc."""
+    arcs = diagram.code.n + 1
+    if len(coloring.colors) != arcs:
+        raise ArityMismatch(f"{len(coloring.colors)} colors for {arcs} arcs")
+
+
+def _conj_rows(coloring):
+    """The quandle of ``to_conj_coloring`` and its colors as component rows
+    (a, b, c, d)."""
     q = coloring.quandle
     if isinstance(q, ConjClassQuandle):
-        return coloring
+        return q, [c.components for c in coloring.colors]
     if not isinstance(q, SphereQuandle):
         raise BadParameter(
             "longitudes are defined for sphere or conjugation colorings"
         )
     theta = math.pi - q.psi / 2.0
-    cols = tuple(iso_sphere_to_conj(u, theta) for u in coloring.colors)
-    return Coloring(ConjClassQuandle(theta), cols)
+    return (ConjClassQuandle(theta),
+            _iso_sphere_to_conj_rows(coloring.colors, theta))
+
+
+def _inverse(p):
+    """Inverse of a unit quaternion given by its components."""
+    a, b, c, d = p
+    return (a, -b, -c, -d)
+
+
+def to_conj_coloring(coloring):
+    """Convert a spherical coloring to conjugation-quandle coordinates."""
+    if isinstance(coloring.quandle, ConjClassQuandle):
+        return coloring
+    quandle, rows = _conj_rows(coloring)
+    return Coloring(quandle, tuple(Quaternion(*r) for r in rows))
 
 
 def eval_word(diagram, coloring):
@@ -107,19 +135,14 @@ def eval_word(diagram, coloring):
     Accepts sphere or conjugation colorings; returns a LongitudeValue
     checked for membership in the circle group about the basepoint.
     """
-    cc = to_conj_coloring(coloring)
-    code = diagram.code
-    if len(cc.colors) != code.n + 1:
-        raise ArityMismatch(
-            f"{len(cc.colors)} colors for {code.n + 1} arcs"
-        )
-    word = longitude_word(code)
-    x0 = cc.colors[0]
-    value = x0.pow(word.lead_exponent)
+    _check_arity(diagram, coloring)
+    _, cols = _conj_rows(coloring)
+    word = longitude_word(diagram.code)
+    x0 = Quaternion(*cols[0])
+    value = x0.pow(word.lead_exponent).components
     for arc, e in word.factors:
-        factor = cc.colors[arc] if e > 0 else cc.colors[arc].inverse()
-        value = value * factor
-    return LongitudeValue.from_quaternion(value, basepoint=x0)
+        value = _mul(value, cols[arc] if e > 0 else _inverse(cols[arc]))
+    return LongitudeValue.from_quaternion(Quaternion(*value), basepoint=x0)
 
 
 def galex_lift(diagram, coloring):
@@ -127,21 +150,18 @@ def galex_lift(diagram, coloring):
 
     Starting from g_0 = 1, each crossing updates
     g_i = x^(-eps i) * g_(i-1) * u_(kappa i)^(eps i); the final g_n is the
-    longitude value.  Independent of ``eval_word`` except for sharing the
-    quaternion arithmetic.
+    longitude value.  Independent of ``eval_word``: the two routes share
+    only the product kernel ``quaternions._mul`` on 4-tuples (and the
+    conversion of the arc colors).
     """
-    cc = to_conj_coloring(coloring)
-    code = diagram.code
-    if len(cc.colors) != code.n + 1:
-        raise ArityMismatch(
-            f"{len(cc.colors)} colors for {code.n + 1} arcs"
-        )
-    x = cc.colors[0]
-    g = Quaternion.one()
-    for arc, e in longitude_word(code).factors:
-        u = cc.colors[arc] if e > 0 else cc.colors[arc].inverse()
-        g = (x.inverse() if e > 0 else x) * g * u
-    return g
+    _check_arity(diagram, coloring)
+    _, cols = _conj_rows(coloring)
+    x, x_inv = cols[0], _inverse(cols[0])
+    g = Quaternion.one().components
+    for arc, e in longitude_word(diagram.code).factors:
+        u = cols[arc] if e > 0 else _inverse(cols[arc])
+        g = _mul(_mul(x_inv if e > 0 else x, g), u)
+    return Quaternion(*g)
 
 
 def t2n_closed_form(n, theta, mirror=False):
@@ -196,13 +216,11 @@ def longitude_angle(value, tol=LAMBDA_TOL):
 def qn_check(diagram, coloring, tol=1e-9):
     """Verify q^n = -1 for the braid product q = q_0 q_1 of a torus coloring,
     and that q_0^(-2n) q^n reproduces the longitude word.  Returns q^n."""
-    cc = to_conj_coloring(coloring)
-    code = diagram.code
-    n = code.n
-    k = (n - 1) // 2
-    q0 = cc.colors[0]
-    q1 = cc.colors[k + 1]
-    q = q0 * q1
+    _check_arity(diagram, coloring)
+    _, cols = _conj_rows(coloring)
+    n = diagram.code.n
+    q0 = Quaternion(*cols[0])
+    q = q0 * Quaternion(*cols[(n - 1) // 2 + 1])
     qn = q.pow(n)
     minus_one = Quaternion(-1.0, 0.0, 0.0, 0.0)
     if distance(qn, minus_one) > tol:

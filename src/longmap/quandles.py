@@ -241,16 +241,27 @@ class EisQuandle(Quandle):
 
 def iso_sphere_to_conj(u, theta):
     """u -> exp(theta, u): S^2_(2*pi - 2*theta) -> conjugacy class of theta."""
+    return Quaternion(*_iso_sphere_to_conj_rows([u], theta)[0])
+
+
+def _iso_sphere_to_conj_rows(points, theta):
+    """``iso_sphere_to_conj`` over an (m, 3) stack of nonzero vectors, in
+    one numpy pass: a list of m unit rows [a, b, c, d].
+
+    Each row sum adds its components left to right, the order of the
+    plain-float sqrt(x*x + y*y + z*z) and of ``Quaternion.from_components``,
+    so a row is bitwise the one-point value.
+    """
     if not 0.0 < theta < math.pi:
         raise BadParameter("theta must lie in (0, pi)")
-    x, y, z = (float(c) for c in u)
-    nrm = math.sqrt(x * x + y * y + z * z)
-    if nrm == 0.0:
+    p = np.asarray(points, dtype=float)
+    nrm = np.sqrt((p * p).sum(axis=1, keepdims=True))
+    if (nrm == 0.0).any():
         raise ValueError("cannot normalize a zero vector")
-    s = math.sin(theta)
-    return Quaternion.from_components(
-        math.cos(theta), s * (x / nrm), s * (y / nrm), s * (z / nrm)
-    )
+    q = np.empty((len(p), 4))
+    q[:, 0] = math.cos(theta)
+    q[:, 1:] = math.sin(theta) * (p / nrm)
+    return (q / np.sqrt((q * q).sum(axis=1, keepdims=True))).tolist()
 
 
 def eis_to_galex(elem):

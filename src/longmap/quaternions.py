@@ -3,7 +3,12 @@
 Conventions
 -----------
 - Quaternions are written a + b*i + c*j + d*k and kept unit-norm
-  (renormalized after every product chain).
+  (renormalized after every product).
+- Products run on plain components: ``_mul`` takes two (a, b, c, d)
+  sequences and returns their Hamilton product as a 4-tuple, renormalized
+  by ``_unit``.  ``Quaternion.__mul__`` wraps it, so there is one product
+  formula; hot loops call it directly to skip building an object per
+  factor.
 - Points of S^2 are pure unit quaternions, stored as length-3 numpy arrays.
 - Rotations act on the *right* of their argument with the right-hand rule:
   ``rotate(u, angle, v)`` rotates u about the axis v.  Conjugation by
@@ -100,6 +105,26 @@ def directed_angle(a, b, c):
     return np.mod(np.arctan2(y, x), 2.0 * math.pi)
 
 
+def _unit(a, b, c, d):
+    """(a, b, c, d) scaled to unit norm; ValueError on the zero tuple."""
+    nrm = math.sqrt(a * a + b * b + c * c + d * d)
+    if nrm == 0.0:
+        raise ValueError("zero quaternion")
+    return (a / nrm, b / nrm, c / nrm, d / nrm)
+
+
+def _mul(p, q):
+    """Hamilton product p*q of two 4-tuples, renormalized."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return _unit(
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
 @dataclass(frozen=True)
 class AxisAngle:
     """Canonical axis-angle form: theta in [0, pi], unit axis.
@@ -128,10 +153,7 @@ class Quaternion:
 
     @staticmethod
     def from_components(a, b, c, d):
-        nrm = math.sqrt(a * a + b * b + c * c + d * d)
-        if nrm == 0.0:
-            raise ValueError("zero quaternion")
-        return Quaternion(a / nrm, b / nrm, c / nrm, d / nrm)
+        return Quaternion(*_unit(a, b, c, d))
 
     @staticmethod
     def exp(theta, axis):
@@ -159,15 +181,13 @@ class Quaternion:
     def normalized(self):
         return Quaternion.from_components(self.a, self.b, self.c, self.d)
 
+    @property
+    def components(self):
+        return (self.a, self.b, self.c, self.d)
+
     def __mul__(self, other):
-        a1, b1, c1, d1 = self.a, self.b, self.c, self.d
-        a2, b2, c2, d2 = other.a, other.b, other.c, other.d
-        return Quaternion.from_components(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
+        return Quaternion(*_mul((self.a, self.b, self.c, self.d),
+                                (other.a, other.b, other.c, other.d)))
 
     def __neg__(self):
         return Quaternion(-self.a, -self.b, -self.c, -self.d)

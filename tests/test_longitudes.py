@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,11 +8,18 @@ from longmap.colorings import (
     BASEPOINT,
     Coloring,
     fig8_coloring,
+    reflect_coloring,
     rotate_coloring,
+    solve_colorings,
     star_polygon,
     torus_theta_interval,
 )
-from longmap.errors import BadParameter, NotInLambda, OutOfInterval
+from longmap.errors import (
+    ArityMismatch,
+    BadParameter,
+    NotInLambda,
+    OutOfInterval,
+)
 from longmap.longitudes import (
     LongitudeValue,
     eval_word,
@@ -23,9 +31,13 @@ from longmap.longitudes import (
     to_conj_coloring,
     wrap_angle,
 )
-from longmap.quandles import ConjClassQuandle, SphereQuandle
+from longmap.quandles import (
+    ConjClassQuandle,
+    SphereQuandle,
+    iso_sphere_to_conj,
+)
 from longmap.quaternions import Quaternion, distance
-from longmap.tangles import fig8, torus2n
+from longmap.tangles import fig8, longitude_word, torus2n
 
 PI = math.pi
 
@@ -122,8 +134,6 @@ def test_mirror_inverse():
     for n in (3, 5, 7):
         pos, neg = torus2n(n), torus2n(n, -1)
         c = star_polygon(n, 1, 0.95 * PI)
-        from longmap.colorings import reflect_coloring
-
         mirrored = reflect_coloring(c)
         assert distance(
             eval_word(neg, mirrored).q, eval_word(pos, c).q.inverse()
@@ -167,3 +177,78 @@ def test_off_circle_value_rejected():
     bad = LongitudeValue(Quaternion(0.0, 0.0, 1.0, 0.0), 0.0)
     with pytest.raises(NotInLambda):
         longitude_angle(bad)
+
+
+@pytest.mark.parametrize("fn", [eval_word, galex_lift, qn_check],
+                         ids=lambda fn: fn.__name__)
+def test_arity_is_checked_before_the_colors(fn):
+    # three colors for the four arcs of T(2,3), one of them not a sphere
+    # point: the arity is wrong whatever the colors are
+    c = Coloring(SphereQuandle(0.9 * PI),
+                 (BASEPOINT, np.zeros(3), np.array([0.0, 1.0, 0.0])))
+    with pytest.raises(ArityMismatch):
+        fn(torus2n(3), c)
+
+
+def _ref_conj_colors(coloring):
+    if isinstance(coloring.quandle, ConjClassQuandle):
+        return list(coloring.colors)
+    theta = PI - coloring.quandle.psi / 2.0
+    return [iso_sphere_to_conj(u, theta) for u in coloring.colors]
+
+
+def _ref_eval_word(diagram, coloring):
+    """The longitude word, one ``Quaternion`` product per factor."""
+    cols = _ref_conj_colors(coloring)
+    word = longitude_word(diagram.code)
+    value = cols[0].pow(word.lead_exponent)
+    for arc, e in word.factors:
+        value = value * (cols[arc] if e > 0 else cols[arc].inverse())
+    return LongitudeValue.from_quaternion(value, basepoint=cols[0])
+
+
+def _ref_galex_lift(diagram, coloring):
+    cols = _ref_conj_colors(coloring)
+    x, g = cols[0], Quaternion.one()
+    for arc, e in longitude_word(diagram.code).factors:
+        u = cols[arc] if e > 0 else cols[arc].inverse()
+        g = (x.inverse() if e > 0 else x) * g * u
+    return g
+
+
+def _bits(q):
+    return struct.pack("<4d", q.a, q.b, q.c, q.d)
+
+
+def _pinned_cases():
+    for n in (3, 7, 21, 101):
+        pos, neg = torus2n(n), torus2n(n, -1)
+        for h in sorted({1, (n + 1) // 4, (n - 1) // 2}):
+            lo, hi = torus_theta_interval(n, h)
+            for theta in np.linspace(lo, hi, 5)[1:-1]:
+                c = star_polygon(n, h, 2 * PI - 2 * theta)
+                yield pos, c
+                yield neg, reflect_coloring(c)
+    for branch in (1, 2):
+        for theta in np.linspace(PI / 3, 2 * PI / 3, 6)[1:-1]:
+            yield fig8(), fig8_coloring(2 * PI - 2 * theta, branch)
+    c = star_polygon(7, 2, 0.8 * PI)
+    yield torus2n(7), to_conj_coloring(c)
+    for d, psi in ((fig8(), 1.1 * PI), (torus2n(9), 0.9 * PI),
+                   (torus2n(21, -1), 1.3 * PI)):
+        for _beta, c in solve_colorings(d, psi):
+            yield d, c
+
+
+def test_word_routes_bitwise_equal_to_quaternion_products():
+    cases = 0
+    for d, c in _pinned_cases():
+        got, want = eval_word(d, c), _ref_eval_word(d, c)
+        assert _bits(got.q) == _bits(want.q)
+        assert got.phi == want.phi
+        assert _bits(galex_lift(d, c)) == _bits(_ref_galex_lift(d, c))
+        got_colors = to_conj_coloring(c).colors
+        want_colors = _ref_conj_colors(c)
+        assert [_bits(q) for q in got_colors] == [_bits(q) for q in want_colors]
+        cases += 1
+    assert cases > 60

@@ -10,6 +10,7 @@ from longmap.quandles import (
     EisQuandle,
     GAlexQuandle,
     SphereQuandle,
+    _iso_sphere_to_conj_rows,
     axiom_check,
     centralizer_angle_check,
     eis_to_galex,
@@ -140,5 +141,42 @@ def test_centralizer_angle_check():
 
 
 def test_iso_rejects_bad_theta():
-    with pytest.raises(BadParameter):
-        iso_sphere_to_conj([1.0, 0.0, 0.0], math.pi)
+    for theta in (0.0, math.pi, -1.0, 4.0):
+        with pytest.raises(BadParameter):
+            iso_sphere_to_conj([1.0, 0.0, 0.0], theta)
+        with pytest.raises(BadParameter):
+            _iso_sphere_to_conj_rows([[1.0, 0.0, 0.0]], theta)
+
+
+def _plain_iso(u, theta):
+    """u -> exp(theta, u) in plain floats, renormalized as a product is."""
+    x, y, z = (float(c) for c in u)
+    nrm = math.sqrt(x * x + y * y + z * z)
+    s = math.sin(theta)
+    return Quaternion.from_components(
+        math.cos(theta), s * (x / nrm), s * (y / nrm), s * (z / nrm)
+    )
+
+
+def test_iso_rows_equal_the_one_point_map():
+    rng = np.random.default_rng(5)
+    for theta in (1e-3, 0.4, math.pi / 2, 2.9):
+        points = rng.normal(size=(200, 3)) * rng.uniform(1e-3, 1e3, (200, 1))
+        rows = _iso_sphere_to_conj_rows(points, theta)
+        assert len(rows) == len(points)
+        for u, row in zip(points, rows):
+            one = iso_sphere_to_conj(u, theta)
+            plain = _plain_iso(u, theta)
+            assert [one.a, one.b, one.c, one.d] == row
+            assert [plain.a, plain.b, plain.c, plain.d] == row
+            assert all(type(c) is float for c in row)
+
+
+def test_iso_rejects_a_zero_vector():
+    with pytest.raises(ValueError, match="zero vector"):
+        iso_sphere_to_conj([0.0, 0.0, 0.0], 1.0)
+    for at in (0, 3, 6):
+        points = np.tile([0.0, 0.6, 0.8], (7, 1))
+        points[at] = 0.0
+        with pytest.raises(ValueError, match="zero vector"):
+            _iso_sphere_to_conj_rows(points, 1.0)

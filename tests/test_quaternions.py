@@ -36,6 +36,27 @@ def test_hamilton_products():
     assert distance(qi * qi, Quaternion(-1.0, 0.0, 0.0, 0.0)) < 1e-15
 
 
+def test_product_is_the_renormalized_hamilton_product():
+    # written out once more here, so a reordered sum in the kernel shows
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        a1, b1, c1, d1, a2, b2, c2, d2 = rng.normal(size=8).tolist()
+        a = a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2
+        b = a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2
+        c = a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2
+        d = a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2
+        nrm = math.sqrt(a * a + b * b + c * c + d * d)
+        q = Quaternion(a1, b1, c1, d1) * Quaternion(a2, b2, c2, d2)
+        assert (q.a, q.b, q.c, q.d) == (a / nrm, b / nrm, c / nrm, d / nrm)
+
+
+def test_zero_product_raises():
+    with pytest.raises(ValueError, match="zero quaternion"):
+        Quaternion(0.0, 0.0, 0.0, 0.0) * Quaternion.exp(0.3, I)
+    with pytest.raises(ValueError, match="zero quaternion"):
+        Quaternion.from_components(0.0, 0.0, 0.0, 0.0)
+
+
 def test_inverse_and_norm():
     rng = np.random.default_rng(1)
     for _ in range(50):
