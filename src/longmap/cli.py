@@ -36,6 +36,7 @@ from .longitudes import fig8_closed_form, t2n_closed_form
 from .tangles import fig8, parse, torus2n
 
 FMT = "{:.17g}"
+MAX_STEPS = 100_000  # the theta grid is allocated up front
 
 
 def _fmt(x):
@@ -152,8 +153,12 @@ def cmd_sweep(args):
     theta_max = _angle(args.theta_max, args)
     if not math.isfinite(theta_min) or not math.isfinite(theta_max):
         raise LongmapError("theta_min and theta_max must be finite")
-    if not theta_min < theta_max or args.steps < 2:
-        raise LongmapError("need theta_min < theta_max and steps >= 2")
+    if not theta_min < theta_max:
+        raise LongmapError("need theta_min < theta_max")
+    if not 2 <= args.steps <= MAX_STEPS:
+        raise LongmapError(
+            f"steps must lie in 2..{MAX_STEPS}, not {args.steps}"
+        )
     thetas = np.linspace(theta_min, theta_max, args.steps)
     knot = _parse_knot(args.knot)
     if knot is None:
@@ -246,7 +251,8 @@ def build_parser():
     ps.add_argument("--knot", required=True, help="fig8 or torus:n[:sign]")
     ps.add_argument("--theta-min", type=float, required=True)
     ps.add_argument("--theta-max", type=float, required=True)
-    ps.add_argument("--steps", type=int, default=200)
+    ps.add_argument("--steps", type=int, default=200,
+                    help=f"theta grid points, 2..{MAX_STEPS}")
     ps.add_argument("--branches", default="all",
                     help="'all' or comma-separated branch/step list")
     ps.add_argument("--out", default="-", help="output path ('-' = stdout)")

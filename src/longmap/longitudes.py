@@ -11,10 +11,9 @@ u -> exp(theta, u) with theta = pi - psi/2.
 
 Two independent evaluation routes are provided: direct word evaluation and
 the generalized-Alexander lift recurrence; they must agree on every valid
-coloring.  Both run on component rows (a, b, c, d): every arc is converted
-in one numpy pass, and only the final value becomes a ``Quaternion``.
-Closed forms for the (2, n) torus knots, their mirrors, and the
-figure-eight knot are the third route.
+coloring.  Both convert every arc in one numpy pass (``to_conj_coloring``)
+and multiply ``Quaternion``s.  Closed forms for the (2, n) torus knots,
+their mirrors, and the figure-eight knot are the third route.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .quandles import (
     SphereQuandle,
     _iso_sphere_to_conj_rows,
 )
-from .quaternions import Quaternion, _mul, distance
+from .quaternions import Quaternion, distance
 from .tangles import longitude_word
 
 LAMBDA_TOL = 1e-9
@@ -100,33 +99,18 @@ def _check_arity(diagram, coloring):
         raise ArityMismatch(f"{len(coloring.colors)} colors for {arcs} arcs")
 
 
-def _conj_rows(coloring):
-    """The quandle of ``to_conj_coloring`` and its colors as component rows
-    (a, b, c, d)."""
+def to_conj_coloring(coloring):
+    """Convert a spherical coloring to conjugation-quandle coordinates."""
     q = coloring.quandle
     if isinstance(q, ConjClassQuandle):
-        return q, [c.components for c in coloring.colors]
+        return coloring
     if not isinstance(q, SphereQuandle):
         raise BadParameter(
             "longitudes are defined for sphere or conjugation colorings"
         )
     theta = math.pi - q.psi / 2.0
-    return (ConjClassQuandle(theta),
-            _iso_sphere_to_conj_rows(coloring.colors, theta))
-
-
-def _inverse(p):
-    """Inverse of a unit quaternion given by its components."""
-    a, b, c, d = p
-    return (a, -b, -c, -d)
-
-
-def to_conj_coloring(coloring):
-    """Convert a spherical coloring to conjugation-quandle coordinates."""
-    if isinstance(coloring.quandle, ConjClassQuandle):
-        return coloring
-    quandle, rows = _conj_rows(coloring)
-    return Coloring(quandle, tuple(Quaternion(*r) for r in rows))
+    return Coloring(ConjClassQuandle(theta),
+                    tuple(_iso_sphere_to_conj_rows(coloring.colors, theta)))
 
 
 def eval_word(diagram, coloring):
@@ -136,13 +120,13 @@ def eval_word(diagram, coloring):
     checked for membership in the circle group about the basepoint.
     """
     _check_arity(diagram, coloring)
-    _, cols = _conj_rows(coloring)
+    cols = to_conj_coloring(coloring).colors
     word = longitude_word(diagram.code)
-    x0 = Quaternion(*cols[0])
-    value = x0.pow(word.lead_exponent).components
+    x0 = cols[0]
+    value = x0.pow(word.lead_exponent)
     for arc, e in word.factors:
-        value = _mul(value, cols[arc] if e > 0 else _inverse(cols[arc]))
-    return LongitudeValue.from_quaternion(Quaternion(*value), basepoint=x0)
+        value = value * (cols[arc] if e > 0 else cols[arc].inverse())
+    return LongitudeValue.from_quaternion(value, basepoint=x0)
 
 
 def galex_lift(diagram, coloring):
@@ -151,17 +135,16 @@ def galex_lift(diagram, coloring):
     Starting from g_0 = 1, each crossing updates
     g_i = x^(-eps i) * g_(i-1) * u_(kappa i)^(eps i); the final g_n is the
     longitude value.  Independent of ``eval_word``: the two routes share
-    only the product kernel ``quaternions._mul`` on 4-tuples (and the
-    conversion of the arc colors).
+    only ``Quaternion.__mul__`` and ``to_conj_coloring``.
     """
     _check_arity(diagram, coloring)
-    _, cols = _conj_rows(coloring)
-    x, x_inv = cols[0], _inverse(cols[0])
-    g = Quaternion.one().components
+    cols = to_conj_coloring(coloring).colors
+    x, x_inv = cols[0], cols[0].inverse()
+    g = Quaternion.one()
     for arc, e in longitude_word(diagram.code).factors:
-        u = cols[arc] if e > 0 else _inverse(cols[arc])
-        g = _mul(_mul(x_inv if e > 0 else x, g), u)
-    return Quaternion(*g)
+        u = cols[arc] if e > 0 else cols[arc].inverse()
+        g = (x_inv if e > 0 else x) * g * u
+    return g
 
 
 def t2n_closed_form(n, theta, mirror=False):
@@ -217,10 +200,10 @@ def qn_check(diagram, coloring, tol=1e-9):
     """Verify q^n = -1 for the braid product q = q_0 q_1 of a torus coloring,
     and that q_0^(-2n) q^n reproduces the longitude word.  Returns q^n."""
     _check_arity(diagram, coloring)
-    _, cols = _conj_rows(coloring)
+    cols = to_conj_coloring(coloring).colors
     n = diagram.code.n
-    q0 = Quaternion(*cols[0])
-    q = q0 * Quaternion(*cols[(n - 1) // 2 + 1])
+    q0 = cols[0]
+    q = q0 * cols[(n - 1) // 2 + 1]
     qn = q.pow(n)
     minus_one = Quaternion(-1.0, 0.0, 0.0, 0.0)
     if distance(qn, minus_one) > tol:

@@ -48,7 +48,7 @@ ELEMENT_TOL = 1e-9
 def random_unit_quaternion(rng):
     v = rng.normal(size=4)
     v /= np.linalg.norm(v)
-    return Quaternion(*v)
+    return Quaternion(*v.tolist())
 
 
 def random_sphere_point(rng):
@@ -241,16 +241,16 @@ class EisQuandle(Quandle):
 
 def iso_sphere_to_conj(u, theta):
     """u -> exp(theta, u): S^2_(2*pi - 2*theta) -> conjugacy class of theta."""
-    return Quaternion(*_iso_sphere_to_conj_rows([u], theta)[0])
+    return _iso_sphere_to_conj_rows([u], theta)[0]
 
 
 def _iso_sphere_to_conj_rows(points, theta):
     """``iso_sphere_to_conj`` over an (m, 3) stack of nonzero vectors, in
-    one numpy pass: a list of m unit rows [a, b, c, d].
+    one numpy pass: a list of m ``Quaternion``s.
 
     Each row sum adds its components left to right, the order of the
     plain-float sqrt(x*x + y*y + z*z) and of ``Quaternion.from_components``,
-    so a row is bitwise the one-point value.
+    so a row is bitwise the plain-float value.
     """
     if not 0.0 < theta < math.pi:
         raise BadParameter("theta must lie in (0, pi)")
@@ -261,7 +261,8 @@ def _iso_sphere_to_conj_rows(points, theta):
     q = np.empty((len(p), 4))
     q[:, 0] = math.cos(theta)
     q[:, 1:] = math.sin(theta) * (p / nrm)
-    return (q / np.sqrt((q * q).sum(axis=1, keepdims=True))).tolist()
+    rows = (q / np.sqrt((q * q).sum(axis=1, keepdims=True))).tolist()
+    return [tuple.__new__(Quaternion, r) for r in rows]
 
 
 def eis_to_galex(elem):

@@ -4,11 +4,11 @@ Conventions
 -----------
 - Quaternions are written a + b*i + c*j + d*k and kept unit-norm
   (renormalized after every product).
-- Products run on plain components: ``_mul`` takes two (a, b, c, d)
-  sequences and returns their Hamilton product as a 4-tuple, renormalized
-  by ``_unit``.  ``Quaternion.__mul__`` wraps it, so there is one product
-  formula; hot loops call it directly to skip building an object per
-  factor.
+- A ``Quaternion`` is a named 4-tuple (a, b, c, d) of Python floats, so it
+  unpacks, packs and compares like a tuple.  ``*`` is the Hamilton product,
+  renormalized by ``from_components``: the one product formula and the one
+  renormalization.  The other tuple operators (``+``, ``k * q``, slicing)
+  are tuple operations, not quaternion arithmetic.
 - Points of S^2 are pure unit quaternions, stored as length-3 numpy arrays.
 - Rotations act on the *right* of their argument with the right-hand rule:
   ``rotate(u, angle, v)`` rotates u about the axis v.  Conjugation by
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,26 +106,6 @@ def directed_angle(a, b, c):
     return np.mod(np.arctan2(y, x), 2.0 * math.pi)
 
 
-def _unit(a, b, c, d):
-    """(a, b, c, d) scaled to unit norm; ValueError on the zero tuple."""
-    nrm = math.sqrt(a * a + b * b + c * c + d * d)
-    if nrm == 0.0:
-        raise ValueError("zero quaternion")
-    return (a / nrm, b / nrm, c / nrm, d / nrm)
-
-
-def _mul(p, q):
-    """Hamilton product p*q of two 4-tuples, renormalized."""
-    a1, b1, c1, d1 = p
-    a2, b2, c2, d2 = q
-    return _unit(
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    )
-
-
 @dataclass(frozen=True)
 class AxisAngle:
     """Canonical axis-angle form: theta in [0, pi], unit axis.
@@ -138,9 +119,12 @@ class AxisAngle:
     axis_arbitrary: bool = False
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """Element of SU(2) as a unit quaternion a + b*i + c*j + d*k."""
+class Quaternion(NamedTuple):
+    """Element of SU(2) as a unit quaternion a + b*i + c*j + d*k.
+
+    The product path builds instances with ``tuple.__new__``, skipping the
+    extra Python frame of the generated constructor.
+    """
 
     a: float
     b: float
@@ -153,22 +137,24 @@ class Quaternion:
 
     @staticmethod
     def from_components(a, b, c, d):
-        return Quaternion(*_unit(a, b, c, d))
+        """(a, b, c, d) scaled to unit norm; ValueError on the zero tuple."""
+        nrm = math.sqrt(a * a + b * b + c * c + d * d)
+        if nrm == 0.0:
+            raise ValueError("zero quaternion")
+        return tuple.__new__(Quaternion,
+                             (a / nrm, b / nrm, c / nrm, d / nrm))
 
     @staticmethod
     def exp(theta, axis):
         """cos(theta) + sin(theta) * axis for a unit axis in S^2."""
-        axis = np.asarray(axis, dtype=float)
+        x, y, z = np.asarray(axis, dtype=float).tolist()
         s = math.sin(theta)
-        return Quaternion.from_components(
-            math.cos(theta), s * axis[0], s * axis[1], s * axis[2]
-        )
+        return Quaternion.from_components(math.cos(theta), s * x, s * y, s * z)
 
     @staticmethod
     def from_vector(u):
         """Pure quaternion from a unit vector (an element of S^2)."""
-        u = normalize(u)
-        return Quaternion(0.0, u[0], u[1], u[2])
+        return Quaternion(0.0, *normalize(u).tolist())
 
     @property
     def vec(self):
@@ -178,23 +164,24 @@ class Quaternion:
     def norm(self):
         return math.sqrt(self.a**2 + self.b**2 + self.c**2 + self.d**2)
 
-    def normalized(self):
-        return Quaternion.from_components(self.a, self.b, self.c, self.d)
-
-    @property
-    def components(self):
-        return (self.a, self.b, self.c, self.d)
-
     def __mul__(self, other):
-        return Quaternion(*_mul((self.a, self.b, self.c, self.d),
-                                (other.a, other.b, other.c, other.d)))
+        """Hamilton product self*other, renormalized."""
+        a1, b1, c1, d1 = self
+        a2, b2, c2, d2 = other
+        return Quaternion.from_components(
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
 
     def __neg__(self):
         return Quaternion(-self.a, -self.b, -self.c, -self.d)
 
     def inverse(self):
         # unit quaternion: inverse = conjugate
-        return Quaternion(self.a, -self.b, -self.c, -self.d)
+        a, b, c, d = self
+        return tuple.__new__(Quaternion, (a, -b, -c, -d))
 
     def log(self):
         """Canonical axis-angle with theta in [0, pi].

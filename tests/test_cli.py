@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import longmap
 from longmap import colorings
-from longmap.cli import main
+from longmap.cli import MAX_STEPS, main
 from longmap.colorings import (
     MAX_GRID,
     admissible_steps,
@@ -337,6 +338,21 @@ def test_sweep_non_finite_bounds(capsys, lo, hi):
                          "--steps", "3")
     assert code == 2
     assert err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("steps", [MAX_STEPS + 1, 1])
+def test_sweep_steps_outside_the_cap_exit_two(capsys, monkeypatch, steps):
+    # --steps 1000000000 asked numpy for a 7.45 GiB grid and, under a
+    # memory limit, died with a MemoryError traceback
+    def grid(*args, **kwargs):
+        raise AssertionError("the theta grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", grid)
+    code, out, err = run(capsys, "sweep", "--knot", "fig8", "--theta-min",
+                         "1.1", "--theta-max", "2.0", "--steps", str(steps))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and str(MAX_STEPS) in err
+    assert "Traceback" not in err
 
 
 def test_intervals_table(capsys):

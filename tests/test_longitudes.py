@@ -33,6 +33,7 @@ from longmap.longitudes import (
 )
 from longmap.quandles import (
     ConjClassQuandle,
+    GAlexQuandle,
     SphereQuandle,
     iso_sphere_to_conj,
 )
@@ -252,3 +253,40 @@ def test_word_routes_bitwise_equal_to_quaternion_products():
         assert [_bits(q) for q in got_colors] == [_bits(q) for q in want_colors]
         cases += 1
     assert cases > 60
+
+
+def _all_floats(q):
+    return isinstance(q, Quaternion) and all(
+        type(x) is float for x in (q.a, q.b, q.c, q.d))
+
+
+def test_every_quaternion_has_float_components():
+    # Quaternion.exp once built numpy scalars from a numpy axis, so the
+    # whole product chain of eval_word ran on np.float64
+    rng = np.random.default_rng(11)
+    axis = np.array([0.6, 0.0, 0.8])
+    q = Quaternion.exp(0.7, axis)
+    made = [
+        q,
+        q.pow(5),
+        q.pow(-101),
+        q.pow(np.int64(3)),
+        Quaternion.from_vector(np.array([1.0, 2.0, 2.0])),
+        Quaternion.from_components(0.1, -0.2, 0.3, 0.4),
+        q * Quaternion.exp(1.1, [0.0, 1.0, 0.0]),
+        q.inverse(),
+        -q,
+        iso_sphere_to_conj(axis, 1.2),
+        ConjClassQuandle(1.2).sample(rng),
+        GAlexQuandle(q).sample(rng),
+        t2n_closed_form(101, 1.5).q,
+        fig8_closed_form(1.5, 1).q,
+        fig8_closed_form(1.5, 2).q,
+    ]
+    d = torus2n(101)
+    c = star_polygon(101, 50, 2 * PI - 2 * 1.5)
+    made += to_conj_coloring(c).colors
+    made += [eval_word(d, c).q, galex_lift(d, c)]
+    assert longitude_word(d.code).lead_exponent == -101
+    bad = [q for q in made if not _all_floats(q)]
+    assert bad == []

@@ -167,8 +167,8 @@ def test_iso_rows_equal_the_one_point_map():
         for u, row in zip(points, rows):
             one = iso_sphere_to_conj(u, theta)
             plain = _plain_iso(u, theta)
-            assert [one.a, one.b, one.c, one.d] == row
-            assert [plain.a, plain.b, plain.c, plain.d] == row
+            assert (one.a, one.b, one.c, one.d) == tuple(row)
+            assert (plain.a, plain.b, plain.c, plain.d) == tuple(row)
             assert all(type(c) is float for c in row)
 
 
