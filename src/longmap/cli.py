@@ -132,10 +132,11 @@ def cmd_color(args):
     return 0
 
 
-def _sweep_rows(thetas, branches, seed_beta, longitude):
-    """Rows (theta, branch, beta, L_re, L_im, phi) from
-    ``seed_beta(psi, branch)`` and ``longitude(theta, branch)``; a branch
-    outside its window gives a row of None after theta and branch."""
+def _sweep_lines(thetas, branches, seed_beta, longitude):
+    """The CSV header, then the line theta,branch,beta,L_re,L_im,phi of each
+    theta and branch from ``seed_beta(psi, branch)`` and ``longitude(theta,
+    branch)``; outside a branch's window the last four columns are empty."""
+    yield "theta,branch,beta,L_re,L_im,phi\n"
     for theta in thetas:
         psi = 2.0 * math.pi - 2.0 * theta
         for branch in branches:
@@ -143,9 +144,10 @@ def _sweep_rows(thetas, branches, seed_beta, longitude):
                 beta = seed_beta(psi, branch)
                 value = longitude(theta, branch)
             except OutOfInterval:
-                yield (theta, branch, None, None, None, None)
+                yield f"{_fmt(theta)},{branch},,,,\n"
                 continue
-            yield (theta, branch, beta, value.q.a, value.q.b, value.phi)
+            yield (f"{_fmt(theta)},{branch},{_fmt(beta)},{_fmt(value.q.a)},"
+                   f"{_fmt(value.q.b)},{_fmt(value.phi)}\n")
 
 
 def cmd_sweep(args):
@@ -162,33 +164,23 @@ def cmd_sweep(args):
     thetas = np.linspace(theta_min, theta_max, args.steps)
     knot = _parse_knot(args.knot)
     if knot is None:
-        rows = _sweep_rows(thetas, _parse_branches(args.branches, (1, 2)),
-                           lambda psi, b: fig8_betas(psi)[b - 1],
-                           fig8_closed_form)
+        lines = _sweep_lines(thetas, _parse_branches(args.branches, (1, 2)),
+                             lambda psi, b: fig8_betas(psi)[b - 1],
+                             fig8_closed_form)
     else:
         n, sign = knot
         torus_interval(n, 1)  # BadParameter unless n is odd and >= 3
         steps = range(1, (n - 1) // 2 + 1)
-        rows = _sweep_rows(thetas, _parse_branches(args.branches, steps),
-                           lambda psi, h: star_beta(n, h, psi),
-                           lambda theta, h: t2n_closed_form(
-                               n, theta, mirror=sign < 0))
-
-    lines = ["theta,branch,beta,L_re,L_im,phi"]
-    for theta, branch, beta, l_re, l_im, phi in rows:
-        if beta is None:
-            lines.append(f"{_fmt(theta)},{branch},,,,")
-        else:
-            lines.append(
-                f"{_fmt(theta)},{branch},{_fmt(beta)},{_fmt(l_re)},"
-                f"{_fmt(l_im)},{_fmt(phi)}"
-            )
-    text = "\n".join(lines) + "\n"
+        lines = _sweep_lines(thetas, _parse_branches(args.branches, steps),
+                             lambda psi, h: star_beta(n, h, psi),
+                             lambda theta, h: t2n_closed_form(
+                                 n, theta, mirror=sign < 0))
+    # every check has run, so an error exit writes nothing
     if args.out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     return 0
 
 

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .quandles import DihedralQuandle, SphereQuandle
 from .quaternions import rotate
+from .tangles import fig8
 
 EPS_COLOR = 1e-8        # residual acceptance for a valid coloring
 SEED_TOL = 1e-6         # dedup tolerance between solver seeds
@@ -89,15 +90,19 @@ def propagate(diagram, quandle, bridge_colors):
     return colors
 
 
+def _check_arity(diagram, coloring):
+    """ArityMismatch unless the coloring has a color for every arc."""
+    arcs = diagram.code.n + 1
+    if len(coloring.colors) != arcs:
+        raise ArityMismatch(f"{len(coloring.colors)} colors for {arcs} arcs")
+
+
 def residual(coloring, diagram):
     """Max deviation over crossings between the actual out-arc color and the
     one demanded by the crossing relation; an array of them for a stack of
     sphere colorings."""
+    _check_arity(diagram, coloring)
     code = diagram.code
-    if len(coloring.colors) != code.n + 1:
-        raise ArityMismatch(
-            f"{len(coloring.colors)} colors for {code.n + 1} arcs"
-        )
     q = coloring.quandle
     cols = coloring.colors
     worst = 0.0
@@ -246,8 +251,6 @@ def fig8_coloring(psi, branch):
     if branch not in (1, 2):
         raise BadParameter("branch must be 1 or 2")
     beta = fig8_betas(psi)[branch - 1]
-    from .tangles import fig8  # local import to avoid a cycle at module load
-
     diagram = fig8()
     quandle = SphereQuandle(psi)
     u2 = np.array([math.cos(beta), math.sin(beta), 0.0])
@@ -408,9 +411,7 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
         raise NoSchedule("solve_colorings needs a 2-bridge schedule")
     if not 16 <= grid <= MAX_GRID:
         raise BadParameter(f"grid must lie in 16..{MAX_GRID}, not {grid}")
-    if not 0.0 < psi < 2.0 * math.pi:  # also rejects nan
-        raise BadParameter(f"psi must lie in (0, 2*pi), not {psi}")
-    quandle = SphereQuandle(psi)
+    quandle = SphereQuandle(psi)  # BadParameter unless 0 < psi < 2*pi
     arcs, relations = _arc_words(diagram)
     pairs = [arcs[ci] for ci in diagram.residual_crossings] + relations
 

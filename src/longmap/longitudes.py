@@ -21,9 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .colorings import Coloring, torus_theta_interval
+from .colorings import Coloring, _check_arity, torus_theta_interval
 from .errors import (
-    ArityMismatch,
     BadParameter,
     NotInLambda,
     NotMinusOne,
@@ -90,13 +89,6 @@ class LongitudeValue:
                 "longitude value does not lie on the circle about i"
             )
         return self
-
-
-def _check_arity(diagram, coloring):
-    """ArityMismatch unless the coloring has a color for every arc."""
-    arcs = diagram.code.n + 1
-    if len(coloring.colors) != arcs:
-        raise ArityMismatch(f"{len(coloring.colors)} colors for {arcs} arcs")
 
 
 def to_conj_coloring(coloring):

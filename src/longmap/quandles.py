@@ -94,7 +94,7 @@ class SphereQuandle(Quandle):
 
     def __post_init__(self):
         if not 0.0 < self.psi < 2.0 * math.pi:
-            raise BadParameter("psi must lie in (0, 2*pi)")
+            raise BadParameter(f"psi must lie in (0, 2*pi), not {self.psi}")
 
     def op(self, a, b):
         return rotate(a, self.psi, b)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,35 @@ def test_sweep_steps_outside_the_cap_exit_two(capsys, monkeypatch, steps):
     assert code == 2
     assert out == "" and err.startswith("error: ") and str(MAX_STEPS) in err
     assert "Traceback" not in err
+
+
+def test_sweep_into_a_missing_directory_exits_two(tmp_path, capsys):
+    # the output file is opened after every check, and failing to open it
+    # is a usage error
+    out_path = tmp_path / "missing" / "out.csv"
+    code, out, err = run(capsys, "sweep", "--knot", "fig8", "--theta-min",
+                         "1.1", "--theta-max", "2.0", "--out", str(out_path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not out_path.parent.exists()
+
+
+def test_sweep_memory_does_not_grow_with_steps(tmp_path):
+    # every row was kept and joined before writing: the peak went from
+    # 0.7 to 4.1 MB between 200 and 1600 steps
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--knot", "torus:21", "--theta-min", "0.01",
+                         "--theta-max", "3.1", "--steps", str(steps),
+                         "--out", str(tmp_path / "out.csv")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(200), peak(1600)
+    assert large - small < 100_000, (small, large)
 
 
 def test_intervals_table(capsys):

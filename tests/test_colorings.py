@@ -23,7 +23,12 @@ from longmap.colorings import (
     torus_interval,
     torus_theta_interval,
 )
-from longmap.errors import BadParameter, NoSchedule, OutOfInterval
+from longmap.errors import (
+    ArityMismatch,
+    BadParameter,
+    NoSchedule,
+    OutOfInterval,
+)
 from longmap.longitudes import eval_word, fig8_closed_form, t2n_closed_form
 from longmap.quandles import DihedralQuandle, SphereQuandle
 from longmap.quaternions import directed_angle, distance, geodesic_distance
@@ -166,6 +171,13 @@ def test_fig8_tetrahedron():
 def test_fig8_bad_branch():
     with pytest.raises(BadParameter):
         fig8_coloring(PI, 3)
+
+
+def test_residual_rejects_a_coloring_one_arc_short():
+    c = star_polygon(7, 2, 0.9 * PI)
+    short = Coloring(c.quandle, c.colors[:-1])
+    with pytest.raises(ArityMismatch, match="7 colors for 8 arcs"):
+        residual(short, torus2n(7))
 
 
 def test_solver_counts_torus():
