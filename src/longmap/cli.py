@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -176,11 +177,18 @@ def cmd_sweep(args):
                              lambda theta, h: t2n_closed_form(
                                  n, theta, mirror=sign < 0))
     # every check has run, so an error exit writes nothing
-    if args.out == "-":
-        sys.stdout.writelines(lines)
-    else:
+    if args.out != "-":
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(lines)
+        return 0
+    try:
+        sys.stdout.writelines(lines)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        # the reader stopped early, as ``| head`` does; stdout goes to
+        # devnull so that the flush at shutdown does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return 0
 
 

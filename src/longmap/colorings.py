@@ -16,6 +16,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     ResidualTooLarge,
 )
 from .quandles import DihedralQuandle, SphereQuandle
-from .quaternions import rotate
+from .quaternions import geodesic_distance, rotate
 from .tangles import fig8
 
 EPS_COLOR = 1e-8        # residual acceptance for a valid coloring
@@ -100,11 +101,23 @@ def _check_arity(diagram, coloring):
 def residual(coloring, diagram):
     """Max deviation over crossings between the actual out-arc color and the
     one demanded by the crossing relation; an array of them for a stack of
-    sphere colorings."""
+    sphere colorings.
+
+    Sphere colors, single or stacked, are checked in one pass: every
+    crossing's source turned about its over-arc by psi*eps, one Rodrigues
+    ``rotate`` of the (n, ..., 3) stack.  Other quandles walk the crossings.
+    """
     _check_arity(diagram, coloring)
     code = diagram.code
     q = coloring.quandle
     cols = coloring.colors
+    if isinstance(q, SphereQuandle):
+        cols = np.asarray(cols)
+        turn = q.psi * np.asarray(code.eps, dtype=float)
+        turn = turn.reshape(turn.shape + (1,) * (cols.ndim - 2))
+        expected = rotate(cols[:-1], turn, cols[list(code.kappa)])
+        distances = geodesic_distance(cols[1:], expected)
+        return np.max(distances, axis=0, initial=0.0)
     worst = 0.0
     for ci in range(1, code.n + 1):
         expected = q.op_signed(
@@ -310,38 +323,62 @@ def _arc_words(diagram):
                   for ci in diagram.residual_crossings]
 
 
-def _word_colors(pairs, psi, betas):
-    """Colors W b W^-1 of (word, base) pairs over a stack of seed angles,
-    shape (3, len(pairs), len(betas)); complex betas give the complex-step
-    extension.  Each prefix of the words is multiplied out once, as its own
-    prefix times a syllable c + s (u i + v j), c = cos(a*psi/2)."""
+def _word_program(pairs, psi, *groups):
+    """Compile (word, base) pairs for one psi, once, into one function per
+    group of pair indices: betas -> the colors W b W^-1 of the group's
+    pairs, shape (3, len(group), len(betas)); complex betas give the
+    complex-step extension.
+
+    The prefix trie of all the words, the syllable values and, per group,
+    the node steps, end nodes and base mask are built here; a run only does
+    the arithmetic.  It multiplies each prefix on a path of its group once,
+    as its own prefix times a syllable c + s (u i + v j), c = cos(a*psi/2).
+    """
     paths, ids = [[0] for _ in pairs], {}
     for path, (word, _) in zip(paths, pairs):
         for letter, a in word:
             path.append(ids.setdefault((path[-1], letter, a), len(ids) + 1))
-    # drop a product once its only child is formed, unless a word ends there
-    keep = {path[-1] for path in paths}
-    keep |= {k for k, n in Counter(key[0] for key in ids).items() if n > 1}
+    halves = {}  # (s, s, c) of each syllable
+    for _, letter, a in ids:
+        c, s = math.cos(0.5 * a * psi), math.sin(0.5 * a * psi)
+        halves[letter, a] = np.array([[s], [s], [c]])
 
+    programs = []
+    for group in groups:
+        nodes = {node for i in group for node in paths[i]}
+        steps = [(parent, (letter, a), node)
+                 for (parent, letter, a), node in ids.items() if node in nodes]
+        ends = [paths[i][-1] for i in group]
+        # a product is dropped after its only child, unless a word ends there
+        keep = set(ends)
+        keep |= {k for k, n in Counter(p for p, _, _ in steps).items()
+                 if n > 1}
+        steps = [(parent, key, node, parent not in keep)
+                 for parent, key, node in steps]
+        bases = np.array([pairs[i][1] for i in group])[:, np.newaxis]
+        programs.append(partial(_run_words, steps, ends, bases, halves))
+    return programs
+
+
+def _run_words(steps, ends, bases, halves, betas):
+    """One group of a ``_word_program`` over a stack of seed angles."""
     cos_b, sin_b = np.cos(betas), np.sin(betas)
     # right multiplication by c + s (u i + v j) is (s u, s v, c) @ _TIMES,
     # with (u, v) = (1, 0) for x; rows are components, columns are betas
     axes = [np.array([[1.0], [0.0], [1.0]]),
             np.stack([cos_b, sin_b, np.ones_like(cos_b)])]
     mats, prods = {}, {0: np.eye(4, 1) + 0.0 * cos_b}
-    for (parent, letter, a), node in ids.items():  # parents come first
-        if (letter, a) not in mats:
-            c, s = math.cos(0.5 * a * psi), math.sin(0.5 * a * psi)
-            mats[letter, a] = (_TIMES.T @ (axes[letter] * [[s], [s], [c]])
-                               ).reshape(4, 4, -1)
-        prods[node] = np.einsum("jk,jlk->lk", prods[parent], mats[letter, a])
-        if parent not in keep:
+    for parent, key, node, drop in steps:  # parents come first
+        if key not in mats:
+            mats[key] = (_TIMES.T @ (axes[key[0]] * halves[key])
+                         ).reshape(4, 4, -1)
+        prods[node] = np.einsum("jk,jlk->lk", prods[parent], mats[key])
+        if drop:
             del prods[parent]
 
     # b = (bx, by, 0) turned by W = s + v: b + s t + v x t, t = 2 v x b
-    s, v1, v2, v3 = np.stack([prods[path[-1]] for path in paths], axis=1)
+    s, v1, v2, v3 = np.stack([prods[end] for end in ends], axis=1)
     del mats, prods  # freed before the color temporaries below
-    bases = np.array([base for _, base in pairs])[:, np.newaxis]
     bx, by = np.where(bases, cos_b, 1.0), np.where(bases, sin_b, 0.0)
     t1, t2, t3 = -2.0 * v3 * by, 2.0 * v3 * bx, 2.0 * (v1 * by - v2 * bx)
     return np.stack([bx + s * t1 + v2 * t3 - v3 * t2,
@@ -361,28 +398,36 @@ def _grid_minima(gaps, grid):
 def _refine(gaps, betas):
     """Stage 2 of ``solve_colorings``: _POLISH_STEPS Gauss-Newton steps in
     beta on the relation gaps, with slopes from a complex step.  The step
-    and the doubled step, exact at a double root, are tried together; the
-    one that lowers the squared gaps more is taken, or neither.  Returns
-    the betas and a mask of the steps that were finite and in [0, pi]."""
+    and the doubled step, exact at a double root, are evaluated together;
+    the one that lowers the squared gaps below those at beta, known from
+    the evaluation that reached beta, is taken, the lower one if both do,
+    or neither.  Returns the betas and a mask of the steps that were finite
+    and in [0, pi]."""
     def gaps_and_slopes(b):
         g = gaps(b.ravel() + 1j * _CSTEP).reshape((-1,) + b.shape)
         return g.real, g.imag / _CSTEP
 
     rows = np.arange(len(betas))
     g, dg = gaps_and_slopes(betas)
+    cost = np.sum(g * g, axis=0)
     ok = np.ones(len(betas), dtype=bool)
     for _ in range(_POLISH_STEPS):
         jj = np.sum(dg * dg, axis=0)
         step = -np.divide(np.sum(g * dg, axis=0), jj,
                           out=np.zeros_like(jj), where=jj > 0.0)
-        # beta itself comes first, so that it stays unless a step is lower
-        trial = betas[:, np.newaxis] + step[:, np.newaxis] * [0.0, 1.0, 2.0]
+        trial = betas[:, np.newaxis] + step[:, np.newaxis] * [1.0, 2.0]
         tg, tdg = gaps_and_slopes(trial)
-        cost = np.where((0.0 <= trial) & (trial <= math.pi),
-                        np.sum(tg * tg, axis=0), np.inf)
-        ok &= cost[:, 1] < np.inf  # the step is finite and in [0, pi]
-        best = np.argmin(cost, axis=1)
-        betas, g, dg = trial[rows, best], tg[:, rows, best], tdg[:, rows, best]
+        tcost = np.where((0.0 <= trial) & (trial <= math.pi),
+                         np.sum(tg * tg, axis=0), np.inf)
+        ok &= tcost[:, 0] < np.inf  # the step is finite and in [0, pi]
+        # beta itself comes first, so that it stays unless a step is lower
+        trial = np.column_stack([betas, trial])
+        tg = np.concatenate([g[..., np.newaxis], tg], axis=-1)
+        tdg = np.concatenate([dg[..., np.newaxis], tdg], axis=-1)
+        tcost = np.column_stack([cost, tcost])
+        best = np.argmin(tcost, axis=1)
+        betas, cost = trial[rows, best], tcost[rows, best]
+        g, dg = tg[:, rows, best], tdg[:, rows, best]
     return betas, ok
 
 
@@ -392,7 +437,9 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     Arc j is colored W_j b_j W_j^-1, with W_j a reduced word in the two
     bridge generators and b_j a bridge color (``_arc_words``), so rounding
     grows with the word length, not along the arc chain as in
-    ``propagate``.  Three stages, each run on all candidates at once:
+    ``propagate``.  The words are compiled once per solve into one
+    ``_word_program``, which the grid scan, every refinement step and the
+    final colors run.  Three stages, each run on all candidates at once:
 
     1. grid scan: every local minimum over ``grid`` seed angles in [0, pi]
        of the largest relation gap of a residual crossing;
@@ -400,7 +447,8 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
        simple root and also the double root at a window end (``_refine``);
     3. acceptance: the refinement stayed finite in [0, pi] and the
        ``residual`` over all crossings of the coloring, all arcs evaluated
-       from their words, is at most EPS_COLOR.
+       from their words, is at most EPS_COLOR; one batched Rodrigues check
+       of every crossing and candidate, independent of the words.
 
     A seed angle beta at most SPREAD_TOL puts the seed on the basepoint,
     which gives the trivial constant coloring; it is dropped, as are
@@ -413,13 +461,17 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
         raise BadParameter(f"grid must lie in 16..{MAX_GRID}, not {grid}")
     quandle = SphereQuandle(psi)  # BadParameter unless 0 < psi < 2*pi
     arcs, relations = _arc_words(diagram)
-    pairs = [arcs[ci] for ci in diagram.residual_crossings] + relations
+    # each residual crossing's out-arc, then the color its relation demands
+    gap_group = [*diagram.residual_crossings,
+                 *range(len(arcs), len(arcs) + len(relations))]
+    gap_colors, arc_colors = _word_program(arcs + relations, psi, gap_group,
+                                           range(len(arcs)))
 
     def gaps(b):  # each residual crossing's out-arc minus its demanded color
-        return np.subtract(*np.split(_word_colors(pairs, psi, b), 2, axis=1))
+        return np.subtract(*np.split(gap_colors(b), 2, axis=1))
 
     betas, ok = _refine(gaps, _grid_minima(gaps, grid))
-    colors = np.moveaxis(_word_colors(arcs, psi, betas), 0, -1)
+    colors = np.moveaxis(arc_colors(betas), 0, -1)
     ok &= residual(Coloring(quandle, colors), diagram) <= EPS_COLOR
     ok &= betas > SPREAD_TOL  # a seed on the basepoint colors every arc x
 

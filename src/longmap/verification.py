@@ -35,8 +35,8 @@ from .quandles import (
     GAlexQuandle,
     SphereQuandle,
     axiom_check,
+    _iso_sphere_to_conj_rows,
     eis_to_galex,
-    iso_sphere_to_conj,
     random_sphere_point,
 )
 from .quaternions import Quaternion, distance, rotate
@@ -101,8 +101,8 @@ def suite_axioms():
         sq = SphereQuandle(2.0 * math.pi - 2.0 * theta)
         cq = ConjClassQuandle(theta)
         u, v = random_sphere_point(rng), random_sphere_point(rng)
-        lhs = iso_sphere_to_conj(sq.op(u, v), theta)
-        rhs = cq.op(iso_sphere_to_conj(u, theta), iso_sphere_to_conj(v, theta))
+        lhs, iu, iv = _iso_sphere_to_conj_rows([sq.op(u, v), u, v], theta)
+        rhs = cq.op(iu, iv)
         worst = max(worst, distance(lhs, rhs))
     lines.append(CheckLine("sphere/conjugation isomorphism", worst, 1e-10))
 

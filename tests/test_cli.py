@@ -126,7 +126,7 @@ def test_color_grid_above_the_cap_exits_two(capsys, monkeypatch):
     def scan(*args):
         raise AssertionError("the scan started")
 
-    monkeypatch.setattr(colorings, "_word_colors", scan)
+    monkeypatch.setattr(colorings, "_word_program", scan)
     code, out, err = run(capsys, "color", "--knot", "torus:101", "--psi",
                          "2.8", "--grid", str(MAX_GRID + 1))
     assert code == 2
@@ -366,6 +366,25 @@ def test_sweep_into_a_missing_directory_exits_two(tmp_path, capsys):
     assert out == "" and err.startswith("error: ")
     assert "Traceback" not in err
     assert not out_path.parent.exists()
+
+
+def test_sweep_into_a_closed_pipe_exits_zero():
+    # a reader that stops early, as `| head -n 3` does, is not an error:
+    # exit 0 and nothing on stderr
+    src = str(Path(longmap.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "longmap.cli", "sweep", "--knot", "torus:101",
+         "--theta-min", "0.01", "--theta-max", "3.1", "--steps", "1000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, err
+    assert err == b""
+    assert head[0] == b"theta,branch,beta,L_re,L_im,phi\n"
 
 
 def test_sweep_memory_does_not_grow_with_steps(tmp_path):

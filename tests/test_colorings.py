@@ -5,10 +5,15 @@ import pytest
 
 from longmap.colorings import (
     BASEPOINT,
+    DEFAULT_GRID,
     EPS_COLOR,
     Coloring,
+    _CSTEP,
+    _POLISH_STEPS,
     _arc_words,
-    _word_colors,
+    _grid_minima,
+    _refine,
+    _word_program,
     admissible_steps,
     fig8_betas,
     fig8_coloring,
@@ -31,10 +36,21 @@ from longmap.errors import (
 )
 from longmap.longitudes import eval_word, fig8_closed_form, t2n_closed_form
 from longmap.quandles import DihedralQuandle, SphereQuandle
-from longmap.quaternions import directed_angle, distance, geodesic_distance
+from longmap.quaternions import (
+    directed_angle,
+    distance,
+    geodesic_distance,
+    rotate,
+)
 from longmap.tangles import TangleDiagram, WirtingerCode, fig8, parse, torus2n
 
 PI = math.pi
+
+
+def _word_colors(pairs, psi, betas):
+    """Colors of all the (word, base) pairs, one program of one group."""
+    (run,) = _word_program(pairs, psi, range(len(pairs)))
+    return run(betas)
 
 
 def test_torus_intervals():
@@ -341,7 +357,8 @@ def test_arc_words_reproduce_propagation(diagram):
 
 def test_word_colors_share_prefixes():
     # words that extend, branch from and repeat each other, in either
-    # order: each color is the same as when its word is evaluated alone
+    # order: each color is the same as when its word is evaluated alone,
+    # and a group of one program evaluates only its own words
     x, y = 0, 1
     pairs = [(((y, 1), (x, 1), (y, -1)), x), (((y, 1), (x, 1)), y), ((), y),
              (((y, 1), (x, 1), (y, -1), (x, 2), (y, 3)), x),
@@ -353,6 +370,103 @@ def test_word_colors_share_prefixes():
         got = _word_colors(order, 0.7, betas)
         want = alone if order is pairs else alone[:, ::-1]
         assert np.max(np.abs(got - want)) <= 1e-15
+    group = [4, 0, 2]
+    (run,) = _word_program(pairs, 0.7, group)
+    assert np.max(np.abs(run(betas) - alone[:, group])) <= 1e-15
+
+
+def _loop_residual(coloring, diagram):
+    """Reference: one rotate and one geodesic_distance per crossing."""
+    code, cols, psi = diagram.code, coloring.colors, coloring.quandle.psi
+    worst = 0.0
+    for i in range(code.n):
+        expected = rotate(cols[i], psi * code.eps[i], cols[code.kappa[i]])
+        worst = np.maximum(worst, geodesic_distance(cols[i + 1], expected))
+    return worst
+
+
+_BATCH_CASES = [(fig8(), 0.8 * PI), (torus2n(21), 0.9 * PI),
+                (torus2n(21, -1), 1.3 * PI), (parse(_CUSTOM), 0.8 * PI)]
+_BATCH_IDS = ["fig8", "T21", "T21-", "parsed"]
+
+
+@pytest.mark.parametrize("diagram,psi", _BATCH_CASES, ids=_BATCH_IDS)
+def test_batched_residual_matches_the_crossing_loop(diagram, psi):
+    # bitwise, on a stack of word colorings at arbitrary seed angles and
+    # of the solver's seeds, and on each of them alone
+    q = SphereQuandle(psi)
+    arcs, _ = _arc_words(diagram)
+    (run,) = _word_program(arcs, psi, range(len(arcs)))
+    seeds = [np.array(c.colors) for _, c in solve_colorings(diagram, psi)]
+    stack = np.concatenate([np.moveaxis(run(np.linspace(0.05, 3.1, 9)), 0, -1),
+                            np.stack(seeds, axis=1)], axis=1)
+    want = _loop_residual(Coloring(q, stack), diagram)
+    assert residual(Coloring(q, stack), diagram).tobytes() == want.tobytes()
+    for k in range(stack.shape[1]):
+        single = Coloring(q, tuple(stack[:, k]))
+        assert residual(single, diagram).tobytes() == want[k].tobytes()
+        assert _loop_residual(single, diagram).tobytes() == want[k].tobytes()
+
+
+def _gaps(diagram, psi):
+    """The relation gaps that solve_colorings scans and refines."""
+    arcs, relations = _arc_words(diagram)
+    group = [*diagram.residual_crossings,
+             *range(len(arcs), len(arcs) + len(relations))]
+    (run,) = _word_program(arcs + relations, psi, group)
+    return lambda b: np.subtract(*np.split(run(b), 2, axis=1))
+
+
+@pytest.mark.parametrize("diagram,psi", _BATCH_CASES, ids=_BATCH_IDS)
+def test_gaps_at_a_beta_do_not_depend_on_the_stack(diagram, psi):
+    # _refine reuses the gaps at beta from the evaluation that reached it,
+    # which is exact only if they are bitwise the same alone and as one
+    # column of a trial stack, for real and complex-step betas
+    gaps = _gaps(diagram, psi)
+    for b in (np.linspace(0.05, 3.1, 7), np.linspace(0.05, 3.1, 7) + 1e-20j):
+        trial = np.stack([b[::-1], b, b + 0.25], axis=-1)
+        stacked = gaps(trial.ravel()).reshape((-1,) + trial.shape)
+        assert gaps(b).tobytes() == stacked[..., 1].copy().tobytes()
+        for k in range(len(b)):
+            alone = gaps(b[k:k + 1])
+            assert alone.tobytes() == stacked[:, k, 1].copy().tobytes()
+
+
+def _refine_evaluating_beta_again(gaps, betas):
+    """Reference: _refine with beta itself evaluated again as column 0 of
+    every trial stack."""
+    def gaps_and_slopes(b):
+        g = gaps(b.ravel() + 1j * _CSTEP).reshape((-1,) + b.shape)
+        return g.real, g.imag / _CSTEP
+
+    rows = np.arange(len(betas))
+    g, dg = gaps_and_slopes(betas)
+    ok = np.ones(len(betas), dtype=bool)
+    for _ in range(_POLISH_STEPS):
+        jj = np.sum(dg * dg, axis=0)
+        step = -np.divide(np.sum(g * dg, axis=0), jj,
+                          out=np.zeros_like(jj), where=jj > 0.0)
+        trial = betas[:, np.newaxis] + step[:, np.newaxis] * [0.0, 1.0, 2.0]
+        tg, tdg = gaps_and_slopes(trial)
+        cost = np.where((0.0 <= trial) & (trial <= PI),
+                        np.sum(tg * tg, axis=0), np.inf)
+        ok &= cost[:, 1] < np.inf
+        best = np.argmin(cost, axis=1)
+        betas, g, dg = trial[rows, best], tg[:, rows, best], tdg[:, rows, best]
+    return betas, ok
+
+
+@pytest.mark.parametrize("diagram,psi", _BATCH_CASES + [
+    (fig8(), 2 * PI / 3), (torus2n(51), 0.9 * PI), (torus2n(7), 0.02 * PI)],
+    ids=_BATCH_IDS + ["fig8-end", "T51", "T7-end"])
+def test_refine_matches_evaluating_beta_again(diagram, psi):
+    gaps = _gaps(diagram, psi)
+    start = _grid_minima(gaps, DEFAULT_GRID)
+    for betas in (start, start[:1]):
+        got, want = _refine(gaps, betas), _refine_evaluating_beta_again(
+            gaps, betas)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.array_equal(got[1], want[1])
 
 
 def test_solver_rejects_psi_out_of_range():
