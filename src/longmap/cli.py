@@ -9,6 +9,10 @@ Subcommands:
 
 Angles are radians by default; pass ``--deg`` to give them in degrees.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Each command returns its exit code and its output lines, and ``main``
+writes them.  A reader that closes stdout early, as ``| head`` does, does
+not change the exit code, and ``verify`` prints after all its checks have
+run, so a breach exits 1 even then.
 """
 
 from __future__ import annotations
@@ -80,14 +84,14 @@ def _parse_branches(text, allowed):
 
 
 def _load_diagram(args):
-    if args.file:
+    if (args.knot is None) == (args.file is None):
+        raise LongmapError("give either --knot or --file")
+    if args.file is not None:
         try:
             with open(args.file, encoding="utf-8") as fh:
                 return parse(fh.read())
         except UnicodeDecodeError as exc:
             raise ParseError(f"{args.file} is not UTF-8 text: {exc}") from None
-    if args.knot is None:
-        raise LongmapError("give either --knot or --file")
     knot = _parse_knot(args.knot)
     return fig8() if knot is None else torus2n(*knot)
 
@@ -99,12 +103,9 @@ def _angle(value, args):
 def cmd_verify(args):
     suites = verification.SUITES
     names = list(suites) if args.suite == "all" else [args.suite]
-    ok = True
-    for name in names:
-        for line in suites[name]():
-            ok &= line.passed
-            print(line)
-    return 0 if ok else 1
+    checks = [line for name in names for line in suites[name]()]
+    code = 0 if all(line.passed for line in checks) else 1
+    return code, [f"{line}\n" for line in checks]
 
 
 def cmd_color(args):
@@ -121,16 +122,15 @@ def cmd_color(args):
             }
         )
     if args.json:
-        print(json.dumps({"psi": psi, "seeds": records}, indent=2))
-    else:
-        print(f"psi = {_fmt(psi)}: {len(records)} nontrivial seed(s)")
-        for rec in records:
-            print(f"  beta = {_fmt(rec['beta'])}  "
-                  f"residual = {rec['residual']:.3e}")
-            for arc, c in enumerate(rec["colors"]):
-                print(f"    arc {arc}: ({_fmt(c[0])}, {_fmt(c[1])}, "
-                      f"{_fmt(c[2])})")
-    return 0
+        return 0, [json.dumps({"psi": psi, "seeds": records}, indent=2) + "\n"]
+    lines = [f"psi = {_fmt(psi)}: {len(records)} nontrivial seed(s)\n"]
+    for rec in records:
+        lines.append(f"  beta = {_fmt(rec['beta'])}  "
+                     f"residual = {rec['residual']:.3e}\n")
+        for arc, c in enumerate(rec["colors"]):
+            lines.append(f"    arc {arc}: ({_fmt(c[0])}, {_fmt(c[1])}, "
+                         f"{_fmt(c[2])})\n")
+    return 0, lines
 
 
 def _sweep_lines(thetas, branches, seed_beta, longitude):
@@ -177,19 +177,11 @@ def cmd_sweep(args):
                              lambda theta, h: t2n_closed_form(
                                  n, theta, mirror=sign < 0))
     # every check has run, so an error exit writes nothing
-    if args.out != "-":
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(lines)
-        return 0
-    try:
-        sys.stdout.writelines(lines)
-        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
-    except BrokenPipeError:
-        # the reader stopped early, as ``| head`` does; stdout goes to
-        # devnull so that the flush at shutdown does not raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-    return 0
+    if args.out == "-":
+        return 0, lines
+    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(lines)
+    return 0, ()
 
 
 def cmd_intervals(args):
@@ -202,24 +194,12 @@ def cmd_intervals(args):
         tlo, thi = torus_theta_interval(n, h)
         rows.append((h, plo, phi_, tlo, thi))
     if args.json:
-        print(
-            json.dumps(
-                [
-                    {"h": h, "psi": [a, b], "theta": [c, d]}
-                    for h, a, b, c, d in rows
-                ],
-                indent=2,
-            )
-        )
-    else:
-        print(f"T(2,{n}) colorable intervals:")
-        print(f"{'h':>3}  {'psi interval':>32}  {'theta interval':>32}")
-        for h, a, b, c, d in rows:
-            print(
-                f"{h:>3}  ({a:14.10f}, {b:14.10f})  "
-                f"({c:14.10f}, {d:14.10f})"
-            )
-    return 0
+        return 0, [json.dumps([{"h": h, "psi": [a, b], "theta": [c, d]}
+                               for h, a, b, c, d in rows], indent=2) + "\n"]
+    return 0, [f"T(2,{n}) colorable intervals:\n",
+               f"{'h':>3}  {'psi interval':>32}  {'theta interval':>32}\n",
+               *(f"{h:>3}  ({a:14.10f}, {b:14.10f})  "
+                 f"({c:14.10f}, {d:14.10f})\n" for h, a, b, c, d in rows)]
 
 
 def build_parser():
@@ -268,13 +248,20 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    code = 0  # a sweep --out pipe can close before its handler returns
     try:
-        return args.func(args)
+        code, lines = args.func(args)
+        sys.stdout.writelines(lines)
+        sys.stdout.flush()  # a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        # the reader stopped early, as ``| head`` does; stdout goes to
+        # devnull so that the flush at shutdown does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (LongmapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import longmap
-from longmap import colorings
+from longmap import colorings, verification
 from longmap.cli import MAX_STEPS, main
 from longmap.colorings import (
     MAX_GRID,
@@ -141,6 +141,16 @@ def test_verify_all_passes(capsys):
     assert all(line.startswith("[PASS] ") for line in lines)
 
 
+def test_verify_breach_prints_fail_and_exits_one(capsys, monkeypatch):
+    breach = verification.CheckLine("forced breach", 1.0, 1e-10)
+    monkeypatch.setitem(verification.SUITES, "lift", lambda: [breach])
+    code, out, err = run(capsys, "verify", "all")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert [l for l in lines if not l.startswith("[PASS] ")] == [str(breach)]
+    assert lines[-1].startswith("[PASS] mirror")  # later suites still ran
+
+
 def test_unknown_knot_exits_two(capsys):
     code, _, err = run(capsys, "color", "--knot", "granny", "--psi", "3.0")
     assert code == 2
@@ -154,9 +164,14 @@ def test_unknown_knot_exits_two(capsys):
     ["sweep", "--knot", "fig8", "--theta-min", "1.1", "--theta-max", "2",
      "--branches", "3"],
     ["color", "--knot", "fig8", "--psi", "nan"],
-], ids=["torus-spec", "branches-not-int", "fig8-branch", "psi-nan"])
-def test_malformed_command_exits_two(capsys, argv):
-    code, out, err = run(capsys, *argv)
+    # the knot was dropped and the file's colorings printed, exit 0
+    ["color", "--knot", "torus:3", "--file", "{fig8}", "--psi", "3"],
+], ids=["torus-spec", "branches-not-int", "fig8-branch", "psi-nan",
+        "knot-and-file"])
+def test_malformed_command_exits_two(capsys, tmp_path, argv):
+    path = tmp_path / "fig8.tangle"
+    path.write_text(serialize(fig8()))
+    code, out, err = run(capsys, *(a.format(fig8=path) for a in argv))
     assert code == 2
     assert err.startswith("error: ")
     assert out == ""
@@ -368,23 +383,49 @@ def test_sweep_into_a_missing_directory_exits_two(tmp_path, capsys):
     assert not out_path.parent.exists()
 
 
-def test_sweep_into_a_closed_pipe_exits_zero():
-    # a reader that stops early, as `| head -n 3` does, is not an error:
-    # exit 0 and nothing on stderr
+BREACH = ("import sys; from longmap import cli, verification; "
+          "verification.SUITES['lift'] = lambda: "
+          "[verification.CheckLine('forced breach', 1.0, 1e-10)]; "
+          "sys.exit(cli.main(['verify', 'all']))")
+SWEEP_HEADER = b"theta,branch,beta,L_re,L_im,phi\n"
+
+
+@pytest.mark.parametrize("child, first, code", [
+    (["-m", "longmap.cli", "verify", "all"], None, 0),
+    (["-m", "longmap.cli", "color", "--knot", "fig8", "--psi", "2.5"],
+     None, 0),
+    (["-m", "longmap.cli", "color", "--knot", "fig8", "--psi", "2.5",
+      "--json"], None, 0),
+    (["-m", "longmap.cli", "intervals", "7"], None, 0),
+    (["-c", BREACH], None, 1),
+    # the pipe closes inside the handler, which writes its --out file itself
+    (["-m", "longmap.cli", "sweep", "--knot", "fig8", "--theta-min", "1.1",
+      "--theta-max", "2", "--steps", "3", "--out", "/dev/stdout"], None, 0),
+    (["-m", "longmap.cli", "sweep", "--knot", "torus:101", "--theta-min",
+      "0.01", "--theta-max", "3.1", "--steps", "1000"], SWEEP_HEADER, 0),
+], ids=["verify", "color", "color-json", "intervals", "verify-breach",
+        "sweep-out", "sweep"])
+def test_closed_pipe_keeps_the_exit_code(child, first, code):
+    # a reader that stops early, as `| head -n 3` does, is not an error: the
+    # command's own exit code (1 for a breach) and nothing on stderr; all
+    # but the stdout sweep exited 2 with "error: [Errno 32] Broken pipe"
     src = str(Path(longmap.__file__).resolve().parents[1])
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "longmap.cli", "sweep", "--knot", "torus:101",
-         "--theta-min", "0.01", "--theta-max", "3.1", "--steps", "1000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=src),
-    )
-    head = [proc.stdout.readline() for _ in range(3)]
-    proc.stdout.close()
+    read_end, write_end = os.pipe()
+    if first is None:
+        # closed before the child writes, so the pipe buffer plays no part
+        os.close(read_end)
+    proc = subprocess.Popen([sys.executable, *child], stdout=write_end,
+                            stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    os.close(write_end)
+    if first is not None:
+        with os.fdopen(read_end, "rb") as reader:
+            head = [reader.readline() for _ in range(3)]
+        assert head[0] == first
     err = proc.stderr.read()
     proc.stderr.close()
-    assert proc.wait(timeout=120) == 0, err
+    assert proc.wait(timeout=120) == code, err
     assert err == b""
-    assert head[0] == b"theta,branch,beta,L_re,L_im,phi\n"
 
 
 def test_sweep_memory_does_not_grow_with_steps(tmp_path):
