@@ -1,6 +1,6 @@
 """Quandle colorings of 1-tangles and the longitudinal mapping over SU(2)."""
 
-from .quaternions import Quaternion, AxisAngle, rotate, sphere_point
+from .quaternions import Quaternion, AxisAngle, rotate
 from .quandles import (
     SphereQuandle,
     ConjClassQuandle,

@@ -10,14 +10,16 @@ Subcommands:
 Angles are radians by default; pass ``--deg`` to give them in degrees.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 Each command returns its exit code and its output lines, and ``main``
-writes them.  A reader that closes stdout early, as ``| head`` does, does
-not change the exit code, and ``verify`` prints after all its checks have
-run, so a breach exits 1 even then.
+writes them; ``sweep`` and the ``intervals`` table are generators, so their
+memory does not grow with their length.  A reader that closes stdout
+early, as ``| head`` does, does not change the exit code, and ``verify``
+prints after all its checks have run, so a breach exits 1 even then.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -68,14 +70,14 @@ def _parse_knot(spec):
 
 def _parse_branches(text, allowed):
     """The branch list of ``sweep --branches``: 'all' or a comma-separated
-    list of members of ``allowed``."""
+    list of members of ``allowed``, a tuple or a range, never copied."""
     if text == "all":
-        return list(allowed)
+        return allowed
     try:
         branches = [int(b) for b in text.split(",")]
     except ValueError:
         branches = None
-    if branches is None or not set(branches) <= set(allowed):
+    if branches is None or not all(b in allowed for b in branches):
         raise LongmapError(
             f"--branches takes 'all' or a comma-separated list from "
             f"{allowed[0]}..{allowed[-1]}, not {text!r}"
@@ -187,19 +189,16 @@ def cmd_sweep(args):
 def cmd_intervals(args):
     n = args.n
     torus_interval(n, 1)  # BadParameter unless n is odd and >= 3
-    k = (n - 1) // 2
-    rows = []
-    for h in range(1, k + 1):
-        plo, phi_ = torus_interval(n, h)
-        tlo, thi = torus_theta_interval(n, h)
-        rows.append((h, plo, phi_, tlo, thi))
+    rows = ((h, *torus_interval(n, h), *torus_theta_interval(n, h))
+            for h in range(1, (n - 1) // 2 + 1))
     if args.json:
         return 0, [json.dumps([{"h": h, "psi": [a, b], "theta": [c, d]}
                                for h, a, b, c, d in rows], indent=2) + "\n"]
-    return 0, [f"T(2,{n}) colorable intervals:\n",
-               f"{'h':>3}  {'psi interval':>32}  {'theta interval':>32}\n",
-               *(f"{h:>3}  ({a:14.10f}, {b:14.10f})  "
-                 f"({c:14.10f}, {d:14.10f})\n" for h, a, b, c, d in rows)]
+    return 0, itertools.chain(
+        [f"T(2,{n}) colorable intervals:\n",
+         f"{'h':>3}  {'psi interval':>32}  {'theta interval':>32}\n"],
+        (f"{h:>3}  ({a:14.10f}, {b:14.10f})  ({c:14.10f}, {d:14.10f})\n"
+         for h, a, b, c, d in rows))
 
 
 def build_parser():

@@ -69,9 +69,6 @@ class Coloring:
     quandle: object
     colors: tuple
 
-    def __len__(self):
-        return len(self.colors)
-
 
 def propagate(diagram, quandle, bridge_colors):
     """Colors of all arcs from the bridge colors via the diagram schedule.
@@ -323,45 +320,38 @@ def _arc_words(diagram):
                   for ci in diagram.residual_crossings]
 
 
-def _word_program(pairs, psi, *groups):
-    """Compile (word, base) pairs for one psi, once, into one function per
-    group of pair indices: betas -> the colors W b W^-1 of the group's
-    pairs, shape (3, len(group), len(betas)); complex betas give the
-    complex-step extension.
+def _word_program(pairs, psi):
+    """Compile (word, base) pairs for one psi, once, into a function: betas
+    -> the colors W b W^-1 of the pairs, shape (3, len(pairs), len(betas));
+    complex betas give the complex-step extension.
 
-    The prefix trie of all the words, the syllable values and, per group,
-    the node steps, end nodes and base mask are built here; a run only does
-    the arithmetic.  It multiplies each prefix on a path of its group once,
-    as its own prefix times a syllable c + s (u i + v j), c = cos(a*psi/2).
+    The prefix trie of the words, the syllable values, the node steps, end
+    nodes and base mask are built here; a run only does the arithmetic.  It
+    multiplies each prefix once, as its own prefix times a syllable
+    c + s (u i + v j), c = cos(a*psi/2).
     """
-    paths, ids = [[0] for _ in pairs], {}
-    for path, (word, _) in zip(paths, pairs):
+    ids, ends = {}, []
+    for word, _ in pairs:
+        node = 0
         for letter, a in word:
-            path.append(ids.setdefault((path[-1], letter, a), len(ids) + 1))
+            node = ids.setdefault((node, letter, a), len(ids) + 1)
+        ends.append(node)
     halves = {}  # (s, s, c) of each syllable
     for _, letter, a in ids:
         c, s = math.cos(0.5 * a * psi), math.sin(0.5 * a * psi)
         halves[letter, a] = np.array([[s], [s], [c]])
 
-    programs = []
-    for group in groups:
-        nodes = {node for i in group for node in paths[i]}
-        steps = [(parent, (letter, a), node)
-                 for (parent, letter, a), node in ids.items() if node in nodes]
-        ends = [paths[i][-1] for i in group]
-        # a product is dropped after its only child, unless a word ends there
-        keep = set(ends)
-        keep |= {k for k, n in Counter(p for p, _, _ in steps).items()
-                 if n > 1}
-        steps = [(parent, key, node, parent not in keep)
-                 for parent, key, node in steps]
-        bases = np.array([pairs[i][1] for i in group])[:, np.newaxis]
-        programs.append(partial(_run_words, steps, ends, bases, halves))
-    return programs
+    # a product is dropped after its only child, unless a word ends there
+    keep = set(ends)
+    keep |= {k for k, n in Counter(p for p, _, _ in ids).items() if n > 1}
+    steps = [(parent, (letter, a), node, parent not in keep)
+             for (parent, letter, a), node in ids.items()]
+    bases = np.array([base for _, base in pairs])[:, np.newaxis]
+    return partial(_run_words, steps, ends, bases, halves)
 
 
 def _run_words(steps, ends, bases, halves, betas):
-    """One group of a ``_word_program`` over a stack of seed angles."""
+    """A ``_word_program`` run over a stack of seed angles."""
     cos_b, sin_b = np.cos(betas), np.sin(betas)
     # right multiplication by c + s (u i + v j) is (s u, s v, c) @ _TIMES,
     # with (u, v) = (1, 0) for x; rows are components, columns are betas
@@ -384,6 +374,15 @@ def _run_words(steps, ends, bases, halves, betas):
     return np.stack([bx + s * t1 + v2 * t3 - v3 * t2,
                      by + s * t2 + v3 * t1 - v1 * t3,
                      s * t3 + v1 * t2 - v2 * t1])
+
+
+def _gaps(psi, arcs, relations, crossings):
+    """The relation gaps that ``solve_colorings`` scans and refines, from
+    the arc and relation words of ``_arc_words`` and the residual
+    ``crossings``: betas -> each crossing's out-arc color minus the color
+    its relation demands, shape (3, len(crossings), len(betas))."""
+    run = _word_program([*(arcs[ci] for ci in crossings), *relations], psi)
+    return lambda b: np.subtract(*np.split(run(b), 2, axis=1))
 
 
 def _grid_minima(gaps, grid):
@@ -437,9 +436,10 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     Arc j is colored W_j b_j W_j^-1, with W_j a reduced word in the two
     bridge generators and b_j a bridge color (``_arc_words``), so rounding
     grows with the word length, not along the arc chain as in
-    ``propagate``.  The words are compiled once per solve into one
-    ``_word_program``, which the grid scan, every refinement step and the
-    final colors run.  Three stages, each run on all candidates at once:
+    ``propagate``.  The words are compiled once per solve into two
+    ``_word_program``s: the relation ``_gaps``, which the grid scan and
+    every refinement step run, and the arc words, which give the final
+    colors.  Three stages, each run on all candidates at once:
 
     1. grid scan: every local minimum over ``grid`` seed angles in [0, pi]
        of the largest relation gap of a residual crossing;
@@ -461,17 +461,9 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
         raise BadParameter(f"grid must lie in 16..{MAX_GRID}, not {grid}")
     quandle = SphereQuandle(psi)  # BadParameter unless 0 < psi < 2*pi
     arcs, relations = _arc_words(diagram)
-    # each residual crossing's out-arc, then the color its relation demands
-    gap_group = [*diagram.residual_crossings,
-                 *range(len(arcs), len(arcs) + len(relations))]
-    gap_colors, arc_colors = _word_program(arcs + relations, psi, gap_group,
-                                           range(len(arcs)))
-
-    def gaps(b):  # each residual crossing's out-arc minus its demanded color
-        return np.subtract(*np.split(gap_colors(b), 2, axis=1))
-
+    gaps = _gaps(psi, arcs, relations, diagram.residual_crossings)
     betas, ok = _refine(gaps, _grid_minima(gaps, grid))
-    colors = np.moveaxis(arc_colors(betas), 0, -1)
+    colors = np.moveaxis(_word_program(arcs, psi)(betas), 0, -1)
     ok &= residual(Coloring(quandle, colors), diagram) <= EPS_COLOR
     ok &= betas > SPREAD_TOL  # a seed on the basepoint colors every arc x
 

@@ -74,17 +74,18 @@ class LongitudeValue:
     phi: float
 
     @staticmethod
-    def from_quaternion(q, basepoint=None, tol=LAMBDA_TOL):
+    def from_quaternion(q, basepoint=None):
         """Wrap a quaternion, checking membership in the circle about i."""
-        if basepoint is not None and not q.commutes_with(basepoint, tol):
+        if basepoint is not None and not q.commutes_with(basepoint):
             raise NotInLambda(
                 "longitude value does not commute with the basepoint"
             )
-        return LongitudeValue(q=q, phi=math.atan2(q.b, q.a))._on_circle(tol)
+        return LongitudeValue(q=q, phi=math.atan2(q.b, q.a))._on_circle()
 
-    def _on_circle(self, tol):
-        """This value, checked to satisfy q = exp(phi, i) within tol."""
-        if distance(Quaternion.exp(self.phi, [1.0, 0.0, 0.0]), self.q) > tol:
+    def _on_circle(self):
+        """This value, checked to lie on exp(phi, i) within LAMBDA_TOL."""
+        circle = Quaternion.exp(self.phi, [1.0, 0.0, 0.0])
+        if distance(circle, self.q) > LAMBDA_TOL:
             raise NotInLambda(
                 "longitude value does not lie on the circle about i"
             )
@@ -183,14 +184,15 @@ def fig8_closed_form(theta, branch):
     return LongitudeValue(q=q, phi=math.atan2(im, re))
 
 
-def longitude_angle(value, tol=LAMBDA_TOL):
+def longitude_angle(value):
     """The angle phi in (-pi, pi] with value.q = exp(phi, i)."""
-    return value._on_circle(tol).phi
+    return value._on_circle().phi
 
 
-def qn_check(diagram, coloring, tol=1e-9):
+def qn_check(diagram, coloring):
     """Verify q^n = -1 for the braid product q = q_0 q_1 of a torus coloring,
-    and that q_0^(-2n) q^n reproduces the longitude word.  Returns q^n."""
+    and that q_0^(-2n) q^n reproduces the longitude word, each within
+    LAMBDA_TOL.  Returns q^n."""
     _check_arity(diagram, coloring)
     cols = to_conj_coloring(coloring).colors
     n = diagram.code.n
@@ -198,11 +200,11 @@ def qn_check(diagram, coloring, tol=1e-9):
     q = q0 * cols[(n - 1) // 2 + 1]
     qn = q.pow(n)
     minus_one = Quaternion(-1.0, 0.0, 0.0, 0.0)
-    if distance(qn, minus_one) > tol:
+    if distance(qn, minus_one) > LAMBDA_TOL:
         raise NotMinusOne(f"q^n is {qn}, expected -1")
     direct = eval_word(diagram, coloring).q
     via_product = q0.pow(-2 * n) * qn
-    if distance(direct, via_product) > tol:
+    if distance(direct, via_product) > LAMBDA_TOL:
         raise NotMinusOne(
             "q_0^(-2n) q^n does not reproduce the longitude word"
         )

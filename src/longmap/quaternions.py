@@ -29,17 +29,11 @@ __all__ = [
     "POLE_TOL",
     "Quaternion",
     "AxisAngle",
-    "sphere_point",
     "normalize",
     "geodesic_distance",
     "rotate",
     "directed_angle",
 ]
-
-
-def sphere_point(x, y, z):
-    """Unit vector in R^3 from raw components."""
-    return normalize(np.array([x, y, z], dtype=float))
 
 
 def normalize(u):
@@ -151,11 +145,6 @@ class Quaternion(NamedTuple):
         s = math.sin(theta)
         return Quaternion.from_components(math.cos(theta), s * x, s * y, s * z)
 
-    @staticmethod
-    def from_vector(u):
-        """Pure quaternion from a unit vector (an element of S^2)."""
-        return Quaternion(0.0, *normalize(u).tolist())
-
     @property
     def vec(self):
         return np.array([self.b, self.c, self.d])
@@ -211,15 +200,9 @@ class Quaternion(NamedTuple):
             return Quaternion(-1.0, 0.0, 0.0, 0.0)
         return Quaternion.exp(k * aa.theta, aa.axis)
 
-    def conjugated_by(self, q):
-        """q^-1 * self * q."""
-        return q.inverse() * self * q
-
-    def commutes_with(self, other, tol=1e-9):
-        return distance(self * other, other * self) <= tol
-
-    def isclose(self, other, tol=1e-9):
-        return distance(self, other) <= tol
+    def commutes_with(self, other):
+        """|self * other - other * self| is at most 1e-9."""
+        return distance(self * other, other * self) <= 1e-9
 
 
 def distance(p, q):

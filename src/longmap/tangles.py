@@ -67,9 +67,6 @@ class LongitudeWord:
     lead_exponent: int
     factors: tuple  # ordered (arc, exponent) pairs
 
-    def __len__(self):
-        return 1 + len(self.factors)
-
 
 def longitude_word(code):
     """The preferred longitude of the tangle: leading exponent -writhe on
@@ -239,11 +236,12 @@ def parse(text):
         bridges=<a>,<b>               (optional)
         schedule=<arc>:<crossing>;... (optional)
 
-    Comments start with '#'; unknown keys are rejected.  The residual
-    crossings and the terminal identification follow from the bridges and
-    the schedule (see ``TangleDiagram``).
+    Comments start with '#'; unknown and repeated keys are rejected.  The
+    residual crossings and the terminal identification follow from the
+    bridges and the schedule (see ``TangleDiagram``).
     """
     n = kappa = eps = bridges = schedule = None
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -265,6 +263,9 @@ def parse(text):
         if "=" not in line:
             raise ParseError(f"expected key=value, got {line!r}", lineno)
         key, val = (s.strip() for s in line.split("=", 1))
+        if key in seen:
+            raise ParseError(f"repeated key {key!r}", lineno)
+        seen.add(key)
         if key == "kappa":
             try:
                 kappa = tuple(int(s) for s in val.split(","))

@@ -166,12 +166,16 @@ def test_unknown_knot_exits_two(capsys):
     ["color", "--knot", "fig8", "--psi", "nan"],
     # the knot was dropped and the file's colorings printed, exit 0
     ["color", "--knot", "torus:3", "--file", "{fig8}", "--psi", "3"],
+    # the second kappa line replaced the first, exit 0
+    ["color", "--file", "{repeated}", "--psi", "3"],
 ], ids=["torus-spec", "branches-not-int", "fig8-branch", "psi-nan",
-        "knot-and-file"])
+        "knot-and-file", "repeated-key"])
 def test_malformed_command_exits_two(capsys, tmp_path, argv):
-    path = tmp_path / "fig8.tangle"
+    path, repeated = tmp_path / "fig8.tangle", tmp_path / "repeated.tangle"
     path.write_text(serialize(fig8()))
-    code, out, err = run(capsys, *(a.format(fig8=path) for a in argv))
+    repeated.write_text(serialize(fig8()) + "kappa=1,1,1,1\n")
+    code, out, err = run(capsys, *(a.format(fig8=path, repeated=repeated)
+                                   for a in argv))
     assert code == 2
     assert err.startswith("error: ")
     assert out == ""
@@ -428,20 +432,44 @@ def test_closed_pipe_keeps_the_exit_code(child, first, code):
     assert err == b""
 
 
-def test_sweep_memory_does_not_grow_with_steps(tmp_path):
-    # every row was kept and joined before writing: the peak went from
-    # 0.7 to 4.1 MB between 200 and 1600 steps
-    def peak(steps):
+def _peak_memory(argv, monkeypatch):
+    """Peak traced memory of one command, its stdout written to devnull."""
+    with open(os.devnull, "w", encoding="utf-8") as sink:
+        monkeypatch.setattr("sys.stdout", sink)
         tracemalloc.start()
         try:
-            assert main(["sweep", "--knot", "torus:21", "--theta-min", "0.01",
-                         "--theta-max", "3.1", "--steps", str(steps),
-                         "--out", str(tmp_path / "out.csv")]) == 0
+            assert main(argv) == 0
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    small, large = peak(200), peak(1600)
+
+def test_sweep_memory_does_not_grow_with_steps(tmp_path, monkeypatch):
+    # every row was kept and joined before writing: the peak went from
+    # 0.7 to 4.1 MB between 200 and 1600 steps
+    small, large = (
+        _peak_memory(["sweep", "--knot", "torus:21", "--theta-min", "0.01",
+                      "--theta-max", "3.1", "--steps", str(steps),
+                      "--out", str(tmp_path / "out.csv")], monkeypatch)
+        for steps in (200, 1600))
+    assert large - small < 100_000, (small, large)
+
+
+def test_intervals_memory_does_not_grow_with_n(monkeypatch):
+    # every row was kept, then every line: the peak grew by 3.4 MB between
+    # n = 201 and n = 20001
+    small, large = (_peak_memory(["intervals", str(n)], monkeypatch)
+                    for n in (201, 20001))
+    assert large - small < 100_000, (small, large)
+
+
+def test_sweep_branches_memory_does_not_grow_with_n(monkeypatch):
+    # the allowed steps were copied into a set: 8.8 MB at n = 200001
+    small, large = (
+        _peak_memory(["sweep", "--knot", f"torus:{n}", "--theta-min", "1",
+                      "--theta-max", "2", "--steps", "5", "--branches", "1"],
+                     monkeypatch)
+        for n in (21, 200001))
     assert large - small < 100_000, (small, large)
 
 

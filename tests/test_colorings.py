@@ -11,6 +11,7 @@ from longmap.colorings import (
     _CSTEP,
     _POLISH_STEPS,
     _arc_words,
+    _gaps,
     _grid_minima,
     _refine,
     _word_program,
@@ -48,9 +49,8 @@ PI = math.pi
 
 
 def _word_colors(pairs, psi, betas):
-    """Colors of all the (word, base) pairs, one program of one group."""
-    (run,) = _word_program(pairs, psi, range(len(pairs)))
-    return run(betas)
+    """Colors of all the (word, base) pairs."""
+    return _word_program(pairs, psi)(betas)
 
 
 def test_torus_intervals():
@@ -357,8 +357,7 @@ def test_arc_words_reproduce_propagation(diagram):
 
 def test_word_colors_share_prefixes():
     # words that extend, branch from and repeat each other, in either
-    # order: each color is the same as when its word is evaluated alone,
-    # and a group of one program evaluates only its own words
+    # order: each color is the same as when its word is evaluated alone
     x, y = 0, 1
     pairs = [(((y, 1), (x, 1), (y, -1)), x), (((y, 1), (x, 1)), y), ((), y),
              (((y, 1), (x, 1), (y, -1), (x, 2), (y, 3)), x),
@@ -370,9 +369,6 @@ def test_word_colors_share_prefixes():
         got = _word_colors(order, 0.7, betas)
         want = alone if order is pairs else alone[:, ::-1]
         assert np.max(np.abs(got - want)) <= 1e-15
-    group = [4, 0, 2]
-    (run,) = _word_program(pairs, 0.7, group)
-    assert np.max(np.abs(run(betas) - alone[:, group])) <= 1e-15
 
 
 def _loop_residual(coloring, diagram):
@@ -396,7 +392,7 @@ def test_batched_residual_matches_the_crossing_loop(diagram, psi):
     # of the solver's seeds, and on each of them alone
     q = SphereQuandle(psi)
     arcs, _ = _arc_words(diagram)
-    (run,) = _word_program(arcs, psi, range(len(arcs)))
+    run = _word_program(arcs, psi)
     seeds = [np.array(c.colors) for _, c in solve_colorings(diagram, psi)]
     stack = np.concatenate([np.moveaxis(run(np.linspace(0.05, 3.1, 9)), 0, -1),
                             np.stack(seeds, axis=1)], axis=1)
@@ -408,21 +404,12 @@ def test_batched_residual_matches_the_crossing_loop(diagram, psi):
         assert _loop_residual(single, diagram).tobytes() == want[k].tobytes()
 
 
-def _gaps(diagram, psi):
-    """The relation gaps that solve_colorings scans and refines."""
-    arcs, relations = _arc_words(diagram)
-    group = [*diagram.residual_crossings,
-             *range(len(arcs), len(arcs) + len(relations))]
-    (run,) = _word_program(arcs + relations, psi, group)
-    return lambda b: np.subtract(*np.split(run(b), 2, axis=1))
-
-
 @pytest.mark.parametrize("diagram,psi", _BATCH_CASES, ids=_BATCH_IDS)
 def test_gaps_at_a_beta_do_not_depend_on_the_stack(diagram, psi):
     # _refine reuses the gaps at beta from the evaluation that reached it,
     # which is exact only if they are bitwise the same alone and as one
     # column of a trial stack, for real and complex-step betas
-    gaps = _gaps(diagram, psi)
+    gaps = _gaps(psi, *_arc_words(diagram), diagram.residual_crossings)
     for b in (np.linspace(0.05, 3.1, 7), np.linspace(0.05, 3.1, 7) + 1e-20j):
         trial = np.stack([b[::-1], b, b + 0.25], axis=-1)
         stacked = gaps(trial.ravel()).reshape((-1,) + trial.shape)
@@ -460,7 +447,7 @@ def _refine_evaluating_beta_again(gaps, betas):
     (fig8(), 2 * PI / 3), (torus2n(51), 0.9 * PI), (torus2n(7), 0.02 * PI)],
     ids=_BATCH_IDS + ["fig8-end", "T51", "T7-end"])
 def test_refine_matches_evaluating_beta_again(diagram, psi):
-    gaps = _gaps(diagram, psi)
+    gaps = _gaps(psi, *_arc_words(diagram), diagram.residual_crossings)
     start = _grid_minima(gaps, DEFAULT_GRID)
     for betas in (start, start[:1]):
         got, want = _refine(gaps, betas), _refine_evaluating_beta_again(

@@ -271,7 +271,6 @@ def test_every_quaternion_has_float_components():
         q.pow(5),
         q.pow(-101),
         q.pow(np.int64(3)),
-        Quaternion.from_vector(np.array([1.0, 2.0, 2.0])),
         Quaternion.from_components(0.1, -0.2, 0.3, 0.4),
         q * Quaternion.exp(1.1, [0.0, 1.0, 0.0]),
         q.inverse(),

@@ -11,7 +11,6 @@ from longmap.quaternions import (
     geodesic_distance,
     normalize,
     rotate,
-    sphere_point,
 )
 
 I = np.array([1.0, 0.0, 0.0])
@@ -95,8 +94,8 @@ def test_conjugation_matches_rotation():
         u = normalize(rng.normal(size=3))
         v = normalize(rng.normal(size=3))
         q = Quaternion.exp(beta, v)
-        conj = q.inverse() * Quaternion.from_vector(u) * q
-        expect = Quaternion.from_vector(rotate(u, -2.0 * beta, v))
+        conj = q.inverse() * Quaternion(0.0, *u.tolist()) * q
+        expect = Quaternion(0.0, *rotate(u, -2.0 * beta, v).tolist())
         worst = max(worst, distance(conj, expect))
     assert worst <= 1e-10
 
@@ -104,8 +103,8 @@ def test_conjugation_matches_rotation():
 def test_conjugation_basis_example():
     # conjugating i by exp(pi/4, k) rotates it by -pi/2 about k, onto -j
     q = Quaternion.exp(math.pi / 4, K)
-    got = Quaternion.from_vector(I).conjugated_by(q)
-    assert distance(got, Quaternion.from_vector(-J)) < 1e-15
+    got = q.inverse() * Quaternion(0.0, 1.0, 0.0, 0.0) * q
+    assert distance(got, Quaternion(0.0, 0.0, -1.0, 0.0)) < 1e-15
 
 
 def test_log_exp_roundtrip():
@@ -155,7 +154,7 @@ def test_directed_angle():
 
 
 def test_sphere_point_and_normalize():
-    p = sphere_point(3.0, 4.0, 0.0)
+    p = normalize([3.0, 4.0, 0.0])
     assert np.allclose(p, [0.6, 0.8, 0.0])
     with pytest.raises(ValueError):
         normalize([0.0, 0.0, 0.0])

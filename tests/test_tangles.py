@@ -74,7 +74,6 @@ def test_longitude_word_fig8():
     w = longitude_word(fig8().code)
     assert w.lead_exponent == 0
     assert w.factors == ((2, 1), (3, -1), (0, 1), (1, -1))
-    assert len(w) == 5
 
 
 def test_longitude_word_trefoil():
@@ -144,6 +143,13 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError):
         parse("tangle n=3\nkappa=1,2,0\neps=+,+,+\nschedule=oops\n"
               "bridges=0,2\n")
+    # a repeated key once replaced the earlier line
+    lines = serialize(fig8()).splitlines(keepends=True)
+    for line in lines[1:]:
+        key = line.split("=")[0]
+        with pytest.raises(ParseError, match=f"repeated key '{key}'") as ei:
+            parse("".join(lines) + line)
+        assert ei.value.line == len(lines) + 1
 
 
 def test_parse_length_mismatch():
