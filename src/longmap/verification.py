@@ -80,30 +80,32 @@ def suite_axioms():
         lines.append(CheckLine(f"axioms {name}", axiom_check(q, rng=rng),
                                1e-10))
 
-    # conjugation lemma: e^-bv e^tu e^bv = e^(t w), w = rotate(u, -2b, v)
+    # conjugation lemma: e^-bv e^tu e^bv = e^(t w), w = rotate(u, -2b, v);
+    # the uniform and normal draws interleave, so each sample is drawn
+    # whole, and the rotations then run as one stack
+    samples = [(*rng.uniform(0, math.pi, size=2), random_sphere_point(rng),
+                random_sphere_point(rng)) for _ in range(1000)]
+    beta, _, u, v = map(np.array, zip(*samples))
     worst = 0.0
-    for _ in range(1000):
-        beta, theta = rng.uniform(0, math.pi, size=2)
-        u, v = random_sphere_point(rng), random_sphere_point(rng)
+    for (b, t, ui, vi), w in zip(samples, rotate(u, -2.0 * beta, v)):
         lhs = (
-            Quaternion.exp(-beta, v)
-            * Quaternion.exp(theta, u)
-            * Quaternion.exp(beta, v)
+            Quaternion.exp(-b, vi)
+            * Quaternion.exp(t, ui)
+            * Quaternion.exp(b, vi)
         )
-        rhs = Quaternion.exp(theta, rotate(u, -2.0 * beta, v))
-        worst = max(worst, distance(lhs, rhs))
+        worst = np.maximum(worst, distance(lhs, Quaternion.exp(t, w)))
     lines.append(CheckLine("conjugation identity", worst, 1e-10))
 
     # sphere -> conjugacy class isomorphism at psi = 2pi - 2theta
+    samples = [(rng.uniform(0.1, math.pi - 0.1), random_sphere_point(rng),
+                random_sphere_point(rng)) for _ in range(500)]
+    theta, u, v = map(np.array, zip(*samples))
+    uv = rotate(u, 2.0 * math.pi - 2.0 * theta, v)
     worst = 0.0
-    for _ in range(500):
-        theta = rng.uniform(0.1, math.pi - 0.1)
-        sq = SphereQuandle(2.0 * math.pi - 2.0 * theta)
-        cq = ConjClassQuandle(theta)
-        u, v = random_sphere_point(rng), random_sphere_point(rng)
-        lhs, iu, iv = _iso_sphere_to_conj_rows([sq.op(u, v), u, v], theta)
-        rhs = cq.op(iu, iv)
-        worst = max(worst, distance(lhs, rhs))
+    for (t, ui, vi), uvi in zip(samples, uv):
+        lhs, iu, iv = _iso_sphere_to_conj_rows([uvi, ui, vi], t)
+        rhs = ConjClassQuandle(t).op(iu, iv)
+        worst = np.maximum(worst, distance(lhs, rhs))
     lines.append(CheckLine("sphere/conjugation isomorphism", worst, 1e-10))
 
     # Eis -> GAlex projection is a homomorphism
@@ -113,7 +115,7 @@ def suite_axioms():
         a, b = eq.sample(rng), eq.sample(rng)
         lhs = eis_to_galex(eq.op(a, b))
         rhs = gq.op(eis_to_galex(a), eis_to_galex(b))
-        worst = max(worst, distance(lhs, rhs))
+        worst = np.maximum(worst, distance(lhs, rhs))
     lines.append(CheckLine("Eis/GAlex isomorphism", worst, 1e-10))
     return lines
 
@@ -134,12 +136,13 @@ def suite_torus():
     for n, h, theta, diagram in _torus_cases():
         psi = 2.0 * math.pi - 2.0 * theta
         coloring = star_polygon(n, h, psi)
-        worst_res = max(worst_res, residual(coloring, diagram))
+        worst_res = np.maximum(worst_res, residual(coloring, diagram))
         value = eval_word(diagram, coloring)
         closed = t2n_closed_form(n, theta)
-        worst_cf = max(worst_cf, distance(value.q, closed.q))
-        worst_qn = max(worst_qn, distance(qn_check(diagram, coloring),
-                                          minus_one))
+        worst_cf = np.maximum(worst_cf, distance(value.q, closed.q))
+        worst_qn = np.maximum(
+            worst_qn, distance(qn_check(diagram, coloring), minus_one)
+        )
     return [
         CheckLine("torus coloring residual", worst_res, 1e-9),
         CheckLine("torus closed form", worst_cf, 1e-8),
@@ -155,12 +158,12 @@ def suite_fig8():
         psi = 2.0 * math.pi - 2.0 * theta
         for branch in (1, 2):
             coloring = fig8_coloring(psi, branch)
-            worst_res = max(worst_res, residual(coloring, diagram))
+            worst_res = np.maximum(worst_res, residual(coloring, diagram))
             value = eval_word(diagram, coloring)
             closed = fig8_closed_form(theta, branch)
-            worst_cf = max(worst_cf, distance(value.q, closed.q))
+            worst_cf = np.maximum(worst_cf, distance(value.q, closed.q))
     beta = fig8_betas(2.0 * math.pi / 3.0)
-    dev = max(
+    dev = np.maximum(
         abs(beta[0] - math.acos(-1.0 / 3.0)),
         abs(beta[1] - math.acos(-1.0 / 3.0)),
     )
@@ -188,9 +191,11 @@ def suite_lift():
     worst_rot = 0.0
     for diagram, coloring in cases:
         direct = eval_word(diagram, coloring).q
-        worst = max(worst, distance(galex_lift(diagram, coloring), direct))
+        worst = np.maximum(
+            worst, distance(galex_lift(diagram, coloring), direct)
+        )
         rotated = rotate_coloring(coloring, rng.uniform(0, 2 * math.pi))
-        worst_rot = max(
+        worst_rot = np.maximum(
             worst_rot, distance(eval_word(diagram, rotated).q, direct)
         )
     return [
@@ -209,7 +214,7 @@ def suite_mirror():
             mirrored = reflect_coloring(coloring)
             lhs = eval_word(neg, mirrored).q
             rhs = eval_word(pos, coloring).q.inverse()
-            worst = max(worst, distance(lhs, rhs))
+            worst = np.maximum(worst, distance(lhs, rhs))
     return [CheckLine("mirror inverse relation", worst, 1e-8)]
 
 

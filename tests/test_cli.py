@@ -21,7 +21,7 @@ from longmap.colorings import (
 )
 from longmap.errors import OutOfInterval
 from longmap.longitudes import wrap_angle
-from longmap.quaternions import geodesic_distance
+from longmap.quaternions import distance, geodesic_distance
 from longmap.tangles import fig8, serialize
 
 
@@ -41,6 +41,39 @@ def test_verify_mirror(capsys):
     code, out, _ = run(capsys, "verify", "mirror")
     assert code == 0
     assert "mirror" in out
+
+
+def test_verify_axioms_report(capsys):
+    code, out, _ = run(capsys, "verify", "axioms")
+    assert code == 0
+    assert out == (
+        "[PASS] axioms sphere(1.234): max deviation 4.371e-16 (tol 1.0e-10)\n"
+        "[PASS] axioms conjclass(0.9): max deviation 6.138e-16 (tol 1.0e-10)\n"
+        "[PASS] axioms dihedral(7): max deviation 0.000e+00 (tol 1.0e-10)\n"
+        "[PASS] axioms galex(e^0.7i): max deviation 8.455e-16 (tol 1.0e-10)\n"
+        "[PASS] axioms eis(e^0.7i): max deviation 5.427e-16 (tol 1.0e-10)\n"
+        "[PASS] conjugation identity: max deviation 4.881e-16"
+        " (tol 1.0e-10)\n"
+        "[PASS] sphere/conjugation isomorphism: max deviation 6.062e-16"
+        " (tol 1.0e-10)\n"
+        "[PASS] Eis/GAlex isomorphism: max deviation 4.552e-16"
+        " (tol 1.0e-10)\n"
+    )
+
+
+def test_verify_nan_deviation_fails(capsys, monkeypatch):
+    calls = []
+
+    def nan_once(p, q):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else distance(p, q)
+
+    monkeypatch.setattr(verification, "distance", nan_once)
+    code, out, err = run(capsys, "verify", "mirror")
+    assert code == 1 and err == ""
+    assert out == (
+        "[FAIL] mirror inverse relation: max deviation nan (tol 1.0e-08)\n"
+    )
 
 
 def test_color_fig8_two_seeds(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from longmap.errors import BadParameter, MixedQuandleError
 from longmap.quandles import (
+    AXIOM_SAMPLES,
     ConjClassQuandle,
     DihedralQuandle,
     EisQuandle,
@@ -16,6 +17,7 @@ from longmap.quandles import (
     eis_to_galex,
     iso_sphere_to_conj,
     random_sphere_point,
+    random_unit_quaternion,
 )
 from longmap.quaternions import Quaternion, distance
 
@@ -36,6 +38,63 @@ def instances():
 def test_axioms(q):
     rng = np.random.default_rng(11)
     assert axiom_check(q, rng=rng) <= 1e-10
+
+
+def _looped_sphere_check(q, rng):
+    """axiom_check's sphere score one triple at a time, on single vectors."""
+    worst = 0.0
+    for _ in range(AXIOM_SAMPLES):
+        a, b, c = q.sample(rng), q.sample(rng), q.sample(rng)
+        worst = max(
+            worst,
+            q.distance(q.op(a, a), a),
+            q.distance(q.op(q.op(a, b), c), q.op(q.op(a, c), q.op(b, c))),
+            q.distance(q.op_inv(q.op(a, b), b), a),
+            q.distance(q.op(q.op_inv(a, b), b), a),
+        )
+    return worst
+
+
+@pytest.mark.parametrize("psi", [0.3, 1.234, 2.9, 5.5, 6.2])
+def test_stacked_sphere_check_equals_the_triple_loop(psi):
+    q = SphereQuandle(psi)
+    for seed in (0, 11, 20240915):
+        stacked_rng = np.random.default_rng(seed)
+        looped_rng = np.random.default_rng(seed)
+        assert axiom_check(q, rng=stacked_rng) == _looped_sphere_check(
+            q, looped_rng
+        )
+        assert (stacked_rng.bit_generator.state
+                == looped_rng.bit_generator.state)
+
+
+def test_random_draws_equal_the_numpy_norm():
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(2000):
+        v = ref.normal(size=3)
+        assert np.array_equal(random_sphere_point(rng), v / np.linalg.norm(v))
+        v = ref.normal(size=4)
+        assert random_unit_quaternion(rng) == tuple(
+            (v / np.linalg.norm(v)).tolist()
+        )
+
+
+def test_axiom_check_keeps_a_nan_violation(monkeypatch):
+    q = ConjClassQuandle(0.9)
+    calls = []
+
+    def nan_once(self, a, b):
+        calls.append(None)
+        return math.nan if len(calls) == 7 else distance(a, b)
+
+    monkeypatch.setattr(ConjClassQuandle, "distance", nan_once)
+    assert math.isnan(axiom_check(q, rng=np.random.default_rng(0)))
+
+
+def test_eis_distance_keeps_a_nan_coordinate():
+    a = EisQuandle(X).sample(np.random.default_rng(16))
+    b = (a[0], Quaternion(math.nan, 0.0, 0.0, 0.0))
+    assert math.isnan(EisQuandle(X).distance(a, b))
 
 
 def test_dihedral_is_exact():
@@ -71,6 +130,16 @@ def test_conj_class_rejects_foreign_elements():
     q.op(good, good)
     with pytest.raises(MixedQuandleError):
         q.op(good, bad)
+
+
+def test_conj_class_rejects_a_non_unit_quaternion():
+    # right angle pi/4, norm 0.707: op would renormalize it into another
+    # element
+    q = ConjClassQuandle(math.pi / 4)
+    short = Quaternion(0.5, 0.5, 0.0, 0.0)
+    assert not q.validate(short)
+    with pytest.raises(MixedQuandleError):
+        q.op(short, Quaternion.exp(math.pi / 4, [0.0, 1.0, 0.0]))
 
 
 def test_sphere_conj_isomorphism():
