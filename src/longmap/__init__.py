@@ -1,6 +1,6 @@
 """Quandle colorings of 1-tangles and the longitudinal mapping over SU(2)."""
 
-from .quaternions import Quaternion, AxisAngle, rotate
+from .quaternions import Quaternion, rotate
 from .quandles import (
     SphereQuandle,
     ConjClassQuandle,
@@ -10,7 +10,6 @@ from .quandles import (
     iso_sphere_to_conj,
     eis_to_galex,
     axiom_check,
-    centralizer_angle_check,
 )
 from .tangles import WirtingerCode, TangleDiagram, torus2n, fig8, longitude_word
 from .colorings import (
@@ -33,7 +32,6 @@ from .longitudes import (
     galex_lift,
     t2n_closed_form,
     fig8_closed_form,
-    longitude_angle,
     qn_check,
 )
 

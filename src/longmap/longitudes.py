@@ -50,7 +50,6 @@ __all__ = [
     "galex_lift",
     "t2n_closed_form",
     "fig8_closed_form",
-    "longitude_angle",
     "qn_check",
     "wrap_angle",
 ]
@@ -74,22 +73,20 @@ class LongitudeValue:
     phi: float
 
     @staticmethod
-    def from_quaternion(q, basepoint=None):
-        """Wrap a quaternion, checking membership in the circle about i."""
-        if basepoint is not None and not q.commutes_with(basepoint):
+    def from_quaternion(q, basepoint):
+        """Wrap a quaternion, checking that it commutes with the basepoint
+        and lies on exp(phi, i), each within LAMBDA_TOL."""
+        # written as `not <=` so that a NaN distance fails
+        if not distance(q * basepoint, basepoint * q) <= LAMBDA_TOL:
             raise NotInLambda(
                 "longitude value does not commute with the basepoint"
             )
-        return LongitudeValue(q=q, phi=math.atan2(q.b, q.a))._on_circle()
-
-    def _on_circle(self):
-        """This value, checked to lie on exp(phi, i) within LAMBDA_TOL."""
-        circle = Quaternion.exp(self.phi, [1.0, 0.0, 0.0])
-        if distance(circle, self.q) > LAMBDA_TOL:
+        phi = math.atan2(q.b, q.a)
+        if distance(Quaternion.exp(phi, [1.0, 0.0, 0.0]), q) > LAMBDA_TOL:
             raise NotInLambda(
                 "longitude value does not lie on the circle about i"
             )
-        return self
+        return LongitudeValue(q=q, phi=phi)
 
 
 def to_conj_coloring(coloring):
@@ -182,11 +179,6 @@ def fig8_closed_form(theta, branch):
     im = FIG8_BRANCH_SIGN[branch] * math.sqrt(disc) * math.sin(2.0 * theta)
     q = Quaternion.from_components(re, im, 0.0, 0.0)
     return LongitudeValue(q=q, phi=math.atan2(im, re))
-
-
-def longitude_angle(value):
-    """The angle phi in (-pi, pi] with value.q = exp(phi, i)."""
-    return value._on_circle().phi
 
 
 def qn_check(diagram, coloring):

@@ -1,6 +1,7 @@
 """Quandle instances used for tangle colorings.
 
-Five concrete quandles share one interface:
+Five concrete quandles, each defining op, op_inv, validate, sample and
+distance (the base class adds only ``op_signed`` and the element check):
 
 - ``SphereQuandle(psi)``       : S^2 with u*v = rotate(u, psi, v)
 - ``ConjClassQuandle(theta)``  : the SU(2) conjugacy class {exp(theta, u)}
@@ -39,7 +40,6 @@ __all__ = [
     "iso_sphere_to_conj",
     "eis_to_galex",
     "axiom_check",
-    "centralizer_angle_check",
 ]
 
 ELEMENT_TOL = 1e-9
@@ -59,22 +59,7 @@ def random_sphere_point(rng):
 
 
 class Quandle:
-    """Common interface: op, op_inv, validate, sample, distance."""
-
-    def op(self, a, b):
-        raise NotImplementedError
-
-    def op_inv(self, a, b):
-        raise NotImplementedError
-
-    def validate(self, a):
-        raise NotImplementedError
-
-    def sample(self, rng):
-        raise NotImplementedError
-
-    def distance(self, a, b):
-        raise NotImplementedError
+    """Helpers built on a subclass's op, op_inv and validate."""
 
     def op_signed(self, a, b, sign):
         """op for sign +1, op_inv for sign -1."""
@@ -275,13 +260,6 @@ def _iso_sphere_to_conj_rows(points, theta):
 def eis_to_galex(elem):
     """Project (a, g) to its second coordinate; a quandle isomorphism."""
     return elem[1]
-
-
-def centralizer_angle_check(L, x):
-    """True iff L lies on the circle subgroup {exp(beta, axis(x))}."""
-    if x.log().axis_arbitrary:
-        raise BadParameter("x must not be +-1")
-    return L.commutes_with(x)
 
 
 def axiom_check(q, rng=None):

@@ -9,6 +9,9 @@ Conventions
   renormalized by ``from_components``: the one product formula and the one
   renormalization.  The other tuple operators (``+``, ``k * q``, slicing)
   are tuple operations, not quaternion arithmetic.
+- ``pow`` reads its angle theta = atan2(|v|, a) in [0, pi] straight from
+  the components (v the pure part) and returns exp(k*theta, v/|v|); at
+  +-1, where the axis is undefined, it takes the scalar power.
 - Points of S^2 are pure unit quaternions, stored as length-3 numpy arrays.
 - Rotations act on the *right* of their argument with the right-hand rule:
   ``rotate(u, angle, v)`` rotates u about the axis v.  Conjugation by
@@ -18,7 +21,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +30,6 @@ POLE_TOL = 1e-12
 __all__ = [
     "POLE_TOL",
     "Quaternion",
-    "AxisAngle",
     "normalize",
     "geodesic_distance",
     "rotate",
@@ -100,19 +101,6 @@ def directed_angle(a, b, c):
     return np.mod(np.arctan2(y, x), 2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class AxisAngle:
-    """Canonical axis-angle form: theta in [0, pi], unit axis.
-
-    ``axis_arbitrary`` is set when the source quaternion was +-1, where the
-    axis is genuinely undefined (the conventional axis i is stored).
-    """
-
-    theta: float
-    axis: np.ndarray
-    axis_arbitrary: bool = False
-
-
 class Quaternion(NamedTuple):
     """Element of SU(2) as a unit quaternion a + b*i + c*j + d*k.
 
@@ -146,10 +134,6 @@ class Quaternion(NamedTuple):
         return Quaternion.from_components(math.cos(theta), s * x, s * y, s * z)
 
     @property
-    def vec(self):
-        return np.array([self.b, self.c, self.d])
-
-    @property
     def norm(self):
         return math.sqrt(self.a**2 + self.b**2 + self.c**2 + self.d**2)
 
@@ -172,37 +156,21 @@ class Quaternion(NamedTuple):
         a, b, c, d = self
         return tuple.__new__(Quaternion, (a, -b, -c, -d))
 
-    def log(self):
-        """Canonical axis-angle with theta in [0, pi].
-
-        For q = +-1 (within POLE_TOL) the axis is arbitrary; i is returned
-        with the ``axis_arbitrary`` flag set.
-        """
-        v = self.vec
-        s = np.linalg.norm(v)
-        theta = math.atan2(s, self.a)
-        if s < POLE_TOL:
-            return AxisAngle(0.0 if self.a > 0 else math.pi,
-                             np.array([1.0, 0.0, 0.0]), axis_arbitrary=True)
-        return AxisAngle(theta, v / s)
-
     def pow(self, k):
-        """Integer power via axis-angle; q^0 = 1, poles by scalar power."""
+        """Integer power exp(k*theta, v/|v|), theta = atan2(|v|, a) for the
+        pure part v; q^0 = 1, and q = +-1 (|v| < POLE_TOL) by scalar power."""
         if not isinstance(k, (int, np.integer)):
             raise TypeError("only integer exponents are supported")
         if k == 0:
             return Quaternion.one()
-        aa = self.log()
-        if aa.axis_arbitrary:
+        v = np.array(self[1:])
+        s = np.linalg.norm(v)
+        if s < POLE_TOL:
             # q is +-1 up to rounding
-            if aa.theta == 0.0 or k % 2 == 0:
+            if self.a > 0 or k % 2 == 0:
                 return Quaternion.one()
             return Quaternion(-1.0, 0.0, 0.0, 0.0)
-        return Quaternion.exp(k * aa.theta, aa.axis)
-
-    def commutes_with(self, other):
-        """|self * other - other * self| is at most 1e-9."""
-        return distance(self * other, other * self) <= 1e-9
+        return Quaternion.exp(k * math.atan2(s, self.a), v / s)
 
 
 def distance(p, q):

@@ -109,7 +109,9 @@ class TangleDiagram:
 
     @property
     def has_schedule(self):
-        return bool(self.schedule)
+        """True for any diagram with bridges; its schedule is empty when the
+        bridges and the terminal identification define every arc."""
+        return bool(self.bridge_arcs)
 
     @property
     def residual_crossings(self):
@@ -220,7 +222,6 @@ def serialize(d):
     lines.append("eps=" + ",".join("+" if e > 0 else "-" for e in d.code.eps))
     if d.bridge_arcs:
         lines.append("bridges=" + ",".join(str(a) for a in d.bridge_arcs))
-    if d.schedule:
         lines.append(
             "schedule=" + ";".join(f"{a}:{c}" for a, c in d.schedule)
         )
@@ -234,7 +235,7 @@ def parse(text):
         kappa=<c0>,...,<c_{N-1}>
         eps=<s0>,...,<s_{N-1}>        (each + or -)
         bridges=<a>,<b>               (optional)
-        schedule=<arc>:<crossing>;... (optional)
+        schedule=<arc>:<crossing>;... (optional, may be empty)
 
     Comments start with '#'; unknown and repeated keys are rejected.  The
     residual crossings and the terminal identification follow from the
@@ -287,7 +288,7 @@ def parse(text):
                 )
         elif key == "schedule":
             schedule = []
-            for item in val.split(";"):
+            for item in val.split(";") if val else ():
                 try:
                     arc, crossing = item.split(":")
                     schedule.append((int(arc), int(crossing)))

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -283,6 +284,19 @@ def test_import_leaves_scipy_out():
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_readme_library_tour_runs():
+    # a public name the tour uses that is renamed or deleted fails here
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert len(blocks) == 1
+    proc = subprocess.run(
+        [sys.executable, "-c", blocks[0]], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sweep_marks_uncolorable_rows(capsys):

@@ -471,6 +471,14 @@ def test_solver_requires_schedule():
         propagate(bare, SphereQuandle(PI), (BASEPOINT, BASEPOINT))
 
 
+def test_empty_schedule_is_a_schedule():
+    # n = 2: the bridges and the terminal arc define every arc
+    d = TangleDiagram(WirtingerCode((1, 0), (1, 1)), (0, 1), ())
+    for psi in (0.5, 2.0, 3.0, 5.5):
+        assert solve_colorings(d, psi) == []
+    assert fox_colorings(d, 3) == [] and fox_colorings(d, 5) == []
+
+
 def test_fox_counts():
     assert len(fox_colorings(fig8(), 5)) == 4
     assert len(fox_colorings(fig8(), 7)) == 0

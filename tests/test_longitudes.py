@@ -25,7 +25,6 @@ from longmap.longitudes import (
     eval_word,
     fig8_closed_form,
     galex_lift,
-    longitude_angle,
     qn_check,
     t2n_closed_form,
     to_conj_coloring,
@@ -165,19 +164,25 @@ def test_to_conj_coloring():
     assert to_conj_coloring(cc) is cc
 
 
-def test_longitude_angle():
-    one = LongitudeValue.from_quaternion(Quaternion.one())
-    assert longitude_angle(one) == 0.0
-    half = LongitudeValue.from_quaternion(Quaternion.exp(PI / 2, [1, 0, 0]))
-    assert abs(longitude_angle(half) - PI / 2) < 1e-12
-    with pytest.raises(NotInLambda):
-        LongitudeValue.from_quaternion(Quaternion(0.0, 0.0, 1.0, 0.0))
+def test_from_quaternion_reads_phi():
+    x = Quaternion.exp(0.8, [1.0, 0.0, 0.0])
+    assert LongitudeValue.from_quaternion(Quaternion.one(), x).phi == 0.0
+    half = LongitudeValue.from_quaternion(Quaternion.exp(PI / 2, [1, 0, 0]), x)
+    assert abs(half.phi - PI / 2) < 1e-12
+
+
+def test_off_axis_value_rejected():
+    # exp(2.1, j) does not commute with a basepoint on the i axis
+    x = Quaternion.exp(0.8, [1.0, 0.0, 0.0])
+    with pytest.raises(NotInLambda, match="commute"):
+        LongitudeValue.from_quaternion(Quaternion.exp(2.1, [0, 1, 0]), x)
 
 
 def test_off_circle_value_rejected():
-    bad = LongitudeValue(Quaternion(0.0, 0.0, 1.0, 0.0), 0.0)
-    with pytest.raises(NotInLambda):
-        longitude_angle(bad)
+    # j commutes with the basepoint 1 but lies off the circle about i
+    with pytest.raises(NotInLambda, match="circle"):
+        LongitudeValue.from_quaternion(Quaternion(0.0, 0.0, 1.0, 0.0),
+                                       Quaternion.one())
 
 
 @pytest.mark.parametrize("fn", [eval_word, galex_lift, qn_check],

@@ -13,7 +13,6 @@ from longmap.quandles import (
     SphereQuandle,
     _iso_sphere_to_conj_rows,
     axiom_check,
-    centralizer_angle_check,
     eis_to_galex,
     iso_sphere_to_conj,
     random_sphere_point,
@@ -195,16 +194,6 @@ def test_eis_rejects_inconsistent_pair():
     bad = (a[0], Quaternion.exp(1.0, [0.0, 0.0, 1.0]) * a[1])
     with pytest.raises(MixedQuandleError):
         eq.op(a, bad)
-
-
-def test_centralizer_angle_check():
-    x = Quaternion.exp(0.8, [1.0, 0.0, 0.0])
-    assert centralizer_angle_check(Quaternion.exp(2.1, [1.0, 0.0, 0.0]), x)
-    assert not centralizer_angle_check(
-        Quaternion.exp(2.1, [0.0, 1.0, 0.0]), x
-    )
-    with pytest.raises(BadParameter):
-        centralizer_angle_check(Quaternion.one(), Quaternion.one())
 
 
 def test_iso_rejects_bad_theta():

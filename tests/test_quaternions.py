@@ -1,10 +1,11 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from longmap.quaternions import (
-    AxisAngle,
+    POLE_TOL,
     Quaternion,
     directed_angle,
     distance,
@@ -107,24 +108,6 @@ def test_conjugation_basis_example():
     assert distance(got, Quaternion(0.0, 0.0, -1.0, 0.0)) < 1e-15
 
 
-def test_log_exp_roundtrip():
-    rng = np.random.default_rng(4)
-    for _ in range(100):
-        theta = rng.uniform(1e-6, math.pi - 1e-6)
-        axis = normalize(rng.normal(size=3))
-        aa = Quaternion.exp(theta, axis).log()
-        assert abs(aa.theta - theta) < 1e-12
-        assert np.allclose(aa.axis, axis, atol=1e-9)
-        assert not aa.axis_arbitrary
-
-
-def test_log_at_poles():
-    aa = Quaternion.one().log()
-    assert aa.theta == 0.0 and aa.axis_arbitrary
-    aa = Quaternion(-1.0, 0.0, 0.0, 0.0).log()
-    assert aa.theta == math.pi and aa.axis_arbitrary
-
-
 def test_pow():
     q = Quaternion.exp(0.3, J)
     assert distance(q.pow(5), Quaternion.exp(1.5, J)) < 1e-14
@@ -135,6 +118,39 @@ def test_pow():
     assert distance(m.pow(3), m) == 0.0
     with pytest.raises(TypeError):
         q.pow(0.5)
+
+
+def _ref_pow(q, k):
+    """q^k by the axis-angle route: theta in [0, pi] and a unit axis, with
+    the axis undefined at +-1, then exp(k*theta, axis)."""
+    if k == 0:
+        return Quaternion.one()
+    v = np.array([q.b, q.c, q.d])
+    s = np.linalg.norm(v)
+    theta = math.atan2(s, q.a)
+    if s < POLE_TOL:
+        theta = 0.0 if q.a > 0 else math.pi
+        if theta == 0.0 or k % 2 == 0:
+            return Quaternion.one()
+        return Quaternion(-1.0, 0.0, 0.0, 0.0)
+    return Quaternion.exp(k * theta, v / s)
+
+
+def test_pow_matches_the_axis_angle_route():
+    rng = np.random.default_rng(5)
+    qs = [Quaternion.from_components(*rng.normal(size=4))
+          for _ in range(100)]
+    # within |v| of +-1, on both sides of POLE_TOL
+    for s in (1e-13, 5e-13, 0.99e-12, 1.01e-12, 3e-12, 1e-11, 1e-10, 1e-9):
+        u = normalize(rng.normal(size=3))
+        for a in (1.0, -1.0):
+            qs.append(Quaternion.from_components(a, *(s * u).tolist()))
+    # the exponents of the longitude routes: -writhe, n and -2n
+    ks = sorted({0} | {k for n in range(1, 102) for k in (n, -n, -2 * n)})
+    for q in qs:
+        for k in ks:
+            assert (struct.pack("<4d", *q.pow(k))
+                    == struct.pack("<4d", *_ref_pow(q, k))), (q, k)
 
 
 def test_geodesic_distance_accuracy():
@@ -158,9 +174,3 @@ def test_sphere_point_and_normalize():
     assert np.allclose(p, [0.6, 0.8, 0.0])
     with pytest.raises(ValueError):
         normalize([0.0, 0.0, 0.0])
-
-
-def test_axis_angle_frozen():
-    aa = AxisAngle(0.5, I)
-    with pytest.raises(Exception):
-        aa.theta = 1.0

@@ -109,8 +109,14 @@ def test_bad_torus_params():
         torus2n(5, 2)
 
 
-@pytest.mark.parametrize("diagram", [torus2n(3), torus2n(7, -1), fig8()],
-                         ids=["t3", "t7m", "fig8"])
+# n = 2: the bridges and the terminal arc define every arc, so the
+# schedule is empty
+EMPTY_SCHEDULE = TangleDiagram(WirtingerCode((1, 0), (1, 1)), (0, 1), ())
+
+
+@pytest.mark.parametrize(
+    "diagram", [torus2n(3), torus2n(7, -1), fig8(), EMPTY_SCHEDULE],
+    ids=["t3", "t7m", "fig8", "empty-schedule"])
 def test_roundtrip(diagram):
     back = parse(serialize(diagram))
     assert back.code == diagram.code
