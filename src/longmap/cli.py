@@ -156,15 +156,17 @@ def _sweep_lines(thetas, branches, seed_beta, longitude):
 def cmd_sweep(args):
     theta_min = _angle(args.theta_min, args)
     theta_max = _angle(args.theta_max, args)
-    if not math.isfinite(theta_min) or not math.isfinite(theta_max):
-        raise LongmapError("theta_min and theta_max must be finite")
     if not theta_min < theta_max:
         raise LongmapError("need theta_min < theta_max")
     if not 2 <= args.steps <= MAX_STEPS:
         raise LongmapError(
             f"steps must lie in 2..{MAX_STEPS}, not {args.steps}"
         )
-    thetas = np.linspace(theta_min, theta_max, args.steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        thetas = np.linspace(theta_min, theta_max, args.steps)
+        finite = np.isfinite(2.0 * math.pi - 2.0 * thetas).all()
+    if not finite:  # an infinite bound, or one that overflows on the way
+        raise LongmapError("theta and psi = 2*pi - 2*theta must stay finite")
     knot = _parse_knot(args.knot)
     if knot is None:
         lines = _sweep_lines(thetas, _parse_branches(args.branches, (1, 2)),

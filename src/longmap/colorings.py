@@ -2,8 +2,9 @@
 
 Closed-form families (spherical star polygons for the (2, n) torus knots,
 the two-branch figure-eight family), a numeric solver that colors 2-bridge
-diagrams over spherical quandles by words in the bridge generators, and an
-exhaustive Fox-coloring oracle over dihedral quandles.
+diagrams over spherical quandles by words in the bridge generators (their
+free-quandle coloring), and an exhaustive Fox-coloring oracle over dihedral
+quandles.
 
 Basepoint convention: the initial arc is always colored x = (1, 0, 0), and
 the second bridge color is sought on the half-equator
@@ -71,16 +72,15 @@ class Coloring:
 
 
 def propagate(diagram, quandle, bridge_colors):
-    """Colors of all arcs from the bridge colors via the diagram schedule.
+    """Colors of all arcs from the bridge colors via the diagram's steps.
 
     Sphere colors may be stacks of shape (..., 3); every arc then carries
     a stack, one coloring per row.
     """
-    if not diagram.has_schedule:
-        raise NoSchedule(f"diagram {diagram.name or diagram!r} has no schedule")
-    colors = [None] * diagram.n_arcs
-    for arc, col in zip(diagram.bridge_arcs, bridge_colors):
-        colors[arc] = col
+    if not diagram.bridge_arcs:
+        raise NoSchedule(f"diagram {diagram.name or diagram!r} has no bridges")
+    colors = [None] * (diagram.code.n + 1)
+    colors[0], colors[diagram.bridge_arcs[1]] = bridge_colors
     if diagram.terminal_is_initial:
         colors[-1] = colors[0]
     for target, source, over, sign in diagram.steps():
@@ -288,23 +288,22 @@ _TIMES = np.stack([np.eye(4)[[1, 0, 3, 2]].T * [-1, 1, 1, -1],
                    np.eye(4)]).reshape(3, 16)
 
 
-def _arc_words(diagram):
-    """Arc j colored W_j b_j W_j^-1: the reduced word W_j and base b_j (0
-    for the basepoint x, 1 for the seed y) of every arc, and the word and
-    base that each residual crossing's relation demands of its out-arc.
+class _FreeWords:
+    """The free quandle on the bridge generators x and y.  An element is a
+    pair (W, b), the color W b W^-1, with W a reduced word in x and y and
+    b its base: 0 for the basepoint x, 1 for the seed y.
 
     A syllable (letter, a) is exp(a*psi/2 * b_letter), whose conjugation
-    turns by a*psi about b_letter, so a crossing turns the source arc into
+    turns by a*psi about b_letter, so a crossing turns the source into
     W_over B_over^(+-1) W_over^-1 W_source.  No word ends in a syllable of
     its own base, which fixes the base, so only W_source can cancel.
     """
-    code = diagram.code
-    arcs = [((), 0)] * (code.n + 1)
-    arcs[diagram.bridge_arcs[1]] = ((), 1)
 
-    def moved(source, over_arc, sign):
-        (w, over), (tail, base) = arcs[over_arc], arcs[source]
-        word = [*w, (over, sign), *((letter, -a) for letter, a in reversed(w))]
+    @staticmethod
+    def op_signed(source, over, sign):
+        (w, letter_over), (tail, base) = over, source
+        word = [*w, (letter_over, sign),
+                *((letter, -a) for letter, a in reversed(w))]
         for letter, a in tail:
             if word and word[-1][0] == letter:
                 a += word.pop()[1]
@@ -314,9 +313,15 @@ def _arc_words(diagram):
             word.pop()
         return tuple(word), base
 
-    for target, source, over_arc, sign in diagram.steps():
-        arcs[target] = moved(source, over_arc, sign)
-    return arcs, [moved(ci - 1, code.kappa[ci - 1], code.eps[ci - 1])
+
+def _arc_words(diagram):
+    """The (word, base) pair of every arc in the ``_FreeWords`` coloring,
+    and the pair that each residual crossing's relation demands of its
+    out-arc."""
+    code = diagram.code
+    arcs = propagate(diagram, _FreeWords, (((), 0), ((), 1)))
+    return arcs, [_FreeWords.op_signed(arcs[ci - 1], arcs[code.kappa[ci - 1]],
+                                       code.eps[ci - 1])
                   for ci in diagram.residual_crossings]
 
 
@@ -434,9 +439,10 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     """Nontrivial colorings of a 2-bridge diagram over SphereQuandle(psi).
 
     Arc j is colored W_j b_j W_j^-1, with W_j a reduced word in the two
-    bridge generators and b_j a bridge color (``_arc_words``), so rounding
-    grows with the word length, not along the arc chain as in
-    ``propagate``.  The words are compiled once per solve into two
+    bridge generators and b_j a bridge color: the coloring by the free
+    quandle on the bridges, which ``propagate`` builds (``_arc_words``).
+    So rounding grows with the word length, not along the arc chain as in
+    a numeric ``propagate``.  The words are compiled once per solve into two
     ``_word_program``s: the relation ``_gaps``, which the grid scan and
     every refinement step run, and the arc words, which give the final
     colors.  Three stages, each run on all candidates at once:
@@ -455,8 +461,8 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     duplicate seeds within SEED_TOL.  ``grid`` lies in 16..MAX_GRID.
     Returns a list of (beta, Coloring) sorted by beta.
     """
-    if not diagram.has_schedule:
-        raise NoSchedule("solve_colorings needs a 2-bridge schedule")
+    if not diagram.bridge_arcs:
+        raise NoSchedule("solve_colorings needs a diagram with two bridges")
     if not 16 <= grid <= MAX_GRID:
         raise BadParameter(f"grid must lie in 16..{MAX_GRID}, not {grid}")
     quandle = SphereQuandle(psi)  # BadParameter unless 0 < psi < 2*pi
@@ -492,16 +498,10 @@ def fox_colorings(diagram, m):
     if m < 3:
         raise BadParameter("m must be at least 3")
     quandle = DihedralQuandle(m)
-    out = []
-    for b in range(m):
-        colors = propagate(diagram, quandle, (0, b))
-        coloring = Coloring(quandle, tuple(colors))
-        if residual(coloring, diagram) != 0.0:
-            continue
-        if len(set(colors)) == 1:
-            continue
-        out.append(coloring)
-    return out
+    # seed 0 gives the constant coloring, and any other seed a nontrivial one
+    colorings = (Coloring(quandle, tuple(propagate(diagram, quandle, (0, b))))
+                 for b in range(1, m))
+    return [c for c in colorings if residual(c, diagram) == 0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ class BadParameter(LongmapError):
 
 
 class MixedQuandleError(LongmapError):
-    """Operands belong to different quandle instances."""
+    """An operand is not an element of the quandle it is given to."""
 
 
 class ParseError(LongmapError):
@@ -32,7 +32,7 @@ class OutOfInterval(LongmapError):
 
 
 class NoSchedule(LongmapError):
-    """The diagram carries no propagation schedule."""
+    """The diagram has no bridges, so nothing can be propagated."""
 
 
 class ResidualTooLarge(LongmapError):
@@ -44,7 +44,8 @@ class ArityMismatch(LongmapError):
 
 
 class NotInLambda(LongmapError):
-    """A longitude value does not commute with the basepoint."""
+    """A longitude value is not in the circle group about the basepoint:
+    it does not commute with the basepoint, or lies off exp(phi, i)."""
 
 
 class NotMinusOne(LongmapError):

@@ -182,9 +182,10 @@ def fig8_closed_form(theta, branch):
 
 
 def qn_check(diagram, coloring):
-    """Verify q^n = -1 for the braid product q = q_0 q_1 of a torus coloring,
-    and that q_0^(-2n) q^n reproduces the longitude word, each within
-    LAMBDA_TOL.  Returns q^n."""
+    """Verify q^n = -1 for the braid product q = q_0 q_1 of a coloring of
+    ``torus2n(n, sign)``, and that q_0^(2 lead) q^n reproduces the longitude
+    word, each within LAMBDA_TOL; lead = -writhe is the word's lead
+    exponent, -n for sign +1 and n for the mirror.  Returns q^n."""
     _check_arity(diagram, coloring)
     cols = to_conj_coloring(coloring).colors
     n = diagram.code.n
@@ -195,9 +196,9 @@ def qn_check(diagram, coloring):
     if distance(qn, minus_one) > LAMBDA_TOL:
         raise NotMinusOne(f"q^n is {qn}, expected -1")
     direct = eval_word(diagram, coloring).q
-    via_product = q0.pow(-2 * n) * qn
+    via_product = q0.pow(2 * longitude_word(diagram.code).lead_exponent) * qn
     if distance(direct, via_product) > LAMBDA_TOL:
         raise NotMinusOne(
-            "q_0^(-2n) q^n does not reproduce the longitude word"
+            "q_0^(2 lead) q^n does not reproduce the longitude word"
         )
     return qn

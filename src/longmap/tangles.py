@@ -11,12 +11,13 @@ i.e. color(i) = op_signed(color(i-1), color(kappa(i)), eps(i)) in any quandle.
 
 A ``TangleDiagram`` augments the code with a 2-bridge propagation schedule:
 two bridge arcs seed the colors and each schedule entry (target, crossing)
-defines one further arc from the crossing relation; the remaining crossings
-are residual consistency constraints.
+defines one further arc from the crossing relation and arcs defined before
+it; the remaining crossings are residual consistency constraints.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import BadParameter, ParseError, ValidationError
@@ -33,6 +34,17 @@ __all__ = [
 ]
 
 
+def _ints(values, what):
+    """``values`` as ints: a float or a string is a ValidationError, not
+    truncated; numpy integers pass."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValidationError(
+            f"{what} must be integers, not {values!r}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class WirtingerCode:
     """Per-crossing under-arc list kappa and sign list eps."""
@@ -41,8 +53,8 @@ class WirtingerCode:
     eps: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "kappa", tuple(int(k) for k in self.kappa))
-        object.__setattr__(self, "eps", tuple(int(e) for e in self.eps))
+        object.__setattr__(self, "kappa", _ints(self.kappa, "kappa values"))
+        object.__setattr__(self, "eps", _ints(self.eps, "eps values"))
         n = len(self.kappa)
         if len(self.eps) != n:
             raise ValidationError("kappa and eps must have equal length")
@@ -84,10 +96,13 @@ class TangleDiagram:
     ``bridge_arcs`` are arc 0, which carries the basepoint, and the arc
     that carries the seed.  ``schedule`` entries are (target_arc, crossing)
     pairs: the relation of that crossing, solved for the target arc (the
-    target must be the incoming or outgoing under-arc of the crossing).
-    The crossings the schedule does not use are ``residual_crossings``;
-    when the bridges and the schedule leave the terminal arc undefined, it
-    takes the initial arc's color (``terminal_is_initial``).
+    target must be the incoming or outgoing under-arc of the crossing) from
+    its source, the other under-arc, and its over-arc, both defined before
+    the entry.  The crossings the schedule does not use are
+    ``residual_crossings``; when the bridges and the schedule leave the
+    terminal arc undefined, it takes the initial arc's color
+    (``terminal_is_initial``).  One walk at construction checks the
+    schedule and stores these and the ``steps`` beside the fields.
     """
 
     code: WirtingerCode
@@ -96,79 +111,60 @@ class TangleDiagram:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "bridge_arcs", tuple(self.bridge_arcs))
-        object.__setattr__(
-            self, "schedule", tuple((int(a), int(c)) for a, c in self.schedule)
-        )
-        if self.bridge_arcs or self.schedule:
-            self._validate_schedule()
-
-    @property
-    def n_arcs(self):
-        return self.code.n + 1
-
-    @property
-    def has_schedule(self):
-        """True for any diagram with bridges; its schedule is empty when the
-        bridges and the terminal identification define every arc."""
-        return bool(self.bridge_arcs)
-
-    @property
-    def residual_crossings(self):
-        """The crossings the schedule does not use, in order."""
-        used = {ci for _, ci in self.schedule}
-        return tuple(ci for ci in range(1, self.code.n + 1) if ci not in used)
-
-    @property
-    def terminal_is_initial(self):
-        """True when the bridges and the schedule leave arc n undefined."""
-        defined = {*self.bridge_arcs, *(t for t, _ in self.schedule)}
-        return bool(self.bridge_arcs) and self.code.n not in defined
+        n, kappa, eps = self.code.n, self.code.kappa, self.code.eps
+        bridges = _ints(self.bridge_arcs, "bridge arcs")
+        schedule = tuple(_ints((a, c), "schedule entries")
+                         for a, c in self.schedule)
+        object.__setattr__(self, "bridge_arcs", bridges)
+        object.__setattr__(self, "schedule", schedule)
+        steps, terminal = [], False
+        if bridges or schedule:
+            if len(bridges) != 2 or not bridges[0] == 0 < bridges[1] <= n:
+                # the basepoint convention colors arc 0 and seeds the other
+                raise ValidationError(
+                    f"bridge arcs must be arc 0 followed by an arc in 1..{n}, "
+                    f"not {bridges}"
+                )
+            targets = [t for t, _ in schedule]
+            known = set(bridges)
+            terminal = n not in known.union(targets)
+            if terminal:
+                known.add(n)
+            if len(set(targets)) != len(targets):
+                raise ValidationError("schedule targets must be distinct")
+            if set(targets) != set(range(n + 1)) - known:
+                raise ValidationError(
+                    "schedule targets must cover exactly the non-seeded arcs"
+                )
+            for target, ci in schedule:
+                if not 1 <= ci <= n:
+                    raise ValidationError(f"crossing {ci} out of range")
+                if target not in (ci, ci - 1):
+                    raise ValidationError(
+                        f"crossing {ci} cannot define arc {target}"
+                    )
+                # the source is the other under-arc; the relation is read
+                # forward for the out-arc and inverted for the in-arc
+                source, over = 2 * ci - 1 - target, kappa[ci - 1]
+                if not {source, over} <= known:
+                    raise ValidationError(
+                        f"schedule entry ({target}, {ci}) references "
+                        "undefined arcs"
+                    )
+                known.add(target)
+                steps.append((target, source, over,
+                              (target - source) * eps[ci - 1]))
+        used = {ci for _, ci in schedule}
+        object.__setattr__(self, "_steps", tuple(steps))
+        object.__setattr__(self, "residual_crossings", tuple(
+            ci for ci in range(1, n + 1) if ci not in used))
+        object.__setattr__(self, "terminal_is_initial", terminal)
 
     def steps(self):
         """Each schedule entry as (target, source, over, sign), with target
         = op_signed(source, over, sign): the crossing relation read forward
         for the out-arc and inverted for the in-arc."""
-        kappa, eps = self.code.kappa, self.code.eps
-        for target, ci in self.schedule:
-            if target == ci:
-                yield target, ci - 1, kappa[ci - 1], eps[ci - 1]
-            else:
-                yield target, ci, kappa[ci - 1], -eps[ci - 1]
-
-    def _validate_schedule(self):
-        n = self.code.n
-        if len(self.bridge_arcs) != 2 or self.bridge_arcs[0] != 0 or not (
-            1 <= self.bridge_arcs[1] <= n
-        ):
-            # the basepoint convention colors arc 0 and seeds the other
-            raise ValidationError(
-                f"bridge arcs must be arc 0 followed by an arc in 1..{n}, "
-                f"not {self.bridge_arcs}"
-            )
-        known = set(self.bridge_arcs)
-        if self.terminal_is_initial:
-            known.add(n)
-        targets = [t for t, _ in self.schedule]
-        if len(set(targets)) != len(targets):
-            raise ValidationError("schedule targets must be distinct")
-        if set(targets) != set(range(n + 1)) - known:
-            raise ValidationError(
-                "schedule targets must cover exactly the non-seeded arcs"
-            )
-        for target, ci in self.schedule:
-            if not 1 <= ci <= n:
-                raise ValidationError(f"crossing {ci} out of range")
-            if target not in (ci, ci - 1):
-                raise ValidationError(
-                    f"crossing {ci} cannot define arc {target}"
-                )
-            needed = {ci - 1, ci, self.code.kappa[ci - 1]} - {target}
-            if not needed <= known:
-                raise ValidationError(
-                    f"schedule entry ({target}, {ci}) references undefined arcs"
-                )
-            known.add(target)
+        return self._steps
 
 
 def torus2n(n, sign=1):
@@ -310,8 +306,6 @@ def parse(text):
         raise ValidationError(f"eps has {len(eps)} entries, expected {n}")
     code = WirtingerCode(kappa, eps)
 
-    if bridges is None and schedule is None:
-        return TangleDiagram(code=code)
-    if bridges is None or schedule is None:
+    if (bridges is None) != (schedule is None):
         raise ValidationError("bridges and schedule must be given together")
-    return TangleDiagram(code=code, bridge_arcs=bridges, schedule=schedule)
+    return TangleDiagram(code, bridges or (), schedule or ())

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -156,6 +157,18 @@ def test_color_file_with_seed_arc_out_of_range_exits_two(tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def test_color_file_with_a_kink_that_reads_its_own_arc_exits_two(tmp_path,
+                                                                capsys):
+    # entry 4:4 defines arc 4 under over-arc 4; it used to pass, and the
+    # solver took the basepoint's word for arc 4 and printed a seed
+    path = tmp_path / "kink.tangle"
+    path.write_text("tangle n=4\nkappa=2,0,1,4\neps=+,+,+,+\nbridges=0,2\n"
+                    "schedule=1:1;3:3;4:4\n")
+    code, out, err = run(capsys, "color", "--file", str(path), "--psi", "2")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "undefined" in err
+
+
 def test_color_grid_above_the_cap_exits_two(capsys, monkeypatch):
     def scan(*args):
         raise AssertionError("the scan started")
@@ -299,6 +312,28 @@ def test_readme_library_tour_runs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_readme_cli_block_runs(tmp_path):
+    # each command of README's CLI block, in a fresh interpreter from a
+    # scratch directory, where `--out fig8.csv` lands
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = [b for _, b in re.findall(r"^```(\w*)\n(.*?)^```", readme,
+                                       re.S | re.M)
+              if all(line.startswith("longmap ") for line in b.splitlines())]
+    assert len(blocks) == 1
+    commands = [shlex.split(line, comments=True)
+                for line in blocks[0].splitlines()]
+    assert len(commands) == 5
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "longmap.cli", *argv[1:]],
+            capture_output=True, text=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+    assert (tmp_path / "fig8.csv").read_text().startswith("theta,branch,")
+
+
 def test_sweep_marks_uncolorable_rows(capsys):
     code, out, _ = run(
         capsys, "sweep", "--knot", "torus:3",
@@ -397,9 +432,11 @@ def test_sweep_bad_range(capsys):
 
 
 @pytest.mark.parametrize("lo,hi", [("1", "inf"), ("-inf", "1"),
-                                   ("nan", "1"), ("-inf", "inf")])
+                                   ("nan", "1"), ("-inf", "inf"),
+                                   ("-1e308", "1e308"), ("1", "1e308")])
 def test_sweep_non_finite_bounds(capsys, lo, hi):
-    # theta-max inf printed nan/inf rows and a numpy warning, exit 0
+    # theta-max inf printed nan/inf rows and a numpy warning, exit 0; the
+    # finite bounds overflow the grid's step or psi = 2*pi - 2*theta
     code, out, err = run(capsys, "sweep", "--knot", "fig8",
                          f"--theta-min={lo}", f"--theta-max={hi}",
                          "--steps", "3")

@@ -349,7 +349,7 @@ def test_arc_words_reproduce_propagation(diagram):
     seeds = np.stack([np.cos(betas), np.sin(betas), 0.0 * betas], axis=-1)
     base = np.broadcast_to(BASEPOINT, seeds.shape)
     want = propagate(diagram, SphereQuandle(psi), (base, seeds))
-    for arc in range(diagram.n_arcs):
+    for arc in range(diagram.code.n + 1):
         assert np.max(np.abs(got[arc] - want[arc])) <= 1e-12, arc
     # no word ends in a syllable of its own base
     assert all(not w or w[-1][0] != b for w, b in arcs)

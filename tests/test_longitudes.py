@@ -147,6 +147,20 @@ def test_qn_check():
     assert distance(qn, Quaternion(-1.0, 0.0, 0.0, 0.0)) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 21])
+def test_qn_check_on_reflected_star_polygons(n):
+    # the reflection colors the mirror torus2n(n, -1), whose word leads
+    # with x_0^n: the identity reads q_0^(2n) q^n there, and q_0^(-2n) q^n
+    # raised NotMinusOne on a valid coloring
+    d = torus2n(n, -1)
+    for h in range(1, (n - 1) // 2 + 1):
+        lo, hi = torus_theta_interval(n, h)
+        for theta in np.linspace(lo + 0.02, hi - 0.02, 5):
+            c = reflect_coloring(star_polygon(n, h, 2 * PI - 2 * theta))
+            qn = qn_check(d, c)
+            assert distance(qn, Quaternion(-1.0, 0.0, 0.0, 0.0)) <= 1e-9
+
+
 def test_rotation_invariance():
     d = fig8()
     c = fig8_coloring(0.9 * PI, 1)

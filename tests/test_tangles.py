@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from longmap.errors import BadParameter, ParseError, ValidationError
@@ -100,6 +101,88 @@ def test_schedule_validation():
                       schedule=((1, 3), (3, 3)))
 
 
+# one input per rule of the walk, in the walk's order; T(2,3) is
+# kappa 2,0,1 with bridges 0, 2 and schedule ((1, 1), (3, 3))
+@pytest.mark.parametrize("bridges,schedule,message", [
+    ((0,), ((1, 1), (3, 3)), r"bridge arcs must be arc 0 followed by an arc "
+                             r"in 1\.\.3, not \(0,\)"),
+    ((0, 4), ((1, 1), (3, 3)), r"an arc in 1\.\.3, not \(0, 4\)"),
+    ((0, 2), ((1, 1), (1, 2)), "schedule targets must be distinct"),
+    ((0, 2), ((3, 3),), "must cover exactly the non-seeded arcs"),
+    ((0, 2), ((1, 1), (3, 4)), "crossing 4 out of range"),
+    ((0, 2), ((1, 3), (3, 3)), "crossing 3 cannot define arc 1"),
+    ((0, 2), ((3, 3), (1, 1)),
+     r"schedule entry \(3, 3\) references undefined arcs"),
+], ids=["bridge-count", "bridge-range", "distinct", "cover", "crossing",
+        "adjacent", "undefined"])
+def test_each_rule_of_the_walk(bridges, schedule, message):
+    code = torus2n(3).code
+    with pytest.raises(ValidationError, match=message):
+        TangleDiagram(code, bridge_arcs=bridges, schedule=schedule)
+
+
+# entry 4:4 defines arc 4 under its own over-arc 4, so it reads an arc
+# that only it defines; it used to pass, and the solver then read the
+# basepoint's word for arc 4
+KINK = """tangle n=4
+kappa=2,0,1,4
+eps=+,+,+,+
+bridges=0,2
+schedule=1:1;3:3;4:4
+"""
+
+
+def test_an_entry_may_not_read_the_arc_it_defines():
+    with pytest.raises(ValidationError,
+                       match=r"entry \(4, 4\) references undefined arcs"):
+        parse(KINK)
+    # the same tangle with arc 4 left to the residual check is fine
+    d = parse(KINK.replace(";4:4", "").replace("1,4", "1,0"))
+    assert d.residual_crossings == (2, 4) and d.terminal_is_initial
+
+
+def test_steps_are_resolved_once_and_stay_out_of_eq_and_repr():
+    d = fig8()
+    assert d.steps() is d.steps()
+    same = TangleDiagram(d.code, d.bridge_arcs, d.schedule, d.name)
+    assert same == d and hash(same) == hash(d) and repr(same) == repr(d)
+    assert "residual" not in repr(d) and "steps" not in repr(d)
+
+
+@pytest.mark.parametrize("kappa,eps,message", [
+    ((2.7, 0, 1), (1, 1, 1), "kappa values must be integers"),
+    (("2", 0, 1), (1, 1, 1), "kappa values must be integers"),
+    ((2, 0, 1), (1.5, 1, 1), "eps values must be integers"),
+    ((2, 0, 1), (1.0, 1, 1), "eps values must be integers"),
+], ids=["kappa-float", "kappa-str", "eps-float", "eps-integral-float"])
+def test_code_fields_are_not_truncated(kappa, eps, message):
+    # int() once turned kappa 2.7 into 2, eps 1.5 into 1 and '2' into 2
+    with pytest.raises(ValidationError, match=message):
+        WirtingerCode(kappa, eps)
+
+
+@pytest.mark.parametrize("bridges,schedule,message", [
+    ((0, 2.0), ((1, 1), (3, 3)), "bridge arcs must be integers"),
+    ((0.0, 2), ((1, 1), (3, 3)), "bridge arcs must be integers"),
+    ((0, 2), ((1, 1.5), (3, 3)), "schedule entries must be integers"),
+    ((0, 2), ((1, 1), ("3", 3)), "schedule entries must be integers"),
+], ids=["seed-float", "basepoint-float", "crossing-float", "arc-str"])
+def test_diagram_fields_are_not_truncated(bridges, schedule, message):
+    # bridges (0, 2.0) passed and then failed in the solver, and (0.0, 2)
+    # serialized as bridges=0.0,2, which parse rejects
+    with pytest.raises(ValidationError, match=message):
+        TangleDiagram(torus2n(3).code, bridges, schedule)
+
+
+def test_numpy_integers_are_integers():
+    code = WirtingerCode(np.array([2, 0, 1]), np.array([1, 1, 1]))
+    d = TangleDiagram(code, np.array([0, 2]), np.array([[1, 1], [3, 3]]),
+                      name="torus2n(3,+1)")
+    assert d == torus2n(3)
+    assert all(type(v) is int for v in (*code.kappa, *d.bridge_arcs))
+    assert serialize(d) == serialize(torus2n(3))
+
+
 def test_bad_torus_params():
     with pytest.raises(BadParameter):
         torus2n(4)
@@ -135,7 +218,7 @@ eps=+,+,+
 """
     d = parse(text)
     assert d.code.n == 3
-    assert not d.has_schedule
+    assert not d.bridge_arcs
 
 
 def test_parse_errors_carry_line_numbers():
