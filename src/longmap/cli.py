@@ -10,10 +10,15 @@ Subcommands:
 Angles are radians by default; pass ``--deg`` to give them in degrees.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 Each command returns its exit code and its output lines, and ``main``
-writes them; ``sweep`` and the ``intervals`` table are generators, so their
-memory does not grow with their length.  A reader that closes stdout
+writes them; ``sweep`` and ``intervals`` (table or JSON) are generators, so
+their memory does not grow with their length.  A reader that closes stdout
 early, as ``| head`` does, does not change the exit code, and ``verify``
 prints after all its checks have run, so a breach exits 1 even then.
+
+Importing this module imports no numpy: each handler imports the layers it
+runs after the checks that need none of them.  So ``intervals`` never
+imports numpy, nor does a command that fails on its knot, its tangle file,
+``--branches`` or, in ``sweep``, the theta range or ``--steps``.
 """
 
 from __future__ import annotations
@@ -25,22 +30,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import verification
-from .colorings import (
-    DEFAULT_GRID,
-    MAX_GRID,
-    fig8_betas,
-    residual,
-    solve_colorings,
-    star_beta,
-    torus_interval,
-    torus_theta_interval,
-)
 from .errors import LongmapError, OutOfInterval, ParseError
-from .longitudes import fig8_closed_form, t2n_closed_form
-from .tangles import fig8, parse, torus2n
+from .tangles import fig8, parse, torus2n, torus_interval, torus_theta_interval
 
 FMT = "{:.17g}"
 MAX_STEPS = 100_000  # the theta grid is allocated up front
@@ -70,7 +61,8 @@ def _parse_knot(spec):
 
 def _parse_branches(text, allowed):
     """The branch list of ``sweep --branches``: 'all' or a comma-separated
-    list of members of ``allowed``, a tuple or a range, never copied."""
+    list of distinct members of ``allowed``, a tuple or a range, never
+    copied."""
     if text == "all":
         return allowed
     try:
@@ -82,6 +74,8 @@ def _parse_branches(text, allowed):
             f"--branches takes 'all' or a comma-separated list from "
             f"{allowed[0]}..{allowed[-1]}, not {text!r}"
         )
+    if len(set(branches)) < len(branches):
+        raise LongmapError(f"--branches names a branch twice: {text!r}")
     return branches
 
 
@@ -102,27 +96,37 @@ def _angle(value, args):
     return math.radians(value) if args.deg else value
 
 
+class _Suite(argparse.Action):
+    """The suite argument of ``verify``: argparse checks it against the
+    suites of ``verification``, imported once a suite is named."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        from .verification import SUITES
+
+        self.choices = [*sorted(SUITES), "all"]
+        parser._check_value(self, value)
+        setattr(namespace, self.dest, value)
+
+
 def cmd_verify(args):
-    suites = verification.SUITES
-    names = list(suites) if args.suite == "all" else [args.suite]
-    checks = [line for name in names for line in suites[name]()]
+    from .verification import SUITES
+
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    checks = [line for name in names for line in SUITES[name]()]
     code = 0 if all(line.passed for line in checks) else 1
     return code, [f"{line}\n" for line in checks]
 
 
 def cmd_color(args):
     diagram = _load_diagram(args)
+    from .colorings import residual, solve_colorings
+
     psi = _angle(args.psi, args)
-    seeds = solve_colorings(diagram, psi, grid=args.grid)
-    records = []
-    for beta, coloring in seeds:
-        records.append(
-            {
-                "beta": beta,
-                "residual": residual(coloring, diagram),
-                "colors": [list(map(float, c)) for c in coloring.colors],
-            }
-        )
+    grid = {} if args.grid is None else {"grid": args.grid}
+    seeds = solve_colorings(diagram, psi, **grid)
+    records = [{"beta": beta, "residual": residual(coloring, diagram),
+                "colors": [list(map(float, c)) for c in coloring.colors]}
+               for beta, coloring in seeds]
     if args.json:
         return 0, [json.dumps({"psi": psi, "seeds": records}, indent=2) + "\n"]
     lines = [f"psi = {_fmt(psi)}: {len(records)} nontrivial seed(s)\n"]
@@ -162,21 +166,29 @@ def cmd_sweep(args):
         raise LongmapError(
             f"steps must lie in 2..{MAX_STEPS}, not {args.steps}"
         )
+    knot = _parse_knot(args.knot)
+    if knot is None:
+        branches = _parse_branches(args.branches, (1, 2))
+    else:
+        n, sign = knot
+        torus_interval(n, 1)  # BadParameter unless n is odd and >= 3
+        branches = _parse_branches(args.branches, range(1, (n - 1) // 2 + 1))
+    import numpy as np
+
+    from .colorings import fig8_betas, star_beta
+    from .longitudes import fig8_closed_form, t2n_closed_form
+
     with np.errstate(over="ignore", invalid="ignore"):
         thetas = np.linspace(theta_min, theta_max, args.steps)
         finite = np.isfinite(2.0 * math.pi - 2.0 * thetas).all()
     if not finite:  # an infinite bound, or one that overflows on the way
         raise LongmapError("theta and psi = 2*pi - 2*theta must stay finite")
-    knot = _parse_knot(args.knot)
     if knot is None:
-        lines = _sweep_lines(thetas, _parse_branches(args.branches, (1, 2)),
+        lines = _sweep_lines(thetas, branches,
                              lambda psi, b: fig8_betas(psi)[b - 1],
                              fig8_closed_form)
     else:
-        n, sign = knot
-        torus_interval(n, 1)  # BadParameter unless n is odd and >= 3
-        steps = range(1, (n - 1) // 2 + 1)
-        lines = _sweep_lines(thetas, _parse_branches(args.branches, steps),
+        lines = _sweep_lines(thetas, branches,
                              lambda psi, h: star_beta(n, h, psi),
                              lambda theta, h: t2n_closed_form(
                                  n, theta, mirror=sign < 0))
@@ -188,14 +200,24 @@ def cmd_sweep(args):
     return 0, ()
 
 
+def _json_lines(items):
+    """``json.dumps(list(items), indent=2)`` and a newline, an item at a
+    time; ``items`` is not empty."""
+    head = "["
+    for item in items:
+        yield head + json.dumps([item], indent=2)[1:-2]
+        head = ","
+    yield "\n]\n"
+
+
 def cmd_intervals(args):
     n = args.n
     torus_interval(n, 1)  # BadParameter unless n is odd and >= 3
     rows = ((h, *torus_interval(n, h), *torus_theta_interval(n, h))
             for h in range(1, (n - 1) // 2 + 1))
     if args.json:
-        return 0, [json.dumps([{"h": h, "psi": [a, b], "theta": [c, d]}
-                               for h, a, b, c, d in rows], indent=2) + "\n"]
+        return 0, _json_lines({"h": h, "psi": [a, b], "theta": [c, d]}
+                              for h, a, b, c, d in rows)
     return 0, itertools.chain(
         [f"T(2,{n}) colorable intervals:\n",
          f"{'h':>3}  {'psi interval':>32}  {'theta interval':>32}\n"],
@@ -211,19 +233,18 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run an invariant suite")
-    pv.add_argument(
-        "suite",
-        choices=sorted(verification.SUITES) + ["all"],
-        help="which suite to run",
-    )
+    pv.add_argument("suite", action=_Suite,
+                    help="which suite to run, or all; an unknown "
+                         "name lists the suites")
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("color", help="solve for colorings at a given psi")
     pc.add_argument("--knot", help="fig8 or torus:n[:sign]")
     pc.add_argument("--file", help="tangle text file")
     pc.add_argument("--psi", type=float, required=True)
-    pc.add_argument("--grid", type=int, default=DEFAULT_GRID,
-                    help=f"seed angles in the scan, 16..{MAX_GRID}")
+    pc.add_argument("--grid", type=int,
+                    help="seed angles in the scan (default and range: "
+                         "the solver's)")
     pc.add_argument("--deg", action="store_true", help="angles in degrees")
     pc.add_argument("--json", action="store_true")
     pc.set_defaults(func=cmd_color)

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .quandles import DihedralQuandle, SphereQuandle
 from .quaternions import geodesic_distance, rotate
-from .tangles import fig8
+from .tangles import fig8, torus_interval, torus_theta_interval
 
 EPS_COLOR = 1e-8        # residual acceptance for a valid coloring
 SEED_TOL = 1e-6         # dedup tolerance between solver seeds
@@ -126,26 +126,6 @@ def residual(coloring, diagram):
 
 # ---------------------------------------------------------------------------
 # torus knot star polygons
-
-
-def torus_interval(n, h):
-    """Open psi-interval ((n-2h)pi/n, (n+2h)pi/n) admitting the step-h
-    star-polygon coloring of the (2, n) torus knot."""
-    _check_torus_params(n, h)
-    return ((n - 2 * h) * math.pi / n, (n + 2 * h) * math.pi / n)
-
-
-def torus_theta_interval(n, h):
-    """The same interval in theta = pi - psi/2 coordinates."""
-    _check_torus_params(n, h)
-    return ((n - 2 * h) * math.pi / (2 * n), (n + 2 * h) * math.pi / (2 * n))
-
-
-def _check_torus_params(n, h):
-    if n < 3 or n % 2 == 0:
-        raise BadParameter("n must be an odd integer >= 3")
-    if not 1 <= h <= (n - 1) // 2:
-        raise BadParameter(f"h must lie in 1..{(n - 1) // 2}")
 
 
 def admissible_steps(n, psi, margin=0.0):
@@ -495,9 +475,7 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
 def fox_colorings(diagram, m):
     """All nontrivial Fox colorings with the initial arc colored 0,
     by exhaustive enumeration of the second bridge color."""
-    if m < 3:
-        raise BadParameter("m must be at least 3")
-    quandle = DihedralQuandle(m)
+    quandle = DihedralQuandle(m)  # BadParameter unless m >= 3
     # seed 0 gives the constant coloring, and any other seed a nontrivial one
     colorings = (Coloring(quandle, tuple(propagate(diagram, quandle, (0, b))))
                  for b in range(1, m))

@@ -21,20 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .colorings import Coloring, _check_arity, torus_theta_interval
-from .errors import (
-    BadParameter,
-    NotInLambda,
-    NotMinusOne,
-    OutOfInterval,
-)
-from .quandles import (
-    ConjClassQuandle,
-    SphereQuandle,
-    _iso_sphere_to_conj_rows,
-)
+from .colorings import Coloring, _check_arity
+from .errors import BadParameter, NotInLambda, NotMinusOne, OutOfInterval
+from .quandles import ConjClassQuandle, SphereQuandle, _iso_sphere_to_conj_rows
 from .quaternions import Quaternion, distance
-from .tangles import longitude_word
+from .tangles import longitude_word, torus_theta_interval
 
 LAMBDA_TOL = 1e-9
 
@@ -149,9 +140,7 @@ def t2n_closed_form(n, theta, mirror=False):
     phi = wrap_angle(math.pi - 2 * n * theta)
     if mirror:
         phi = wrap_angle(-phi)
-    return LongitudeValue(
-        q=Quaternion.exp(phi, [1.0, 0.0, 0.0]), phi=phi
-    )
+    return LongitudeValue(q=Quaternion.exp(phi, [1.0, 0.0, 0.0]), phi=phi)
 
 
 def fig8_closed_form(theta, branch):

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, MixedQuandleError
-from .quaternions import (
-    Quaternion,
-    distance,
-    geodesic_distance,
-    rotate,
-)
+from .quaternions import Quaternion, distance, geodesic_distance, rotate
 
 __all__ = [
     "SphereQuandle",

@@ -17,6 +17,7 @@ it; the remaining crossings are residual consistency constraints.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -27,6 +28,8 @@ __all__ = [
     "TangleDiagram",
     "LongitudeWord",
     "torus2n",
+    "torus_interval",
+    "torus_theta_interval",
     "fig8",
     "longitude_word",
     "parse",
@@ -175,8 +178,7 @@ def torus2n(n, sign=1):
     arcs 0 and (n+1)/2, and the crossing relations reduce to the braid
     recurrence q_(i+1) = q_i^-1 q_(i-1) q_i (indices mod n) for sign +1.
     """
-    if n < 3 or n % 2 == 0:
-        raise BadParameter("n must be an odd integer >= 3")
+    torus_interval(n, 1)  # BadParameter unless n is odd and >= 3
     if sign not in (1, -1):
         raise BadParameter("sign must be +1 or -1")
     k = (n - 1) // 2
@@ -193,6 +195,23 @@ def torus2n(n, sign=1):
         schedule=tuple(schedule),
         name=f"torus2n({n},{sign:+d})",
     )
+
+
+def torus_interval(n, h):
+    """Open psi-interval ((n-2h)pi/n, (n+2h)pi/n) admitting the step-h
+    star-polygon coloring of the (2, n) torus knot."""
+    if n < 3 or n % 2 == 0:
+        raise BadParameter("n must be an odd integer >= 3")
+    if not 1 <= h <= (n - 1) // 2:
+        raise BadParameter(f"h must lie in 1..{(n - 1) // 2}")
+    return ((n - 2 * h) * math.pi / n, (n + 2 * h) * math.pi / n)
+
+
+def torus_theta_interval(n, h):
+    """The same interval in theta = pi - psi/2 coordinates: the ends of the
+    psi-interval sum to 2*pi, so it is their halves."""
+    lo, hi = torus_interval(n, h)
+    return (0.5 * lo, 0.5 * hi)
 
 
 def fig8():

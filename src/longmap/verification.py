@@ -19,7 +19,6 @@ from .colorings import (
     residual,
     rotate_coloring,
     star_polygon,
-    torus_theta_interval,
 )
 from .longitudes import (
     eval_word,
@@ -40,7 +39,7 @@ from .quandles import (
     random_sphere_point,
 )
 from .quaternions import Quaternion, distance, rotate
-from .tangles import fig8, torus2n
+from .tangles import fig8, torus2n, torus_theta_interval
 
 SEED = 20240915
 
@@ -75,10 +74,8 @@ def suite_axioms():
         ("galex(e^0.7i)", GAlexQuandle(x)),
         ("eis(e^0.7i)", EisQuandle(x)),
     ]
-    lines = []
-    for name, q in instances:
-        lines.append(CheckLine(f"axioms {name}", axiom_check(q, rng=rng),
-                               1e-10))
+    lines = [CheckLine(f"axioms {name}", axiom_check(q, rng=rng), 1e-10)
+             for name, q in instances]
 
     # conjugation lemma: e^-bv e^tu e^bv = e^(t w), w = rotate(u, -2b, v);
     # the uniform and normal draws interleave, so each sample is drawn
@@ -177,27 +174,22 @@ def suite_fig8():
 def suite_lift():
     """Generalized-Alexander lift vs direct word evaluation, including
     rotated colorings about the basepoint axis."""
-    worst = 0.0
-    cases = []
-    for n, h, theta, diagram in _torus_cases(ns=(3, 5, 7), samples=5):
-        cases.append((diagram, star_polygon(n, h, 2 * math.pi - 2 * theta)))
+    cases = [(diagram, star_polygon(n, h, 2 * math.pi - 2 * theta))
+             for n, h, theta, diagram in _torus_cases(ns=(3, 5, 7), samples=5)]
     diagram8 = fig8()
-    for theta in np.linspace(math.pi / 3 + 0.05, 2 * math.pi / 3 - 0.05, 10):
-        for branch in (1, 2):
-            cases.append(
-                (diagram8, fig8_coloring(2 * math.pi - 2 * theta, branch))
-            )
+    cases += [(diagram8, fig8_coloring(2 * math.pi - 2 * theta, branch))
+              for theta in np.linspace(math.pi / 3 + 0.05,
+                                       2 * math.pi / 3 - 0.05, 10)
+              for branch in (1, 2)]
     rng = np.random.default_rng(SEED)
-    worst_rot = 0.0
+    worst = worst_rot = 0.0
     for diagram, coloring in cases:
         direct = eval_word(diagram, coloring).q
-        worst = np.maximum(
-            worst, distance(galex_lift(diagram, coloring), direct)
-        )
+        worst = np.maximum(worst,
+                           distance(galex_lift(diagram, coloring), direct))
         rotated = rotate_coloring(coloring, rng.uniform(0, 2 * math.pi))
         worst_rot = np.maximum(
-            worst_rot, distance(eval_word(diagram, rotated).q, direct)
-        )
+            worst_rot, distance(eval_word(diagram, rotated).q, direct))
     return [
         CheckLine("galex lift = longitude word", worst, 1e-9),
         CheckLine("rotation invariance", worst_rot, 1e-8),

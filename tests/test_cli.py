@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -198,6 +199,17 @@ def test_verify_breach_prints_fail_and_exits_one(capsys, monkeypatch):
     assert lines[-1].startswith("[PASS] mirror")  # later suites still ran
 
 
+def test_unknown_suite_lists_the_suites(capsys):
+    # argparse checks the suite, though `verification` is imported only
+    # once a suite is named
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "bogus"])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 2
+    assert "invalid choice: 'bogus'" in err
+    assert all(repr(name) in err for name in [*verification.SUITES, "all"])
+
+
 def test_unknown_knot_exits_two(capsys):
     code, _, err = run(capsys, "color", "--knot", "granny", "--psi", "3.0")
     assert code == 2
@@ -211,12 +223,15 @@ def test_unknown_knot_exits_two(capsys):
     ["sweep", "--knot", "fig8", "--theta-min", "1.1", "--theta-max", "2",
      "--branches", "3"],
     ["color", "--knot", "fig8", "--psi", "nan"],
+    # every row of branch 1 was printed twice, exit 0
+    ["sweep", "--knot", "torus:7", "--theta-min", "1", "--theta-max", "2",
+     "--branches", "1,2,1"],
     # the knot was dropped and the file's colorings printed, exit 0
     ["color", "--knot", "torus:3", "--file", "{fig8}", "--psi", "3"],
     # the second kappa line replaced the first, exit 0
     ["color", "--file", "{repeated}", "--psi", "3"],
 ], ids=["torus-spec", "branches-not-int", "fig8-branch", "psi-nan",
-        "knot-and-file", "repeated-key"])
+        "repeated-branch", "knot-and-file", "repeated-key"])
 def test_malformed_command_exits_two(capsys, tmp_path, argv):
     path, repeated = tmp_path / "fig8.tangle", tmp_path / "repeated.tangle"
     path.write_text(serialize(fig8()))
@@ -289,14 +304,76 @@ def test_sweep_beta_is_the_star_polygon_seed(capsys):
     assert seen >= 300
 
 
+# commands that exit before they compute anything, with their exit codes
+NUMPY_FREE = [
+    (["intervals", "7"], 0),
+    (["intervals", "7", "--json"], 0),
+    (["color", "--knot", "torus:x", "--psi", "2.8"], 2),
+    (["sweep", "--knot", "torus:7", "--theta-min", "1", "--theta-max", "2",
+      "--branches", "a"], 2),
+    (["sweep", "--knot", "fig8", "--theta-min", "1.1", "--theta-max", "2",
+      "--branches", "3"], 2),
+]
+
+
+# run in a fresh interpreter: the packages each step leaves imported
+IMPORTED = """
+import contextlib, io, json, sys
+import longmap.cli
+
+def imported():
+    return sorted({m.split(".")[0] for m in sys.modules} & {"numpy", "scipy"})
+
+print(imported())
+for argv, code in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        assert longmap.cli.main(argv) == code, argv
+    print(imported())
+"""
+
+
 def test_import_leaves_scipy_out():
+    # numpy is imported by the handlers that compute, not by `longmap.cli`
     src = str(Path(longmap.__file__).resolve().parents[1])
-    code = ("import sys, longmap.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src),
-                          check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORTED, json.dumps(NUMPY_FREE)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        check=True)
+    assert proc.stdout.splitlines() == ["[]"] * (len(NUMPY_FREE) + 1)
+
+
+# every name `longmap/__init__.py` imported when it imported every module
+EXPORTS = {
+    "quaternions": ["Quaternion", "rotate"],
+    "quandles": ["SphereQuandle", "ConjClassQuandle", "DihedralQuandle",
+                 "GAlexQuandle", "EisQuandle", "iso_sphere_to_conj",
+                 "eis_to_galex", "axiom_check"],
+    "tangles": ["WirtingerCode", "TangleDiagram", "torus2n", "fig8",
+                "longitude_word"],
+    "colorings": ["Coloring", "star_polygon", "star_beta", "torus_interval",
+                  "torus_theta_interval", "fig8_betas", "fig8_coloring",
+                  "solve_colorings", "fox_colorings", "rotate_coloring",
+                  "reflect_coloring", "residual"],
+    "longitudes": ["LongitudeValue", "eval_word", "galex_lift",
+                   "t2n_closed_form", "fig8_closed_form", "qn_check"],
+}
+
+
+def test_lazy_exports():
+    namespace = {}
+    exec("from longmap import *", namespace)
+    for module, names in EXPORTS.items():
+        home = importlib.import_module(f"longmap.{module}")
+        for name in names:
+            assert getattr(longmap, name) is getattr(home, name), name
+            assert namespace[name] is getattr(home, name), name
+            assert name in dir(longmap)
+    for module in ("errors", "verification"):
+        assert getattr(longmap, module) is sys.modules[f"longmap.{module}"]
+    assert longmap.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        longmap.no_such_name
 
 
 def test_readme_library_tour_runs():
@@ -547,6 +624,13 @@ def test_intervals_memory_does_not_grow_with_n(monkeypatch):
     assert large - small < 100_000, (small, large)
 
 
+def test_intervals_json_memory_does_not_grow_with_n(monkeypatch):
+    # the rows were built whole for json.dumps: 1.7 GB at n = 2000001
+    small, large = (_peak_memory(["intervals", str(n), "--json"], monkeypatch)
+                    for n in (201, 20001))
+    assert large - small < 100_000, (small, large)
+
+
 def test_sweep_branches_memory_does_not_grow_with_n(monkeypatch):
     # the allowed steps were copied into a set: 8.8 MB at n = 200001
     small, large = (
@@ -568,6 +652,7 @@ def test_intervals_json(capsys):
     code, out, _ = run(capsys, "intervals", "9", "--json")
     assert code == 0
     rows = json.loads(out)
+    assert out == json.dumps(rows, indent=2) + "\n"  # written row by row
     assert [r["h"] for r in rows] == [1, 2, 3, 4]
     assert abs(rows[0]["psi"][0] - 7 * math.pi / 9) < 1e-12
 
@@ -575,6 +660,7 @@ def test_intervals_json(capsys):
 def test_intervals_n3(capsys):
     code, out, _ = run(capsys, "intervals", "3", "--json")
     rows = json.loads(out)
+    assert out == json.dumps(rows, indent=2) + "\n"
     assert len(rows) == 1
     assert abs(rows[0]["psi"][0] - math.pi / 3) < 1e-12
     assert abs(rows[0]["psi"][1] - 5 * math.pi / 3) < 1e-12
