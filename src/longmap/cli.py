@@ -18,7 +18,8 @@ prints after all its checks have run, so a breach exits 1 even then.
 Importing this module imports no numpy: each handler imports the layers it
 runs after the checks that need none of them.  So ``intervals`` never
 imports numpy, nor does a command that fails on its knot, its tangle file,
-``--branches`` or, in ``sweep``, the theta range or ``--steps``.
+``--branches``, in ``color``, psi or the arc bound MAX_ARCS, or, in
+``sweep``, the theta range or ``--steps``.
 """
 
 from __future__ import annotations
@@ -31,10 +32,12 @@ import os
 import sys
 
 from .errors import LongmapError, OutOfInterval, ParseError
-from .tangles import fig8, parse, torus2n, torus_interval, torus_theta_interval
+from .tangles import (check_psi, fig8, parse, torus2n, torus_interval,
+                      torus_theta_interval)
 
 FMT = "{:.17g}"
 MAX_STEPS = 100_000  # the theta grid is allocated up front
+MAX_ARCS = 1002  # color's solver grows as arcs^2: T(2,1001) took 8 s, 290 MB
 
 
 def _fmt(x):
@@ -80,16 +83,27 @@ def _parse_branches(text, allowed):
 
 
 def _load_diagram(args):
+    """The diagram of --file or --knot, of at most MAX_ARCS arcs."""
     if (args.knot is None) == (args.file is None):
         raise LongmapError("give either --knot or --file")
     if args.file is not None:
         try:
             with open(args.file, encoding="utf-8") as fh:
-                return parse(fh.read())
+                diagram = parse(fh.read())
         except UnicodeDecodeError as exc:
             raise ParseError(f"{args.file} is not UTF-8 text: {exc}") from None
+        _check_arcs(diagram.code.n + 1)
+        return diagram
     knot = _parse_knot(args.knot)
-    return fig8() if knot is None else torus2n(*knot)
+    if knot is None:
+        return fig8()
+    _check_arcs(knot[0] + 1)
+    return torus2n(*knot)
+
+
+def _check_arcs(arcs):
+    if arcs > MAX_ARCS:
+        raise LongmapError(f"color solves up to {MAX_ARCS} arcs, not {arcs}")
 
 
 def _angle(value, args):
@@ -119,9 +133,10 @@ def cmd_verify(args):
 
 def cmd_color(args):
     diagram = _load_diagram(args)
+    psi = _angle(args.psi, args)
+    check_psi(psi)
     from .colorings import residual, solve_colorings
 
-    psi = _angle(args.psi, args)
     grid = {} if args.grid is None else {"grid": args.grid}
     seeds = solve_colorings(diagram, psi, **grid)
     records = [{"beta": beta, "residual": residual(coloring, diagram),

@@ -1,7 +1,7 @@
 """Quandle instances used for tangle colorings.
 
 Five concrete quandles, each defining op, op_inv, validate, sample and
-distance (the base class adds only ``op_signed`` and the element check):
+distance (the base class adds ``op_signed``, ``stack`` and the check):
 
 - ``SphereQuandle(psi)``       : S^2 with u*v = rotate(u, psi, v)
 - ``ConjClassQuandle(theta)``  : the SU(2) conjugacy class {exp(theta, u)}
@@ -13,10 +13,15 @@ distance (the base class adds only ``op_signed`` and the element check):
 
 Elements are plain payloads (numpy unit vectors, Quaternions, ints, or
 (Quaternion, Quaternion) pairs); each quandle validates its own payloads.
+Elements may also be stacks, as ``stack`` builds them: op, op_inv and
+distance then run once on all rows (quaternions through ``qmul``, bitwise
+``*`` per row), validate returns a bool per row, and one foreign row is a
+MixedQuandleError.  A single Quaternion in gives a Quaternion out.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, MixedQuandleError
-from .quaternions import Quaternion, distance, geodesic_distance, rotate
+from .quaternions import Quaternion, geodesic_distance, qdistance, qmul, rotate
+from .tangles import check_psi
 
 __all__ = [
     "SphereQuandle",
@@ -53,6 +59,24 @@ def random_sphere_point(rng):
     return v / math.sqrt(v.dot(v))
 
 
+def _is_quaternion(a):
+    """Whether a payload is a Quaternion or an (..., 4) float stack."""
+    return isinstance(a, Quaternion) or (
+        isinstance(a, np.ndarray) and a.dtype == float and a.ndim > 0
+        and a.shape[-1] == 4)
+
+
+def _inv(q):
+    """Inverse (conjugate) of a unit quaternion or of a stack."""
+    return q.inverse() if isinstance(q, Quaternion) else q * [1, -1, -1, -1]
+
+
+def _mul(*factors):
+    """The product of quaternions or stacks, left to right: a Quaternion
+    when every factor is one, else an (..., 4) array."""
+    return functools.reduce(qmul, factors)
+
+
 class Quandle:
     """Helpers built on a subclass's op, op_inv and validate."""
 
@@ -60,12 +84,15 @@ class Quandle:
         """op for sign +1, op_inv for sign -1."""
         return self.op(a, b) if sign > 0 else self.op_inv(a, b)
 
+    def stack(self, elements):
+        """The elements as one stacked element, a row each."""
+        return np.array(elements)
+
     def _check(self, *elems):
         for e in elems:
-            if not self.validate(e):
-                raise MixedQuandleError(
-                    f"{e!r} is not an element of {self!r}"
-                )
+            valid = self.validate(e)
+            if not (valid.all() if isinstance(valid, np.ndarray) else valid):
+                raise MixedQuandleError(f"{e!r} is not an element of {self!r}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +102,7 @@ class SphereQuandle(Quandle):
     psi: float
 
     def __post_init__(self):
-        if not 0.0 < self.psi < 2.0 * math.pi:
-            raise BadParameter(f"psi must lie in (0, 2*pi), not {self.psi}")
+        check_psi(self.psi)
 
     def op(self, a, b):
         return rotate(a, self.psi, b)
@@ -86,7 +112,8 @@ class SphereQuandle(Quandle):
 
     def validate(self, a):
         a = np.asarray(a)
-        return a.shape == (3,) and abs(np.linalg.norm(a) - 1.0) <= ELEMENT_TOL
+        return a.shape[-1:] == (3,) and (
+            abs(np.linalg.norm(a, axis=-1) - 1.0) <= ELEMENT_TOL)
 
     def sample(self, rng):
         return random_sphere_point(rng)
@@ -107,27 +134,27 @@ class ConjClassQuandle(Quandle):
 
     def op(self, a, b):
         self._check(a, b)
-        return b.inverse() * a * b
+        return _mul(_inv(b), a, b)
 
     def op_inv(self, a, b):
         self._check(a, b)
-        return b * a * b.inverse()
+        return _mul(b, a, _inv(b))
 
     def validate(self, a):
-        if not isinstance(a, Quaternion):
+        if not _is_quaternion(a):
             return False
-        w, x, y, z = a
+        w, x, y, z = a if isinstance(a, Quaternion) else np.moveaxis(a, -1, 0)
         return (
-            abs(a.norm - 1.0) <= ELEMENT_TOL
-            and abs(math.atan2(math.sqrt(x * x + y * y + z * z), w)
-                    - self.theta) <= ELEMENT_TOL
+            (abs(np.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= ELEMENT_TOL)
+            & (abs(np.arctan2(np.sqrt(x * x + y * y + z * z), w)
+                   - self.theta) <= ELEMENT_TOL)
         )
 
     def sample(self, rng):
         return Quaternion.exp(self.theta, random_sphere_point(rng))
 
     def distance(self, a, b):
-        return distance(a, b)
+        return qdistance(a, b)
 
 
 @dataclass(frozen=True)
@@ -148,16 +175,14 @@ class DihedralQuandle(Quandle):
         return self.op(a, b)
 
     def validate(self, a):
-        return isinstance(a, (int, np.integer)) and 0 <= a < self.m
+        a = np.asarray(a)
+        return a.dtype.kind in "iu" and (0 <= a) & (a < self.m)
 
     def sample(self, rng):
         return int(rng.integers(self.m))
 
     def distance(self, a, b):
-        return 0.0 if a == b else 1.0
-
-    def elements(self):
-        return range(self.m)
+        return (a != b) * 1.0
 
 
 @dataclass(frozen=True)
@@ -166,28 +191,25 @@ class GAlexQuandle(Quandle):
 
     x: Quaternion
 
-    def _f(self, g):
-        return self.x.inverse() * g * self.x
-
-    def _f_inv(self, g):
-        return self.x * g * self.x.inverse()
-
     def op(self, a, b):
         self._check(a, b)
-        return self._f(a * b.inverse()) * b
+        return _mul(_inv(self.x), qmul(a, _inv(b)), self.x, b)
 
     def op_inv(self, a, b):
         self._check(a, b)
-        return self._f_inv(a * b.inverse()) * b
+        return _mul(self.x, qmul(a, _inv(b)), _inv(self.x), b)
 
     def validate(self, a):
-        return isinstance(a, Quaternion) and abs(a.norm - 1.0) <= ELEMENT_TOL
+        if not _is_quaternion(a):
+            return False
+        w, x, y, z = a if isinstance(a, Quaternion) else np.moveaxis(a, -1, 0)
+        return abs(np.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= ELEMENT_TOL
 
     def sample(self, rng):
         return random_unit_quaternion(rng)
 
     def distance(self, a, b):
-        return distance(a, b)
+        return qdistance(a, b)
 
 
 @dataclass(frozen=True)
@@ -203,27 +225,32 @@ class EisQuandle(Quandle):
     def op(self, a, b):
         self._check(a, b)
         (pa, ga), (pb, _gb) = a, b
-        return (pb.inverse() * pa * pb, self.x.inverse() * ga * pb)
+        return (_mul(_inv(pb), pa, pb), _mul(_inv(self.x), ga, pb))
 
     def op_inv(self, a, b):
         self._check(a, b)
         (pa, ga), (pb, _gb) = a, b
-        return (pb * pa * pb.inverse(), self.x * ga * pb.inverse())
+        return (_mul(pb, pa, _inv(pb)), _mul(self.x, ga, _inv(pb)))
 
     def validate(self, a):
         if not (isinstance(a, tuple) and len(a) == 2):
             return False
         pa, ga = a
-        if not (isinstance(pa, Quaternion) and isinstance(ga, Quaternion)):
+        if not (_is_quaternion(pa) and _is_quaternion(ga)
+                and np.shape(pa) == np.shape(ga)):
             return False
-        return distance(pa, ga.inverse() * self.x * ga) <= 1e-8
+        return qdistance(pa, _mul(_inv(ga), self.x, ga)) <= 1e-8
 
     def sample(self, rng):
         g = random_unit_quaternion(rng)
         return (g.inverse() * self.x * g, g)
 
+    def stack(self, elements):
+        """The pairs as one pair of stacks."""
+        return tuple(map(np.array, zip(*elements)))
+
     def distance(self, a, b):
-        return np.maximum(distance(a[0], b[0]), distance(a[1], b[1]))
+        return np.maximum(qdistance(a[0], b[0]), qdistance(a[1], b[1]))
 
 
 def iso_sphere_to_conj(u, theta):
@@ -263,27 +290,21 @@ def axiom_check(q, rng=None):
     self-distributivity (a*b)*c = (a*c)*(b*c), and op/op_inv
     cancellation.
 
-    Samples are drawn one element at a time, a, b, c per triple.  Sphere
-    triples then run stacked, as three (AXIOM_SAMPLES, 3) arrays through
-    the one loop body, since the sphere op and distance broadcast.  A NaN
-    violation is returned as NaN.
+    Samples are drawn one element at a time, a, b, c per triple, and then
+    stacked, so that each axiom is one pass of op and distance over all
+    the triples.  A NaN violation is returned as NaN.
     """
     if isinstance(q, DihedralQuandle) and q.m <= 13:
-        triples = itertools.product(q.elements(), repeat=3)
+        triples = itertools.product(range(q.m), repeat=3)
     else:
         rng = np.random.default_rng(0) if rng is None else rng
         triples = [(q.sample(rng), q.sample(rng), q.sample(rng))
                    for _ in range(AXIOM_SAMPLES)]
-        if isinstance(q, SphereQuandle):
-            triples = [tuple(map(np.array, zip(*triples)))]
-
-    violations = []
-    for a, b, c in triples:
-        ab = q.op(a, b)
-        violations += [
-            q.distance(q.op(a, a), a),
-            q.distance(q.op(ab, c), q.op(q.op(a, c), q.op(b, c))),
-            q.distance(q.op_inv(ab, b), a),
-            q.distance(q.op(q.op_inv(a, b), b), a),
-        ]
-    return float(np.max(violations, initial=0.0))
+    a, b, c = map(q.stack, zip(*triples))
+    ab = q.op(a, b)
+    return float(np.max([
+        q.distance(q.op(a, a), a),
+        q.distance(q.op(ab, c), q.op(q.op(a, c), q.op(b, c))),
+        q.distance(q.op_inv(ab, b), a),
+        q.distance(q.op(q.op_inv(a, b), b), a),
+    ]))

@@ -30,6 +30,7 @@ __all__ = [
     "torus2n",
     "torus_interval",
     "torus_theta_interval",
+    "check_psi",
     "fig8",
     "longitude_word",
     "parse",
@@ -212,6 +213,12 @@ def torus_theta_interval(n, h):
     psi-interval sum to 2*pi, so it is their halves."""
     lo, hi = torus_interval(n, h)
     return (0.5 * lo, 0.5 * hi)
+
+
+def check_psi(psi):
+    """BadParameter unless psi, a sphere quandle's angle, is in (0, 2*pi)."""
+    if not 0.0 < psi < 2.0 * math.pi:
+        raise BadParameter(f"psi must lie in (0, 2*pi), not {psi}")
 
 
 def fig8():

@@ -38,7 +38,7 @@ from .quandles import (
     eis_to_galex,
     random_sphere_point,
 )
-from .quaternions import Quaternion, distance, rotate
+from .quaternions import Quaternion, distance, qdistance, qmul, rotate
 from .tangles import fig8, torus2n, torus_theta_interval
 
 SEED = 20240915
@@ -79,21 +79,19 @@ def suite_axioms():
 
     # conjugation lemma: e^-bv e^tu e^bv = e^(t w), w = rotate(u, -2b, v);
     # the uniform and normal draws interleave, so each sample is drawn
-    # whole, and the rotations then run as one stack
+    # whole; the rotations and the products then run as stacks
     samples = [(*rng.uniform(0, math.pi, size=2), random_sphere_point(rng),
                 random_sphere_point(rng)) for _ in range(1000)]
     beta, _, u, v = map(np.array, zip(*samples))
-    worst = 0.0
-    for (b, t, ui, vi), w in zip(samples, rotate(u, -2.0 * beta, v)):
-        lhs = (
-            Quaternion.exp(-b, vi)
-            * Quaternion.exp(t, ui)
-            * Quaternion.exp(b, vi)
-        )
-        worst = np.maximum(worst, distance(lhs, Quaternion.exp(t, w)))
+    w = rotate(u, -2.0 * beta, v)
+    e = np.array([(Quaternion.exp(-b, vi), Quaternion.exp(t, ui),
+                   Quaternion.exp(b, vi), Quaternion.exp(t, wi))
+                  for (b, t, ui, vi), wi in zip(samples, w)])
+    worst = np.max(qdistance(qmul(qmul(e[:, 0], e[:, 1]), e[:, 2]), e[:, 3]))
     lines.append(CheckLine("conjugation identity", worst, 1e-10))
 
-    # sphere -> conjugacy class isomorphism at psi = 2pi - 2theta
+    # sphere -> conjugacy class isomorphism at psi = 2pi - 2theta; a loop,
+    # as each row has its own theta and so its own conjugacy class
     samples = [(rng.uniform(0.1, math.pi - 0.1), random_sphere_point(rng),
                 random_sphere_point(rng)) for _ in range(500)]
     theta, u, v = map(np.array, zip(*samples))
@@ -107,13 +105,12 @@ def suite_axioms():
 
     # Eis -> GAlex projection is a homomorphism
     eq, gq = EisQuandle(x), GAlexQuandle(x)
-    worst = 0.0
-    for _ in range(500):
-        a, b = eq.sample(rng), eq.sample(rng)
-        lhs = eis_to_galex(eq.op(a, b))
-        rhs = gq.op(eis_to_galex(a), eis_to_galex(b))
-        worst = np.maximum(worst, distance(lhs, rhs))
-    lines.append(CheckLine("Eis/GAlex isomorphism", worst, 1e-10))
+    a, b = map(eq.stack, zip(*[(eq.sample(rng), eq.sample(rng))
+                               for _ in range(500)]))
+    lhs = eis_to_galex(eq.op(a, b))
+    rhs = gq.op(eis_to_galex(a), eis_to_galex(b))
+    lines.append(CheckLine("Eis/GAlex isomorphism",
+                           np.max(qdistance(lhs, rhs)), 1e-10))
     return lines
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 import longmap
 from longmap import colorings, verification
-from longmap.cli import MAX_STEPS, main
+from longmap.cli import MAX_ARCS, MAX_STEPS, main
 from longmap.colorings import (
     MAX_GRID,
     admissible_steps,
@@ -25,7 +26,7 @@ from longmap.colorings import (
 from longmap.errors import OutOfInterval
 from longmap.longitudes import wrap_angle
 from longmap.quaternions import distance, geodesic_distance
-from longmap.tangles import fig8, serialize
+from longmap.tangles import fig8, serialize, torus2n
 
 
 def run(capsys, *argv):
@@ -216,6 +217,10 @@ def test_unknown_knot_exits_two(capsys):
     assert "error" in err
 
 
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 @pytest.mark.parametrize("argv", [
     ["color", "--knot", "torus:x", "--psi", "2.8"],
     ["sweep", "--knot", "torus:7", "--theta-min", "1", "--theta-max", "2",
@@ -230,17 +235,42 @@ def test_unknown_knot_exits_two(capsys):
     ["color", "--knot", "torus:3", "--file", "{fig8}", "--psi", "3"],
     # the second kappa line replaced the first, exit 0
     ["color", "--file", "{repeated}", "--psi", "3"],
+    # above the arc bound: torus2n ran out of memory and the process was
+    # killed, and T(2,1003) was solved in 8 s and 300 MB
+    ["color", "--knot", "torus:99999999", "--psi", "2.5"],
+    ["color", "--file", "{large}", "--psi", "2.5"],
 ], ids=["torus-spec", "branches-not-int", "fig8-branch", "psi-nan",
-        "repeated-branch", "knot-and-file", "repeated-key"])
-def test_malformed_command_exits_two(capsys, tmp_path, argv):
+        "repeated-branch", "knot-and-file", "repeated-key", "torus-arcs",
+        "file-arcs"])
+def test_malformed_command_exits_two(tmp_path, argv):
+    # each in a child capped at 1 GB of address space, so that a command
+    # that starts to compute fails fast instead of filling memory
     path, repeated = tmp_path / "fig8.tangle", tmp_path / "repeated.tangle"
     path.write_text(serialize(fig8()))
     repeated.write_text(serialize(fig8()) + "kappa=1,1,1,1\n")
-    code, out, err = run(capsys, *(a.format(fig8=path, repeated=repeated)
-                                   for a in argv))
-    assert code == 2
-    assert err.startswith("error: ")
-    assert out == ""
+    large = tmp_path / "large.tangle"
+    large.write_text(serialize(torus2n(MAX_ARCS + 1)))
+    src = str(Path(longmap.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "longmap.cli",
+         *(a.format(fig8=path, repeated=repeated, large=large) for a in argv)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=_cap_memory, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
+
+
+def test_the_arc_bound_admits_its_own_size(capsys, monkeypatch):
+    # T(2,1001) has MAX_ARCS arcs and reaches the solver; one more crossing
+    # pair does not
+    assert torus2n(1001).code.n + 1 == MAX_ARCS
+    monkeypatch.setattr(colorings, "solve_colorings", lambda d, psi: [])
+    code, out, _ = run(capsys, "color", "--knot", "torus:1001", "--psi", "3")
+    assert (code, out) == (0, "psi = 3: 0 nontrivial seed(s)\n")
+    code, out, err = run(capsys, "color", "--knot", "torus:1003", "--psi", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: color solves up to {MAX_ARCS} arcs, not 1004\n"
 
 
 def test_bad_torus_sign_step_and_psi_exit_two(capsys):
@@ -313,6 +343,8 @@ NUMPY_FREE = [
       "--branches", "a"], 2),
     (["sweep", "--knot", "fig8", "--theta-min", "1.1", "--theta-max", "2",
       "--branches", "3"], 2),
+    (["color", "--knot", "fig8", "--psi", "nan"], 2),
+    (["color", "--knot", "torus:99999999", "--psi", "2.5"], 2),
 ]
 
 
@@ -339,7 +371,7 @@ def test_import_leaves_scipy_out():
     proc = subprocess.run(
         [sys.executable, "-c", IMPORTED, json.dumps(NUMPY_FREE)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
-        check=True)
+        preexec_fn=_cap_memory, check=True)
     assert proc.stdout.splitlines() == ["[]"] * (len(NUMPY_FREE) + 1)
 
 

@@ -21,6 +21,7 @@ from longmap.errors import (
     OutOfInterval,
 )
 from longmap.longitudes import (
+    LAMBDA_TOL,
     LongitudeValue,
     eval_word,
     fig8_closed_form,
@@ -37,7 +38,7 @@ from longmap.quandles import (
     iso_sphere_to_conj,
 )
 from longmap.quaternions import Quaternion, distance
-from longmap.tangles import fig8, longitude_word, torus2n
+from longmap.tangles import fig8, longitude_word, parse, torus2n
 
 PI = math.pi
 
@@ -308,3 +309,47 @@ def test_every_quaternion_has_float_components():
     assert longitude_word(d.code).lead_exponent == -101
     bad = [q for q in made if not _all_floats(q)]
     assert bad == []
+
+
+# a + bi + cj + dk is the SU(2) matrix a + b*_I + c*_J + d*_K
+_I = np.array([[1j, 0], [0, -1j]])
+_J = np.array([[0, 1], [-1, 0]], dtype=complex)
+_K = np.array([[0, 1j], [1j, 0]])
+
+
+def _matrix_longitude(diagram, coloring):
+    """The longitude word of a sphere coloring, multiplied as 2x2 complex
+    SU(2) matrices with numpy ``@``: each arc's u becomes
+    exp(theta, u) = cos(theta) + sin(theta) u, theta = pi - psi/2.  Shares
+    neither ``Quaternion.__mul__``, ``qmul`` nor ``to_conj_coloring``."""
+    theta = PI - coloring.quandle.psi / 2.0
+    mats = [math.cos(theta) * np.eye(2)
+            + math.sin(theta) * (u[0] * _I + u[1] * _J + u[2] * _K)
+            for u in coloring.colors]
+    word = longitude_word(diagram.code)
+    x0 = mats[0] if word.lead_exponent > 0 else mats[0].conj().T
+    value = np.linalg.matrix_power(x0, abs(word.lead_exponent))
+    for arc, e in word.factors:
+        value = value @ (mats[arc] if e > 0 else mats[arc].conj().T)
+    return Quaternion(value[0, 0].real, value[0, 0].imag,
+                      value[0, 1].real, value[0, 1].imag)
+
+
+_CUSTOM = parse("tangle n=4\nkappa=2,3,0,1\neps=+,-,+,-\nbridges=0,2\n"
+                "schedule=1:1;3:3\n")
+
+
+def test_matrix_route_agrees_with_word_and_lift():
+    # a third longitude route, on the solver's seeds of diagrams with and
+    # without closed forms
+    diagrams = [fig8(), _CUSTOM]
+    diagrams += [torus2n(n, sign) for n in range(3, 22, 2) for sign in (1, -1)]
+    seeds = 0
+    for d in diagrams:
+        for psi in (0.8 * PI, 1.15 * PI):
+            for _beta, c in solve_colorings(d, psi):
+                by_matrix = _matrix_longitude(d, c)
+                assert distance(by_matrix, eval_word(d, c).q) <= LAMBDA_TOL
+                assert distance(by_matrix, galex_lift(d, c)) <= LAMBDA_TOL
+                seeds += 1
+    assert seeds > 100

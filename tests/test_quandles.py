@@ -18,7 +18,7 @@ from longmap.quandles import (
     random_sphere_point,
     random_unit_quaternion,
 )
-from longmap.quaternions import Quaternion, distance
+from longmap.quaternions import Quaternion, distance, qdistance
 
 X = Quaternion.exp(0.7, [1.0, 0.0, 0.0])
 
@@ -39,8 +39,8 @@ def test_axioms(q):
     assert axiom_check(q, rng=rng) <= 1e-10
 
 
-def _looped_sphere_check(q, rng):
-    """axiom_check's sphere score one triple at a time, on single vectors."""
+def _looped_check(q, rng):
+    """axiom_check's score one triple at a time, on single elements."""
     worst = 0.0
     for _ in range(AXIOM_SAMPLES):
         a, b, c = q.sample(rng), q.sample(rng), q.sample(rng)
@@ -60,11 +60,53 @@ def test_stacked_sphere_check_equals_the_triple_loop(psi):
     for seed in (0, 11, 20240915):
         stacked_rng = np.random.default_rng(seed)
         looped_rng = np.random.default_rng(seed)
-        assert axiom_check(q, rng=stacked_rng) == _looped_sphere_check(
+        assert axiom_check(q, rng=stacked_rng) == _looped_check(
             q, looped_rng
         )
         assert (stacked_rng.bit_generator.state
                 == looped_rng.bit_generator.state)
+
+
+@pytest.mark.parametrize("q", [
+    ConjClassQuandle(0.9), ConjClassQuandle(2.8), GAlexQuandle(X),
+    EisQuandle(Quaternion.exp(2.1, [0.0, 0.6, 0.8])),
+], ids=["conj0.9", "conj2.8", "galex", "eis"])
+def test_stacked_quaternion_check_equals_the_triple_loop(q):
+    # the stacked products are bitwise Quaternion.__mul__, so each maximum
+    # is the per-triple one, and the draws are the same
+    for seed in (0, 1, 11, 16, 20240915):
+        stacked_rng = np.random.default_rng(seed)
+        looped_rng = np.random.default_rng(seed)
+        assert axiom_check(q, rng=stacked_rng) == _looped_check(
+            q, looped_rng
+        )
+        assert (stacked_rng.bit_generator.state
+                == looped_rng.bit_generator.state)
+
+
+def test_one_foreign_row_fails_the_stack():
+    rng = np.random.default_rng(4)
+    conj, galex, eis = ConjClassQuandle(0.9), GAlexQuandle(X), EisQuandle(X)
+    cases = [
+        (conj, [conj.sample(rng) for _ in range(9)],
+         Quaternion.exp(0.5, [0.0, 1.0, 0.0])),
+        (galex, [galex.sample(rng) for _ in range(9)],
+         Quaternion(0.5, 0.5, 0.0, 0.0)),
+        (eis, [eis.sample(rng) for _ in range(9)],
+         (X, Quaternion.exp(1.0, [0.0, 0.0, 1.0]))),
+    ]
+    for q, elems, foreign in cases:
+        good = q.stack(elems)
+        assert q.validate(good).tolist() == [True] * 9
+        q.op(good, good)
+        elems[6] = foreign
+        bad = q.stack(elems)
+        assert q.validate(bad).tolist() == [True] * 6 + [False] + [True] * 2
+        for a, b in ((good, bad), (bad, good)):
+            with pytest.raises(MixedQuandleError):
+                q.op(a, b)
+            with pytest.raises(MixedQuandleError):
+                q.op_inv(a, b)
 
 
 def test_random_draws_equal_the_numpy_norm():
@@ -79,15 +121,21 @@ def test_random_draws_equal_the_numpy_norm():
 
 
 def test_axiom_check_keeps_a_nan_violation(monkeypatch):
+    # distance runs once per axiom over the whole stack: one NaN row of
+    # the second axiom must survive the maximum
     q = ConjClassQuandle(0.9)
     calls = []
 
-    def nan_once(self, a, b):
-        calls.append(None)
-        return math.nan if len(calls) == 7 else distance(a, b)
+    def nan_row(self, a, b):
+        d = qdistance(a, b)
+        calls.append(d.shape)
+        if len(calls) == 2:
+            d[17] = math.nan
+        return d
 
-    monkeypatch.setattr(ConjClassQuandle, "distance", nan_once)
+    monkeypatch.setattr(ConjClassQuandle, "distance", nan_row)
     assert math.isnan(axiom_check(q, rng=np.random.default_rng(0)))
+    assert calls == [(AXIOM_SAMPLES,)] * 4
 
 
 def test_eis_distance_keeps_a_nan_coordinate():

@@ -11,6 +11,8 @@ from longmap.quaternions import (
     distance,
     geodesic_distance,
     normalize,
+    qdistance,
+    qmul,
     rotate,
 )
 
@@ -57,12 +59,66 @@ def test_zero_product_raises():
         Quaternion.from_components(0.0, 0.0, 0.0, 0.0)
 
 
+def _single(row):
+    return Quaternion(*row.tolist())
+
+
+def test_qmul_equals_the_product_row_by_row():
+    rng = np.random.default_rng(7)
+    p, q = rng.normal(size=(2, 5000, 4))
+    # rows within 1e-13 of +-1, where the renormalization does the most
+    near = np.zeros((2, 2000, 4))
+    near[..., 0] = rng.choice([-1.0, 1.0], size=(2, 2000))
+    near += rng.uniform(-1e-13, 1e-13, size=near.shape)
+    for left, right in ((p, q), tuple(near), (p[:2000], near[0])):
+        got = qmul(left, right)
+        assert got.shape == left.shape
+        for l, r, row in zip(left, right, got):
+            assert tuple(row.tolist()) == _single(l) * _single(r)
+
+
+def test_qmul_broadcasts():
+    rng = np.random.default_rng(8)
+    p, q = rng.normal(size=(6, 1, 4)), rng.normal(size=(5, 4))
+    got = qmul(p, q)
+    assert got.shape == (6, 5, 4)
+    for i in range(6):
+        for j in range(5):
+            assert tuple(got[i, j].tolist()) == _single(p[i, 0]) * _single(q[j])
+    # a single Quaternion against a stack, and two singles
+    x = Quaternion.exp(0.7, I)
+    assert [tuple(r.tolist()) for r in qmul(x, q)] == [x * _single(r) for r in q]
+    assert [tuple(r.tolist()) for r in qmul(q, x)] == [_single(r) * x for r in q]
+    assert qmul(x, _single(q[0])) == x * _single(q[0])
+    assert type(qmul(x, _single(q[0]))) is Quaternion
+
+
+def test_qmul_zero_row_raises():
+    stack = np.tile([0.6, 0.0, 0.8, 0.0], (7, 1))
+    stack[4] = 0.0
+    with pytest.raises(ValueError, match="zero quaternion"):
+        qmul(stack, Quaternion.exp(0.3, I))
+    with pytest.raises(ValueError, match="zero quaternion"):
+        qmul(Quaternion(0.0, 0.0, 0.0, 0.0), Quaternion.exp(0.3, I))
+
+
+def test_qdistance_equals_distance_row_by_row():
+    # float ** 2 and x * x round apart on about one input in a thousand
+    rng = np.random.default_rng(9)
+    p, q = rng.normal(size=(2, 20000, 4))
+    dist = qdistance(p, q)
+    assert dist.tolist() == [distance(_single(a), _single(b))
+                             for a, b in zip(p, q)]
+    x, y = Quaternion.exp(0.3, I), Quaternion.exp(1.1, J)
+    assert qdistance(x, y) == distance(x, y)
+
+
 def test_inverse_and_norm():
     rng = np.random.default_rng(1)
     for _ in range(50):
         v = rng.normal(size=4)
         q = Quaternion.from_components(*v)
-        assert abs(q.norm - 1.0) < 1e-14
+        assert abs(math.hypot(*q) - 1.0) < 1e-14
         assert distance(q * q.inverse(), Quaternion.one()) < 1e-14
 
 
