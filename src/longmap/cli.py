@@ -215,12 +215,16 @@ def cmd_sweep(args):
     return 0, ()
 
 
-def _json_lines(items):
-    """``json.dumps(list(items), indent=2)`` and a newline, an item at a
-    time; ``items`` is not empty."""
+def _json_lines(rows):
+    """The (h, psi, theta) rows as ``json.dumps(..., indent=2)`` and a
+    newline, a row at a time, laid out here: json indents in pure Python,
+    which leaves a reference cycle behind each call.  ``rows`` is not empty."""
     head = "["
-    for item in items:
-        yield head + json.dumps([item], indent=2)[1:-2]
+    for h, *ends in rows:
+        a, b, c, d = map(json.dumps, ends)
+        yield (f'{head}\n  {{\n    "h": {h},\n    "psi": [\n      {a},\n'
+               f'      {b}\n    ],\n    "theta": [\n      {c},\n      {d}\n'
+               '    ]\n  }')
         head = ","
     yield "\n]\n"
 
@@ -231,8 +235,7 @@ def cmd_intervals(args):
     rows = ((h, *torus_interval(n, h), *torus_theta_interval(n, h))
             for h in range(1, (n - 1) // 2 + 1))
     if args.json:
-        return 0, _json_lines({"h": h, "psi": [a, b], "theta": [c, d]}
-                              for h, a, b, c, d in rows)
+        return 0, _json_lines(rows)
     return 0, itertools.chain(
         [f"T(2,{n}) colorable intervals:\n",
          f"{'h':>3}  {'psi interval':>32}  {'theta interval':>32}\n"],

@@ -29,7 +29,7 @@ from .errors import (
     ResidualTooLarge,
 )
 from .quandles import DihedralQuandle, SphereQuandle
-from .quaternions import geodesic_distance, rotate
+from .quaternions import rotate
 from .tangles import fig8, torus_interval, torus_theta_interval
 
 EPS_COLOR = 1e-8        # residual acceptance for a valid coloring
@@ -74,8 +74,8 @@ class Coloring:
 def propagate(diagram, quandle, bridge_colors):
     """Colors of all arcs from the bridge colors via the diagram's steps.
 
-    Sphere colors may be stacks of shape (..., 3); every arc then carries
-    a stack, one coloring per row.
+    Colors may be stacks, as ``Quandle.stack`` builds them; every arc then
+    carries a stack, one coloring per row.
     """
     if not diagram.bridge_arcs:
         raise NoSchedule(f"diagram {diagram.name or diagram!r} has no bridges")
@@ -97,31 +97,18 @@ def _check_arity(diagram, coloring):
 
 def residual(coloring, diagram):
     """Max deviation over crossings between the actual out-arc color and the
-    one demanded by the crossing relation; an array of them for a stack of
-    sphere colorings.
-
-    Sphere colors, single or stacked, are checked in one pass: every
-    crossing's source turned about its over-arc by psi*eps, one Rodrigues
-    ``rotate`` of the (n, ..., 3) stack.  Other quandles walk the crossings.
-    """
+    one demanded by the crossing relation, an array of them for stacked
+    colorings: one ``op_signed`` over the stacked sources, over-arcs and
+    signs ``code.eps`` of all crossings, then one ``distance``."""
     _check_arity(diagram, coloring)
-    code = diagram.code
-    q = coloring.quandle
-    cols = coloring.colors
-    if isinstance(q, SphereQuandle):
-        cols = np.asarray(cols)
-        turn = q.psi * np.asarray(code.eps, dtype=float)
-        turn = turn.reshape(turn.shape + (1,) * (cols.ndim - 2))
-        expected = rotate(cols[:-1], turn, cols[list(code.kappa)])
-        distances = geodesic_distance(cols[1:], expected)
-        return np.max(distances, axis=0, initial=0.0)
-    worst = 0.0
-    for ci in range(1, code.n + 1):
-        expected = q.op_signed(
-            cols[ci - 1], cols[code.kappa[ci - 1]], code.eps[ci - 1]
-        )
-        worst = np.maximum(worst, q.distance(cols[ci], expected))
-    return worst
+    code, q, cols = diagram.code, coloring.quandle, coloring.colors
+    if not code.n:  # the trivial tangle has no crossing to stack
+        return 0.0
+    axes = np.ndim(q.validate(cols[0]))  # stacking axes: a bool per row
+    eps = np.asarray(code.eps).reshape((-1,) + (1,) * axes)
+    expected = q.op_signed(q.stack(cols[:-1]),
+                           q.stack([cols[k] for k in code.kappa]), eps)
+    return np.max(q.distance(q.stack(cols[1:]), expected), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +460,14 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
 
 
 def fox_colorings(diagram, m):
-    """All nontrivial Fox colorings with the initial arc colored 0,
-    by exhaustive enumeration of the second bridge color."""
+    """All nontrivial Fox colorings with the initial arc colored 0: every
+    second bridge color at once, propagated as one integer stack."""
     quandle = DihedralQuandle(m)  # BadParameter unless m >= 3
     # seed 0 gives the constant coloring, and any other seed a nontrivial one
-    colorings = (Coloring(quandle, tuple(propagate(diagram, quandle, (0, b))))
-                 for b in range(1, m))
-    return [c for c in colorings if residual(c, diagram) == 0.0]
+    seeds = np.arange(1, m)
+    colors = np.array(propagate(diagram, quandle, (0 * seeds, seeds)))
+    ok = residual(Coloring(quandle, colors), diagram) == 0.0
+    return [Coloring(quandle, tuple(c)) for c in colors.T[ok].tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .colorings import Coloring, _check_arity
 from .errors import BadParameter, NotInLambda, NotMinusOne, OutOfInterval
-from .quandles import ConjClassQuandle, SphereQuandle, _iso_sphere_to_conj_rows
+from .quandles import ConjClassQuandle, SphereQuandle, iso_sphere_to_conj
 from .quaternions import Quaternion, distance
 from .tangles import longitude_word, torus_theta_interval
 
@@ -91,7 +91,7 @@ def to_conj_coloring(coloring):
         )
     theta = math.pi - q.psi / 2.0
     return Coloring(ConjClassQuandle(theta),
-                    tuple(_iso_sphere_to_conj_rows(coloring.colors, theta)))
+                    tuple(iso_sphere_to_conj(coloring.colors, theta)))
 
 
 def eval_word(diagram, coloring):

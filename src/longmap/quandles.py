@@ -1,7 +1,8 @@
 """Quandle instances used for tangle colorings.
 
-Five concrete quandles, each defining op, op_inv, validate, sample and
-distance (the base class adds ``op_signed``, ``stack`` and the check):
+Five concrete quandles, each defining op_signed(a, b, sign), which is a*b
+for sign 1 and its inverse for sign -1, validate, sample and distance (the
+base class adds ``op`` and ``op_inv``, the two signs, ``stack`` and a check):
 
 - ``SphereQuandle(psi)``       : S^2 with u*v = rotate(u, psi, v)
 - ``ConjClassQuandle(theta)``  : the SU(2) conjugacy class {exp(theta, u)}
@@ -13,9 +14,10 @@ distance (the base class adds ``op_signed``, ``stack`` and the check):
 
 Elements are plain payloads (numpy unit vectors, Quaternions, ints, or
 (Quaternion, Quaternion) pairs); each quandle validates its own payloads.
-Elements may also be stacks, as ``stack`` builds them: op, op_inv and
-distance then run once on all rows (quaternions through ``qmul``, bitwise
-``*`` per row), validate returns a bool per row, and one foreign row is a
+Elements may also be stacks, as ``stack`` builds them: op_signed, with
+sign +-1 or an array of signs that broadcasts over the rows, and distance
+then run once on all rows (quaternions through ``qmul``, bitwise ``*`` per
+row), validate returns a bool per row, and one foreign row is a
 MixedQuandleError.  A single Quaternion in gives a Quaternion out.
 """
 
@@ -66,9 +68,13 @@ def _is_quaternion(a):
         and a.shape[-1] == 4)
 
 
-def _inv(q):
-    """Inverse (conjugate) of a unit quaternion or of a stack."""
-    return q.inverse() if isinstance(q, Quaternion) else q * [1, -1, -1, -1]
+def _pow(q, sign):
+    """q^sign for sign +-1 or an array of signs over the rows of q: the
+    conjugate where sign is -1, bitwise ``Quaternion.inverse``."""
+    if isinstance(q, Quaternion) and np.ndim(sign) == 0:
+        return q if sign > 0 else q.inverse()
+    s = np.asarray(sign, dtype=float)
+    return np.asarray(q) * np.stack([np.ones_like(s), s, s, s], axis=-1)
 
 
 def _mul(*factors):
@@ -78,20 +84,21 @@ def _mul(*factors):
 
 
 class Quandle:
-    """Helpers built on a subclass's op, op_inv and validate."""
+    """Helpers built on a subclass's op_signed and validate."""
 
-    def op_signed(self, a, b, sign):
-        """op for sign +1, op_inv for sign -1."""
-        return self.op(a, b) if sign > 0 else self.op_inv(a, b)
+    def op(self, a, b):
+        return self.op_signed(a, b, 1)
+
+    def op_inv(self, a, b):
+        return self.op_signed(a, b, -1)
 
     def stack(self, elements):
         """The elements as one stacked element, a row each."""
-        return np.array(elements)
+        return np.asarray(elements)
 
     def _check(self, *elems):
         for e in elems:
-            valid = self.validate(e)
-            if not (valid.all() if isinstance(valid, np.ndarray) else valid):
+            if not np.all(self.validate(e)):
                 raise MixedQuandleError(f"{e!r} is not an element of {self!r}")
 
 
@@ -104,11 +111,8 @@ class SphereQuandle(Quandle):
     def __post_init__(self):
         check_psi(self.psi)
 
-    def op(self, a, b):
-        return rotate(a, self.psi, b)
-
-    def op_inv(self, a, b):
-        return rotate(a, -self.psi, b)
+    def op_signed(self, a, b, sign):
+        return rotate(a, self.psi * sign, b)
 
     def validate(self, a):
         a = np.asarray(a)
@@ -132,13 +136,10 @@ class ConjClassQuandle(Quandle):
         if not 0.0 < self.theta < math.pi:
             raise BadParameter("theta must lie in (0, pi)")
 
-    def op(self, a, b):
+    def op_signed(self, a, b, sign):
         self._check(a, b)
-        return _mul(_inv(b), a, b)
-
-    def op_inv(self, a, b):
-        self._check(a, b)
-        return _mul(b, a, _inv(b))
+        b = _pow(b, sign)
+        return _mul(_pow(b, -1), a, b)
 
     def validate(self, a):
         if not _is_quaternion(a):
@@ -167,12 +168,9 @@ class DihedralQuandle(Quandle):
         if self.m < 3:
             raise BadParameter("m must be at least 3")
 
-    def op(self, a, b):
+    def op_signed(self, a, b, sign):
         self._check(a, b)
-        return (2 * b - a) % self.m
-
-    def op_inv(self, a, b):
-        return self.op(a, b)
+        return (2 * b - a) % self.m  # the same for either sign
 
     def validate(self, a):
         a = np.asarray(a)
@@ -191,13 +189,10 @@ class GAlexQuandle(Quandle):
 
     x: Quaternion
 
-    def op(self, a, b):
+    def op_signed(self, a, b, sign):
         self._check(a, b)
-        return _mul(_inv(self.x), qmul(a, _inv(b)), self.x, b)
-
-    def op_inv(self, a, b):
-        self._check(a, b)
-        return _mul(self.x, qmul(a, _inv(b)), _inv(self.x), b)
+        x = _pow(self.x, sign)
+        return _mul(_pow(x, -1), qmul(a, _pow(b, -1)), x, b)
 
     def validate(self, a):
         if not _is_quaternion(a):
@@ -222,15 +217,11 @@ class EisQuandle(Quandle):
 
     x: Quaternion
 
-    def op(self, a, b):
+    def op_signed(self, a, b, sign):
         self._check(a, b)
         (pa, ga), (pb, _gb) = a, b
-        return (_mul(_inv(pb), pa, pb), _mul(_inv(self.x), ga, pb))
-
-    def op_inv(self, a, b):
-        self._check(a, b)
-        (pa, ga), (pb, _gb) = a, b
-        return (_mul(pb, pa, _inv(pb)), _mul(self.x, ga, _inv(pb)))
+        pb, x = _pow(pb, sign), _pow(self.x, sign)
+        return (_mul(_pow(pb, -1), pa, pb), _mul(_pow(x, -1), ga, pb))
 
     def validate(self, a):
         if not (isinstance(a, tuple) and len(a) == 2):
@@ -239,7 +230,7 @@ class EisQuandle(Quandle):
         if not (_is_quaternion(pa) and _is_quaternion(ga)
                 and np.shape(pa) == np.shape(ga)):
             return False
-        return qdistance(pa, _mul(_inv(ga), self.x, ga)) <= 1e-8
+        return qdistance(pa, _mul(_pow(ga, -1), self.x, ga)) <= 1e-8
 
     def sample(self, rng):
         g = random_unit_quaternion(rng)
@@ -253,14 +244,10 @@ class EisQuandle(Quandle):
         return np.maximum(qdistance(a[0], b[0]), qdistance(a[1], b[1]))
 
 
-def iso_sphere_to_conj(u, theta):
-    """u -> exp(theta, u): S^2_(2*pi - 2*theta) -> conjugacy class of theta."""
-    return _iso_sphere_to_conj_rows([u], theta)[0]
-
-
-def _iso_sphere_to_conj_rows(points, theta):
-    """``iso_sphere_to_conj`` over an (m, 3) stack of nonzero vectors, in
-    one numpy pass: a list of m ``Quaternion``s.
+def iso_sphere_to_conj(points, theta):
+    """u -> exp(theta, u), S^2_(2*pi - 2*theta) -> conjugacy class of theta,
+    over an (m, 3) stack of nonzero vectors u in one numpy pass: a list of
+    m ``Quaternion``s.
 
     Each row sum adds its components left to right, the order of the
     plain-float sqrt(x*x + y*y + z*z) and of ``Quaternion.from_components``,

@@ -34,8 +34,8 @@ from .quandles import (
     GAlexQuandle,
     SphereQuandle,
     axiom_check,
-    _iso_sphere_to_conj_rows,
     eis_to_galex,
+    iso_sphere_to_conj,
     random_sphere_point,
 )
 from .quaternions import Quaternion, distance, qdistance, qmul, rotate
@@ -98,7 +98,7 @@ def suite_axioms():
     uv = rotate(u, 2.0 * math.pi - 2.0 * theta, v)
     worst = 0.0
     for (t, ui, vi), uvi in zip(samples, uv):
-        lhs, iu, iv = _iso_sphere_to_conj_rows([uvi, ui, vi], t)
+        lhs, iu, iv = iso_sphere_to_conj([uvi, ui, vi], t)
         rhs = ConjClassQuandle(t).op(iu, iv)
         worst = np.maximum(worst, distance(lhs, rhs))
     lines.append(CheckLine("sphere/conjugation isomorphism", worst, 1e-10))

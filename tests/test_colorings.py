@@ -35,9 +35,21 @@ from longmap.errors import (
     NoSchedule,
     OutOfInterval,
 )
-from longmap.longitudes import eval_word, fig8_closed_form, t2n_closed_form
-from longmap.quandles import DihedralQuandle, SphereQuandle
+from longmap.longitudes import (
+    eval_word,
+    fig8_closed_form,
+    t2n_closed_form,
+    to_conj_coloring,
+)
+from longmap.quandles import (
+    ConjClassQuandle,
+    DihedralQuandle,
+    EisQuandle,
+    GAlexQuandle,
+    SphereQuandle,
+)
 from longmap.quaternions import (
+    Quaternion,
     directed_angle,
     distance,
     geodesic_distance,
@@ -402,6 +414,116 @@ def test_batched_residual_matches_the_crossing_loop(diagram, psi):
         single = Coloring(q, tuple(stack[:, k]))
         assert residual(single, diagram).tobytes() == want[k].tobytes()
         assert _loop_residual(single, diagram).tobytes() == want[k].tobytes()
+
+
+_X = Quaternion.exp(0.7, [1.0, 0.0, 0.0])
+_QUANDLES = [SphereQuandle(0.8 * PI), ConjClassQuandle(0.9),
+             DihedralQuandle(7), GAlexQuandle(_X), EisQuandle(_X)]
+_DIAGRAMS = [fig8(), parse(_CUSTOM), torus2n(7), torus2n(5, -1)]
+_DIAGRAM_IDS = ["fig8", "parsed", "T7", "T5-"]
+
+
+def _op_loop_residual(coloring, diagram):
+    """Reference: one op or op_inv and one distance per crossing."""
+    code, q, cols = diagram.code, coloring.quandle, coloring.colors
+    worst = 0.0
+    for i in range(code.n):
+        op = q.op if code.eps[i] > 0 else q.op_inv
+        expected = op(cols[i], cols[code.kappa[i]])
+        worst = np.maximum(worst, q.distance(cols[i + 1], expected))
+    return worst
+
+
+def _same_float(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+@pytest.mark.parametrize("q", _QUANDLES, ids=lambda q: type(q).__name__)
+@pytest.mark.parametrize("diagram", _DIAGRAMS, ids=_DIAGRAM_IDS)
+def test_residual_equals_the_op_loop_on_every_quandle(q, diagram):
+    # bitwise, on colorings propagated from random bridge colors, and on
+    # copies of them with arcs replaced by other elements one at a time
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        cols = propagate(diagram, q, (q.sample(rng), q.sample(rng)))
+        for arc in (None, *rng.integers(diagram.code.n + 1, size=3)):
+            if arc is not None:
+                cols[arc] = q.sample(rng)
+            c = Coloring(q, tuple(cols))
+            assert _same_float(residual(c, diagram),
+                               _op_loop_residual(c, diagram)), arc
+
+
+@pytest.mark.parametrize("q", _QUANDLES, ids=lambda q: type(q).__name__)
+@pytest.mark.parametrize("diagram", _DIAGRAMS, ids=_DIAGRAM_IDS)
+def test_residual_of_stacked_colorings_on_every_quandle(q, diagram):
+    # six colorings at once, each arc a stack of six colors: a residual
+    # per coloring, bitwise the loop's and each coloring's alone
+    rng = np.random.default_rng(25)
+    seeds = [q.stack([q.sample(rng) for _ in range(6)]) for _ in range(2)]
+    stacked = Coloring(q, tuple(propagate(diagram, q, seeds)))
+    got = residual(stacked, diagram)
+    want = _op_loop_residual(stacked, diagram)
+    assert got.shape == (6,) and got.tobytes() == want.tobytes()
+    for k in range(6):
+        one = Coloring(q, tuple(_take(c, k) for c in stacked.colors))
+        assert _same_float(residual(one, diagram), got[k])
+
+
+def _take(color, k):
+    """Row k of a stacked color, a Quaternion for a quaternion row."""
+    if isinstance(color, tuple):
+        return tuple(_take(c, k) for c in color)
+    row = color[k]
+    return Quaternion(*row.tolist()) if row.shape == (4,) else row
+
+
+def test_residual_equals_the_op_loop_on_valid_colorings():
+    # where every crossing's deviation is rounding, so that the maximum
+    # picks among values that differ in their last bits
+    cases = [(torus2n(n, 1), star_polygon(n, h, psi))
+             for n, h, psi in ((7, 1, 0.9 * PI), (7, 3, 1.3 * PI),
+                               (21, 5, 0.95 * PI))]
+    cases += [(fig8(), fig8_coloring(psi, b))
+              for psi in (0.7 * PI, 1.1 * PI) for b in (1, 2)]
+    cases += [(d, to_conj_coloring(c)) for d, c in cases]
+    cases += [(d, c) for d in (fig8(), torus2n(9)) for m in (5, 9)
+              for c in fox_colorings(d, m)]
+    assert len(cases) == 26  # 7 sphere, their 7 images and 12 Fox
+    for d, c in cases:
+        assert residual(c, d) <= 1e-9
+        assert _same_float(residual(c, d), _op_loop_residual(c, d))
+
+
+@pytest.mark.parametrize("q", _QUANDLES, ids=lambda q: type(q).__name__)
+def test_residual_of_a_tangle_without_crossings_is_zero(q):
+    d = TangleDiagram(WirtingerCode((), ()))
+    c = Coloring(q, (q.sample(np.random.default_rng(24)),))
+    assert residual(c, d) == 0.0
+    with pytest.raises(ArityMismatch):
+        residual(Coloring(q, c.colors * 2), d)
+
+
+def _fox_per_seed(diagram, m):
+    """Reference: one propagation and one crossing loop per seed."""
+    q = DihedralQuandle(m)
+    colorings = (Coloring(q, tuple(propagate(diagram, q, (0, b))))
+                 for b in range(1, m))
+    return [c for c in colorings if _op_loop_residual(c, diagram) == 0.0]
+
+
+@pytest.mark.parametrize("diagram", [
+    fig8(), torus2n(9), torus2n(15, -1), parse(_CUSTOM),
+    TangleDiagram(WirtingerCode((1, 0), (1, 1)), (0, 1), ()),
+], ids=["fig8", "T9", "T15-", "parsed", "no-schedule"])
+def test_stacked_fox_colorings_equal_the_per_seed_enumeration(diagram):
+    found = 0
+    for m in (3, 5, 9, 15, 45):
+        got = fox_colorings(diagram, m)
+        assert got == _fox_per_seed(diagram, m), m
+        assert all(type(x) is int for c in got for x in c.colors)
+        found += len(got)
+    assert found > 0 or diagram.code.n == 2
 
 
 @pytest.mark.parametrize("diagram,psi", _BATCH_CASES, ids=_BATCH_IDS)

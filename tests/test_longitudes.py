@@ -215,7 +215,7 @@ def _ref_conj_colors(coloring):
     if isinstance(coloring.quandle, ConjClassQuandle):
         return list(coloring.colors)
     theta = PI - coloring.quandle.psi / 2.0
-    return [iso_sphere_to_conj(u, theta) for u in coloring.colors]
+    return [iso_sphere_to_conj([u], theta)[0] for u in coloring.colors]
 
 
 def _ref_eval_word(diagram, coloring):
@@ -295,7 +295,7 @@ def test_every_quaternion_has_float_components():
         q * Quaternion.exp(1.1, [0.0, 1.0, 0.0]),
         q.inverse(),
         -q,
-        iso_sphere_to_conj(axis, 1.2),
+        *iso_sphere_to_conj([axis], 1.2),
         ConjClassQuandle(1.2).sample(rng),
         GAlexQuandle(q).sample(rng),
         t2n_closed_form(101, 1.5).q,

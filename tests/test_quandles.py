@@ -11,14 +11,13 @@ from longmap.quandles import (
     EisQuandle,
     GAlexQuandle,
     SphereQuandle,
-    _iso_sphere_to_conj_rows,
     axiom_check,
     eis_to_galex,
     iso_sphere_to_conj,
     random_sphere_point,
     random_unit_quaternion,
 )
-from longmap.quaternions import Quaternion, distance, qdistance
+from longmap.quaternions import Quaternion, distance, qdistance, rotate
 
 X = Quaternion.exp(0.7, [1.0, 0.0, 0.0])
 
@@ -199,9 +198,8 @@ def test_sphere_conj_isomorphism():
         sq = SphereQuandle(2 * math.pi - 2 * theta)
         cq = ConjClassQuandle(theta)
         u, v = random_sphere_point(rng), random_sphere_point(rng)
-        lhs = iso_sphere_to_conj(sq.op(u, v), theta)
-        rhs = cq.op(iso_sphere_to_conj(u, theta),
-                    iso_sphere_to_conj(v, theta))
+        lhs, iu, iv = iso_sphere_to_conj([sq.op(u, v), u, v], theta)
+        rhs = cq.op(iu, iv)
         worst = max(worst, distance(lhs, rhs))
     assert worst <= 1e-10
 
@@ -247,9 +245,7 @@ def test_eis_rejects_inconsistent_pair():
 def test_iso_rejects_bad_theta():
     for theta in (0.0, math.pi, -1.0, 4.0):
         with pytest.raises(BadParameter):
-            iso_sphere_to_conj([1.0, 0.0, 0.0], theta)
-        with pytest.raises(BadParameter):
-            _iso_sphere_to_conj_rows([[1.0, 0.0, 0.0]], theta)
+            iso_sphere_to_conj([[1.0, 0.0, 0.0]], theta)
 
 
 def _plain_iso(u, theta):
@@ -266,10 +262,10 @@ def test_iso_rows_equal_the_one_point_map():
     rng = np.random.default_rng(5)
     for theta in (1e-3, 0.4, math.pi / 2, 2.9):
         points = rng.normal(size=(200, 3)) * rng.uniform(1e-3, 1e3, (200, 1))
-        rows = _iso_sphere_to_conj_rows(points, theta)
+        rows = iso_sphere_to_conj(points, theta)
         assert len(rows) == len(points)
         for u, row in zip(points, rows):
-            one = iso_sphere_to_conj(u, theta)
+            [one] = iso_sphere_to_conj([u], theta)
             plain = _plain_iso(u, theta)
             assert (one.a, one.b, one.c, one.d) == tuple(row)
             assert (plain.a, plain.b, plain.c, plain.d) == tuple(row)
@@ -278,9 +274,79 @@ def test_iso_rows_equal_the_one_point_map():
 
 def test_iso_rejects_a_zero_vector():
     with pytest.raises(ValueError, match="zero vector"):
-        iso_sphere_to_conj([0.0, 0.0, 0.0], 1.0)
+        iso_sphere_to_conj([[0.0, 0.0, 0.0]], 1.0)
     for at in (0, 3, 6):
         points = np.tile([0.0, 0.6, 0.8], (7, 1))
         points[at] = 0.0
         with pytest.raises(ValueError, match="zero vector"):
-            _iso_sphere_to_conj_rows(points, 1.0)
+            iso_sphere_to_conj(points, 1.0)
+
+
+def _row(elem, i):
+    """Row i of a stacked element (of each stack of a pair)."""
+    return tuple(e[i] for e in elem) if isinstance(elem, tuple) else elem[i]
+
+
+def _same(x, y):
+    """Bitwise equality of two elements, single or stacked, or pairs."""
+    if isinstance(x, tuple) and not isinstance(x, Quaternion):
+        return all(_same(u, v) for u, v in zip(x, y, strict=True))
+    return np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+@pytest.mark.parametrize("q", instances(), ids=lambda q: type(q).__name__)
+def test_op_signed_with_mixed_signs_equals_op_and_op_inv(q):
+    # one call on a stack with a sign per row is each row's op or op_inv
+    rng = np.random.default_rng(21)
+    a = [q.sample(rng) for _ in range(40)]
+    b = [q.sample(rng) for _ in range(40)]
+    signs = rng.choice([1, -1], size=40)
+    got = q.op_signed(q.stack(a), q.stack(b), signs)
+    for i, s in enumerate(signs):
+        want = q.op(a[i], b[i]) if s > 0 else q.op_inv(a[i], b[i])
+        assert _same(_row(got, i), want), (i, s)
+    # signs of shape (8, 1) over an (8, 5) stack, as residual passes them
+    # for stacked colorings: one sign for each row of a block
+    got = q.op_signed(_blocks(q, a), _blocks(q, b), signs[:8, np.newaxis])
+    for i, s in enumerate(signs[:8]):
+        for j in range(5):
+            k = 5 * i + j
+            want = q.op(a[k], b[k]) if s > 0 else q.op_inv(a[k], b[k])
+            assert _same(_row(_row(got, i), j), want), (i, j, s)
+
+
+def _blocks(q, elems):
+    """The 40 elements as an (8, 5) stack (pairs: a pair of them)."""
+    stacked = q.stack(elems)
+    if isinstance(stacked, tuple):
+        return tuple(e.reshape(8, 5, 4) for e in stacked)
+    return stacked.reshape((8, 5) + stacked.shape[1:])
+
+
+def _written_out(q, a, b, sign):
+    """The relation a*b (sign +1) or its inverse, spelled out per quandle
+    with single-element arithmetic."""
+    if isinstance(q, SphereQuandle):
+        return rotate(a, sign * q.psi, b)
+    if isinstance(q, DihedralQuandle):
+        return (2 * b - a) % q.m
+    if isinstance(q, ConjClassQuandle):
+        return (b.inverse() * a * b if sign > 0 else b * a * b.inverse())
+    x, xi = (q.x, q.x.inverse()) if sign > 0 else (q.x.inverse(), q.x)
+    if isinstance(q, GAlexQuandle):
+        return xi * (a * b.inverse()) * x * b
+    (pa, ga), (pb, _) = a, b
+    pbs = pb if sign > 0 else pb.inverse()
+    return (pbs.inverse() * pa * pbs, xi * ga * pbs)
+
+
+@pytest.mark.parametrize("q", instances(), ids=lambda q: type(q).__name__)
+def test_op_and_op_inv_are_the_written_out_relations(q):
+    # bitwise, and a single element in gives the same type out
+    rng = np.random.default_rng(22)
+    for _ in range(50):
+        a, b = q.sample(rng), q.sample(rng)
+        for sign, op in ((1, q.op), (-1, q.op_inv)):
+            got, want = op(a, b), _written_out(q, a, b, sign)
+            assert type(got) is type(want)
+            assert _same(got, want), sign
