@@ -78,7 +78,8 @@ def propagate(diagram, quandle, bridge_colors):
     carries a stack, one coloring per row.
     """
     if not diagram.bridge_arcs:
-        raise NoSchedule(f"diagram {diagram.name or diagram!r} has no bridges")
+        label = diagram.name or f"of {diagram.code.n} crossings"
+        raise NoSchedule(f"diagram {label} has no bridges")
     colors = [None] * (diagram.code.n + 1)
     colors[0], colors[diagram.bridge_arcs[1]] = bridge_colors
     if diagram.terminal_is_initial:

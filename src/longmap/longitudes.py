@@ -21,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .colorings import Coloring, _check_arity
+from .colorings import (BASEPOINT, FIG8_PSI_HI, FIG8_PSI_LO, Coloring,
+                        _check_arity)
 from .errors import BadParameter, NotInLambda, NotMinusOne, OutOfInterval
 from .quandles import ConjClassQuandle, SphereQuandle, iso_sphere_to_conj
 from .quaternions import Quaternion, distance
@@ -73,7 +74,7 @@ class LongitudeValue:
                 "longitude value does not commute with the basepoint"
             )
         phi = math.atan2(q.b, q.a)
-        if distance(Quaternion.exp(phi, [1.0, 0.0, 0.0]), q) > LAMBDA_TOL:
+        if distance(Quaternion.exp(phi, BASEPOINT), q) > LAMBDA_TOL:
             raise NotInLambda(
                 "longitude value does not lie on the circle about i"
             )
@@ -140,7 +141,7 @@ def t2n_closed_form(n, theta, mirror=False):
     phi = wrap_angle(math.pi - 2 * n * theta)
     if mirror:
         phi = wrap_angle(-phi)
-    return LongitudeValue(q=Quaternion.exp(phi, [1.0, 0.0, 0.0]), phi=phi)
+    return LongitudeValue(q=Quaternion.exp(phi, BASEPOINT), phi=phi)
 
 
 def fig8_closed_form(theta, branch):
@@ -152,7 +153,7 @@ def fig8_closed_form(theta, branch):
     """
     if branch not in (1, 2):
         raise BadParameter("branch must be 1 or 2")
-    if not math.pi / 3.0 - 1e-12 <= theta <= 2.0 * math.pi / 3.0 + 1e-12:
+    if not FIG8_PSI_LO / 2.0 - 1e-12 <= theta <= FIG8_PSI_HI / 2.0 + 1e-12:
         raise OutOfInterval(
             f"theta={theta:.6f} admits no coloring of the figure-eight knot"
         )
@@ -176,7 +177,8 @@ def qn_check(diagram, coloring):
     word, each within LAMBDA_TOL; lead = -writhe is the word's lead
     exponent, -n for sign +1 and n for the mirror.  Returns q^n."""
     _check_arity(diagram, coloring)
-    cols = to_conj_coloring(coloring).colors
+    coloring = to_conj_coloring(coloring)
+    cols = coloring.colors
     n = diagram.code.n
     q0 = cols[0]
     q = q0 * cols[(n - 1) // 2 + 1]

@@ -30,19 +30,9 @@ POLE_TOL = 1e-12
 __all__ = [
     "POLE_TOL",
     "Quaternion",
-    "normalize",
     "geodesic_distance",
     "rotate",
-    "directed_angle",
 ]
-
-
-def normalize(u):
-    u = np.asarray(u, dtype=float)
-    nrm = np.linalg.norm(u, axis=-1, keepdims=True)
-    if np.any(nrm == 0.0):
-        raise ValueError("cannot normalize a zero vector")
-    return u / nrm
 
 
 def geodesic_distance(u, v):
@@ -83,22 +73,6 @@ def rotate(u, angle, v):
     sin_a = np.sin(angle)[..., np.newaxis]
     dot = (u * v).sum(axis=-1, keepdims=True)
     return u * cos_a + _cross(v, u) * sin_a + v * dot * (1.0 - cos_a)
-
-
-def directed_angle(a, b, c):
-    """The angle phi in [0, 2*pi) with c = rotate(a, phi, b).
-
-    Requires a and c to lie at equal geodesic distance from b; the angle is
-    measured right-handed about b.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    a_perp = a - np.sum(a * b, axis=-1, keepdims=True) * b
-    c_perp = c - np.sum(c * b, axis=-1, keepdims=True) * b
-    y = np.sum(_cross(a_perp, c_perp) * b, axis=-1)
-    x = np.sum(a_perp * c_perp, axis=-1)
-    return np.mod(np.arctan2(y, x), 2.0 * math.pi)
 
 
 class Quaternion(NamedTuple):
@@ -171,9 +145,8 @@ class Quaternion(NamedTuple):
 
 def distance(p, q):
     """Euclidean distance between two quaternions as points of S^3."""
-    return math.sqrt(
-        (p.a - q.a) ** 2 + (p.b - q.b) ** 2 + (p.c - q.c) ** 2 + (p.d - q.d) ** 2
-    )
+    da, db, dc, dd = p.a - q.a, p.b - q.b, p.c - q.c, p.d - q.d
+    return math.sqrt(da * da + db * db + dc * dc + dd * dd)
 
 
 def qmul(p, q):
@@ -195,8 +168,6 @@ def qmul(p, q):
 
 
 def qdistance(p, q):
-    """``distance`` over (..., 4) stacks, row by row bitwise: it squares by
-    float ** (C's pow), which rounds unlike d * d once in ~1000 inputs."""
-    d = np.subtract(p, q, dtype=float)
-    sq = np.reshape([x ** 2 for x in d.ravel().tolist()], d.shape)
-    return np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3])
+    """``distance`` over (..., 4) stacks, row by row bitwise."""
+    a, b, c, d = np.moveaxis(np.subtract(p, q, dtype=float), -1, 0)
+    return np.sqrt(a * a + b * b + c * c + d * d)

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colorings import (
+    BASEPOINT,
+    FIG8_PSI_HI,
+    FIG8_PSI_LO,
     fig8_betas,
     fig8_coloring,
     reflect_coloring,
@@ -66,7 +69,7 @@ def suite_axioms():
     """Quandle axioms on all five instances, plus the structural identities:
     sphere/conjugation isomorphism and the pair-quandle projection."""
     rng = np.random.default_rng(SEED)
-    x = Quaternion.exp(0.7, [1.0, 0.0, 0.0])
+    x = Quaternion.exp(0.7, BASEPOINT)
     instances = [
         ("sphere(1.234)", SphereQuandle(1.234)),
         ("conjclass(0.9)", ConjClassQuandle(0.9)),
@@ -115,21 +118,33 @@ def suite_axioms():
 
 
 def _torus_cases(ns=(3, 5, 7, 9), samples=8):
+    """(n, theta, torus2n(n), its star polygon at psi = 2*pi - 2*theta) for
+    ``samples`` theta 0.02 inside the window of each step h."""
     for n in ns:
         diagram = torus2n(n, 1)
         for h in range(1, (n - 1) // 2 + 1):
             lo, hi = torus_theta_interval(n, h)
-            for theta in np.linspace(lo + 0.02, hi - 0.02, samples):
-                yield n, h, float(theta), diagram
+            for theta in np.linspace(lo + 0.02, hi - 0.02, samples).tolist():
+                yield (n, theta, diagram,
+                       star_polygon(n, h, 2.0 * math.pi - 2.0 * theta))
+
+
+def _fig8_cases(margin, samples):
+    """(branch, theta, fig8(), its coloring at psi = 2*pi - 2*theta) for
+    ``samples`` theta ``margin`` inside the window, each on both branches."""
+    diagram = fig8()
+    lo, hi = FIG8_PSI_LO / 2.0 + margin, FIG8_PSI_HI / 2.0 - margin
+    for theta in np.linspace(lo, hi, samples).tolist():
+        for branch in (1, 2):
+            yield (branch, theta, diagram,
+                   fig8_coloring(2.0 * math.pi - 2.0 * theta, branch))
 
 
 def suite_torus():
     """Longitude word vs the torus closed form, and q^n = -1."""
     worst_cf = worst_qn = worst_res = 0.0
     minus_one = Quaternion(-1.0, 0.0, 0.0, 0.0)
-    for n, h, theta, diagram in _torus_cases():
-        psi = 2.0 * math.pi - 2.0 * theta
-        coloring = star_polygon(n, h, psi)
+    for n, theta, diagram, coloring in _torus_cases():
         worst_res = np.maximum(worst_res, residual(coloring, diagram))
         value = eval_word(diagram, coloring)
         closed = t2n_closed_form(n, theta)
@@ -146,17 +161,13 @@ def suite_torus():
 
 def suite_fig8():
     """Figure-eight closed forms against direct word evaluation."""
-    diagram = fig8()
     worst_cf = worst_res = 0.0
-    for theta in np.linspace(math.pi / 3 + 0.02, 2 * math.pi / 3 - 0.02, 40):
-        psi = 2.0 * math.pi - 2.0 * theta
-        for branch in (1, 2):
-            coloring = fig8_coloring(psi, branch)
-            worst_res = np.maximum(worst_res, residual(coloring, diagram))
-            value = eval_word(diagram, coloring)
-            closed = fig8_closed_form(theta, branch)
-            worst_cf = np.maximum(worst_cf, distance(value.q, closed.q))
-    beta = fig8_betas(2.0 * math.pi / 3.0)
+    for branch, theta, diagram, coloring in _fig8_cases(0.02, 40):
+        worst_res = np.maximum(worst_res, residual(coloring, diagram))
+        value = eval_word(diagram, coloring)
+        closed = fig8_closed_form(theta, branch)
+        worst_cf = np.maximum(worst_cf, distance(value.q, closed.q))
+    beta = fig8_betas(FIG8_PSI_LO)
     dev = np.maximum(
         abs(beta[0] - math.acos(-1.0 / 3.0)),
         abs(beta[1] - math.acos(-1.0 / 3.0)),
@@ -171,16 +182,10 @@ def suite_fig8():
 def suite_lift():
     """Generalized-Alexander lift vs direct word evaluation, including
     rotated colorings about the basepoint axis."""
-    cases = [(diagram, star_polygon(n, h, 2 * math.pi - 2 * theta))
-             for n, h, theta, diagram in _torus_cases(ns=(3, 5, 7), samples=5)]
-    diagram8 = fig8()
-    cases += [(diagram8, fig8_coloring(2 * math.pi - 2 * theta, branch))
-              for theta in np.linspace(math.pi / 3 + 0.05,
-                                       2 * math.pi / 3 - 0.05, 10)
-              for branch in (1, 2)]
+    cases = [*_torus_cases(ns=(3, 5, 7), samples=5), *_fig8_cases(0.05, 10)]
     rng = np.random.default_rng(SEED)
     worst = worst_rot = 0.0
-    for diagram, coloring in cases:
+    for *_, diagram, coloring in cases:
         direct = eval_word(diagram, coloring).q
         worst = np.maximum(worst,
                            distance(galex_lift(diagram, coloring), direct))
@@ -196,14 +201,11 @@ def suite_lift():
 def suite_mirror():
     """Mirror torus diagram evaluates to the inverse longitude."""
     worst = 0.0
-    for n in (3, 5, 7):
-        pos, neg = torus2n(n, 1), torus2n(n, -1)
-        for _, h, theta, _d in _torus_cases(ns=(n,), samples=5):
-            coloring = star_polygon(n, h, 2 * math.pi - 2 * theta)
-            mirrored = reflect_coloring(coloring)
-            lhs = eval_word(neg, mirrored).q
-            rhs = eval_word(pos, coloring).q.inverse()
-            worst = np.maximum(worst, distance(lhs, rhs))
+    mirrors = {n: torus2n(n, -1) for n in (3, 5, 7)}
+    for n, _, diagram, coloring in _torus_cases(ns=tuple(mirrors), samples=5):
+        lhs = eval_word(mirrors[n], reflect_coloring(coloring)).q
+        rhs = eval_word(diagram, coloring).q.inverse()
+        worst = np.maximum(worst, distance(lhs, rhs))
     return [CheckLine("mirror inverse relation", worst, 1e-8)]
 
 

@@ -115,6 +115,36 @@ def test_color_json(capsys):
     assert len(payload["seeds"][0]["colors"]) == 4
 
 
+@pytest.mark.parametrize("source, psi", [
+    (["--knot", "fig8"], "2.5"),
+    (["--knot", "torus:7"], "2.8"),
+    (["--knot", "torus:21:-1"], "2.9"),
+    (["--file", "{tangle}"], "3.0"),
+], ids=["fig8", "torus7", "torus21-mirror", "file"])
+def test_color_text_and_json_layout(tmp_path, capsys, source, psi):
+    # the JSON is json.dumps(..., indent=2) and a newline, and every line
+    # of the text has its pinned layout and the JSON's values at 17
+    # significant digits
+    path = tmp_path / "t5.tangle"
+    path.write_text(serialize(torus2n(5)))
+    argv = ["color", *(a.format(tangle=path) for a in source), "--psi", psi]
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    seeds, g = payload["seeds"], "{:.17g}".format
+    want = [f"psi = {g(payload['psi'])}: {len(seeds)} nontrivial seed(s)"]
+    for seed in seeds:
+        want.append(f"  beta = {g(seed['beta'])}  "
+                    f"residual = {seed['residual']:.3e}")
+        want += [f"    arc {arc}: ({g(x)}, {g(y)}, {g(z)})"
+                 for arc, (x, y, z) in enumerate(seed["colors"])]
+    assert text == "".join(f"{line}\n" for line in want)
+    assert len(seeds) >= 2
+
+
 def test_color_degrees(capsys):
     code, out, _ = run(capsys, "color", "--knot", "fig8", "--psi", "180",
                        "--deg")

@@ -12,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 
-from longmap.quaternions import Quaternion, distance, normalize  # noqa: E402
+from longmap.quaternions import Quaternion, distance  # noqa: E402
 from longmap.tangles import fig8, parse, serialize, torus2n  # noqa: E402
 
 settings = hypothesis.settings(derandomize=True, deadline=None,
@@ -25,10 +25,14 @@ def _away_from_zero(v):
     return math.sqrt(sum(x * x for x in v)) >= 0.1
 
 
+def _unit(v):
+    nrm = math.sqrt(sum(x * x for x in v))
+    return [x / nrm for x in v]
+
+
 quaternions = st.tuples(*[_unit_interval] * 4).filter(_away_from_zero).map(
     lambda v: Quaternion.from_components(*v))
-axes = st.tuples(*[_unit_interval] * 3).filter(_away_from_zero).map(
-    normalize)
+axes = st.tuples(*[_unit_interval] * 3).filter(_away_from_zero).map(_unit)
 angles = st.floats(0.0, math.pi)
 
 
