@@ -293,51 +293,72 @@ def _arc_words(diagram):
                   for ci in diagram.residual_crossings]
 
 
-def _word_program(pairs, psi):
-    """Compile (word, base) pairs for one psi, once, into a function: betas
-    -> the colors W b W^-1 of the pairs, shape (3, len(pairs), len(betas));
-    complex betas give the complex-step extension.
+def _word_program(pairs):
+    """Compile (word, base) pairs, once per diagram, into a function: psi
+    -> a run, betas -> the colors W b W^-1 of the pairs, shape (3,
+    len(pairs), len(betas)); complex betas give the complex-step extension.
 
-    The prefix trie of the words, the syllable values, the node steps, end
-    nodes and base mask are built here; a run only does the arithmetic.  It
-    multiplies each prefix once, as its own prefix times a syllable
-    c + s (u i + v j), c = cos(a*psi/2).
+    The compile does not depend on psi: the prefix trie of the words, the
+    node steps, end nodes, keep set, base mask and syllable keys.  A psi
+    gives the syllable values and the matrices of the x syllables, which do
+    not depend on beta; a run only builds the y-syllable matrices and does
+    the arithmetic.  It multiplies each prefix once, as its own prefix
+    times a syllable c + s (u i + v j), c = cos(a*psi/2).
     """
-    ids, ends = {}, []
+    ids, ends, keys = {}, [], {}
     for word, _ in pairs:
         node = 0
         for letter, a in word:
             node = ids.setdefault((node, letter, a), len(ids) + 1)
         ends.append(node)
-    halves = {}  # (s, s, c) of each syllable
     for _, letter, a in ids:
-        c, s = math.cos(0.5 * a * psi), math.sin(0.5 * a * psi)
-        halves[letter, a] = np.array([[s], [s], [c]])
+        keys.setdefault((letter, a), len(keys))
 
     # a product is dropped after its only child, unless a word ends there
     keep = set(ends)
     keep |= {k for k, n in Counter(p for p, _, _ in ids).items() if n > 1}
-    steps = [(parent, (letter, a), node, parent not in keep)
+    steps = [(parent, keys[letter, a], node, parent not in keep)
              for (parent, letter, a), node in ids.items()]
     bases = np.array([base for _, base in pairs])[:, np.newaxis]
-    return partial(_run_words, steps, ends, bases, halves)
+    return partial(_bind_words, steps, ends, bases, list(keys))
 
 
-def _run_words(steps, ends, bases, halves, betas):
+_X_AXIS = np.array([[1.0], [0.0], [1.0]])  # (u, v, 1) of the letter x
+_ONE = np.eye(4, 1)  # the product of the empty word
+
+
+def _bind_words(steps, ends, bases, keys, psi):
+    """A ``_word_program`` at one psi: the (s, s, c) of each syllable, and
+    the matrix of each x syllable."""
+    mats, ys = [], []
+    for i, (letter, a) in enumerate(keys):
+        c, s = math.cos(0.5 * a * psi), math.sin(0.5 * a * psi)
+        half = np.array([[s], [s], [c]])
+        mats.append(None if letter else _syllables(_X_AXIS, half))
+        if letter:
+            ys.append((i, half))
+    return partial(_run_words, steps, ends, bases, mats, ys)
+
+
+def _syllables(axis, half):
+    """Right multiplication by a syllable c + s (u i + v j) is (s u, s v,
+    c) @ _TIMES: its 4x4 matrices for ``half`` = (s, s, c) and each column
+    (u, v, 1) of ``axis``; columns are betas."""
+    return (_TIMES.T @ (axis * half)).reshape(4, 4, -1)
+
+
+def _run_words(steps, ends, bases, mats, ys, betas):
     """A ``_word_program`` run over a stack of seed angles."""
     cos_b, sin_b = np.cos(betas), np.sin(betas)
-    # right multiplication by c + s (u i + v j) is (s u, s v, c) @ _TIMES,
-    # with (u, v) = (1, 0) for x; rows are components, columns are betas
-    axes = [np.array([[1.0], [0.0], [1.0]]),
-            np.stack([cos_b, sin_b, np.ones_like(cos_b)])]
-    mats, prods = {}, {0: np.eye(4, 1) + 0.0 * cos_b}
+    axis = np.stack([cos_b, sin_b, np.ones_like(cos_b)])
+    mats = mats.copy()
+    for i, half in ys:
+        mats[i] = _syllables(axis, half)
+    prods = [_ONE + 0.0 * cos_b, *[None] * len(steps)]
     for parent, key, node, drop in steps:  # parents come first
-        if key not in mats:
-            mats[key] = (_TIMES.T @ (axes[key[0]] * halves[key])
-                         ).reshape(4, 4, -1)
         prods[node] = np.einsum("jk,jlk->lk", prods[parent], mats[key])
         if drop:
-            del prods[parent]
+            prods[parent] = None
 
     # b = (bx, by, 0) turned by W = s + v: b + s t + v x t, t = 2 v x b
     s, v1, v2, v3 = np.stack([prods[end] for end in ends], axis=1)
@@ -349,13 +370,36 @@ def _run_words(steps, ends, bases, halves, betas):
                      s * t3 + v1 * t2 - v2 * t1])
 
 
-def _gaps(psi, arcs, relations, crossings):
+def _solver(diagram):
+    """The psi-free part of ``solve_colorings`` for a diagram: the program
+    of the relation gaps of its residual crossings, that of its arc words
+    (``_arc_words``), and the degree D = 2k + 2 of the gaps as
+    trigonometric polynomials in beta, with k the most y syllables in a gap
+    word.  Compiled on the diagram's first solve and kept beside its fields,
+    as its steps are; it holds no reference to the diagram, so it dies with
+    it."""
+    compiled = vars(diagram).get("_solver")
+    if compiled is None:
+        arcs, relations = _arc_words(diagram)
+        words = [*(arcs[ci] for ci in diagram.residual_crossings), *relations]
+        k = max(sum(letter == 1 for letter, _ in w) for w, _ in words)
+        compiled = (_word_program(words), _word_program(arcs), 2 * k + 2)
+        object.__setattr__(diagram, "_solver", compiled)
+    return compiled
+
+
+def _gaps(program, psi):
     """The relation gaps that ``solve_colorings`` scans and refines, from
-    the arc and relation words of ``_arc_words`` and the residual
-    ``crossings``: betas -> each crossing's out-arc color minus the color
-    its relation demands, shape (3, len(crossings), len(betas))."""
-    run = _word_program([*(arcs[ci] for ci in crossings), *relations], psi)
-    return lambda b: np.subtract(*np.split(run(b), 2, axis=1))
+    the gap program of ``_solver``: betas -> each residual crossing's
+    out-arc color minus the color its relation demands, shape (3,
+    crossings, len(betas))."""
+    run = program(psi)
+
+    def gaps(betas):
+        colors = run(betas)
+        n = colors.shape[1] // 2
+        return colors[:, :n] - colors[:, n:]
+    return gaps
 
 
 def _grid_minima(gaps, grid):
@@ -375,31 +419,29 @@ def _refine(gaps, betas):
     the evaluation that reached beta, is taken, the lower one if both do,
     or neither.  Returns the betas and a mask of the steps that were finite
     and in [0, pi]."""
-    def gaps_and_slopes(b):
-        g = gaps(b.ravel() + 1j * _CSTEP).reshape((-1,) + b.shape)
-        return g.real, g.imag / _CSTEP
+    def complex_gaps(b):  # real parts the gaps, imaginary _CSTEP the slopes
+        return gaps(b.ravel() + 1j * _CSTEP).reshape((-1,) + b.shape)
 
     rows = np.arange(len(betas))
-    g, dg = gaps_and_slopes(betas)
-    cost = np.sum(g * g, axis=0)
+    z = complex_gaps(betas)
+    cost = np.sum(z.real * z.real, axis=0)
     ok = np.ones(len(betas), dtype=bool)
     for _ in range(_POLISH_STEPS):
+        g, dg = z.real, z.imag / _CSTEP
         jj = np.sum(dg * dg, axis=0)
         step = -np.divide(np.sum(g * dg, axis=0), jj,
                           out=np.zeros_like(jj), where=jj > 0.0)
         trial = betas[:, np.newaxis] + step[:, np.newaxis] * [1.0, 2.0]
-        tg, tdg = gaps_and_slopes(trial)
+        tz = complex_gaps(trial)
         tcost = np.where((0.0 <= trial) & (trial <= math.pi),
-                         np.sum(tg * tg, axis=0), np.inf)
+                         np.sum(tz.real * tz.real, axis=0), np.inf)
         ok &= tcost[:, 0] < np.inf  # the step is finite and in [0, pi]
         # beta itself comes first, so that it stays unless a step is lower
-        trial = np.column_stack([betas, trial])
-        tg = np.concatenate([g[..., np.newaxis], tg], axis=-1)
-        tdg = np.concatenate([dg[..., np.newaxis], tdg], axis=-1)
         tcost = np.column_stack([cost, tcost])
         best = np.argmin(tcost, axis=1)
-        betas, cost = trial[rows, best], tcost[rows, best]
-        g, dg = tg[:, rows, best], tdg[:, rows, best]
+        betas = np.column_stack([betas, trial])[rows, best]
+        cost = tcost[rows, best]
+        z = np.concatenate([z[..., np.newaxis], tz], axis=-1)[:, rows, best]
     return betas, ok
 
 
@@ -410,10 +452,11 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     bridge generators and b_j a bridge color: the coloring by the free
     quandle on the bridges, which ``propagate`` builds (``_arc_words``).
     So rounding grows with the word length, not along the arc chain as in
-    a numeric ``propagate``.  The words are compiled once per solve into two
-    ``_word_program``s: the relation ``_gaps``, which the grid scan and
-    every refinement step run, and the arc words, which give the final
-    colors.  Three stages, each run on all candidates at once:
+    a numeric ``propagate``.  The words are compiled once per diagram, on
+    its first solve, into two ``_word_program``s (``_solver``): the
+    relation ``_gaps``, which the grid scan and every refinement step run,
+    and the arc words, which give the final colors.  Three stages, each run
+    on all candidates at once:
 
     1. grid scan: every local minimum over ``grid`` seed angles in [0, pi]
        of the largest relation gap of a residual crossing;
@@ -426,7 +469,9 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
 
     A seed angle beta at most SPREAD_TOL puts the seed on the basepoint,
     which gives the trivial constant coloring; it is dropped, as are
-    duplicate seeds within SEED_TOL.  ``grid`` lies in 16..MAX_GRID.
+    duplicate seeds within SEED_TOL.  ``grid`` lies in 16..MAX_GRID and
+    above D + 1, with D the degree of the gaps in beta (``_solver``): the
+    scan's 2(grid - 1) samples per period determine them only then.
     Returns a list of (beta, Coloring) sorted by beta.
     """
     if not diagram.bridge_arcs:
@@ -434,10 +479,14 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     if not 16 <= grid <= MAX_GRID:
         raise BadParameter(f"grid must lie in 16..{MAX_GRID}, not {grid}")
     quandle = SphereQuandle(psi)  # BadParameter unless 0 < psi < 2*pi
-    arcs, relations = _arc_words(diagram)
-    gaps = _gaps(psi, arcs, relations, diagram.residual_crossings)
+    gap_program, arc_program, degree = _solver(diagram)
+    if grid - 1 <= degree:
+        raise BadParameter(f"grid must be at least {degree + 2} for this "
+                           f"diagram, whose gaps have degree {degree} in "
+                           f"beta, not {grid}")
+    gaps = _gaps(gap_program, psi)
     betas, ok = _refine(gaps, _grid_minima(gaps, grid))
-    colors = np.moveaxis(_word_program(arcs, psi)(betas), 0, -1)
+    colors = np.moveaxis(arc_program(psi)(betas), 0, -1)
     ok &= residual(Coloring(quandle, colors), diagram) <= EPS_COLOR
     ok &= betas > SPREAD_TOL  # a seed on the basepoint colors every arc x
 

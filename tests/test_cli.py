@@ -212,6 +212,16 @@ def test_color_grid_above_the_cap_exits_two(capsys, monkeypatch):
     assert out == "" and err.startswith("error: ") and str(MAX_GRID) in err
 
 
+def test_color_grid_below_the_floor_exits_two(capsys):
+    # 64 angles under-sample the gaps of T(2,101), of degree 102 in beta:
+    # a scan of them finds 16 of the 45 seeds at psi = 2.8
+    code, out, err = run(capsys, "color", "--knot", "torus:101", "--psi",
+                         "2.8", "--grid", "64")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "104" in err
+    assert err.count("\n") == 1
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = run(capsys, "verify", "all")
     assert code == 0

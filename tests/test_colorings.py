@@ -1,8 +1,11 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from longmap import colorings
 from longmap.colorings import (
     BASEPOINT,
     DEFAULT_GRID,
@@ -17,6 +20,7 @@ from longmap.colorings import (
     _gaps,
     _grid_minima,
     _refine,
+    _solver,
     _word_program,
     admissible_steps,
     fig8_betas,
@@ -64,7 +68,7 @@ PI = math.pi
 
 def _word_colors(pairs, psi, betas):
     """Colors of all the (word, base) pairs."""
-    return _word_program(pairs, psi)(betas)
+    return _word_program(pairs)(psi)(betas)
 
 
 def test_torus_intervals():
@@ -440,7 +444,7 @@ def test_batched_residual_matches_the_crossing_loop(diagram, psi):
     # of the solver's seeds, and on each of them alone
     q = SphereQuandle(psi)
     arcs, _ = _arc_words(diagram)
-    run = _word_program(arcs, psi)
+    run = _word_program(arcs)(psi)
     seeds = [np.array(c.colors) for _, c in solve_colorings(diagram, psi)]
     stack = np.concatenate([np.moveaxis(run(np.linspace(0.05, 3.1, 9)), 0, -1),
                             np.stack(seeds, axis=1)], axis=1)
@@ -567,7 +571,7 @@ def test_gaps_at_a_beta_do_not_depend_on_the_stack(diagram, psi):
     # _refine reuses the gaps at beta from the evaluation that reached it,
     # which is exact only if they are bitwise the same alone and as one
     # column of a trial stack, for real and complex-step betas
-    gaps = _gaps(psi, *_arc_words(diagram), diagram.residual_crossings)
+    gaps = _gaps(_solver(diagram)[0], psi)
     for b in (np.linspace(0.05, 3.1, 7), np.linspace(0.05, 3.1, 7) + 1e-20j):
         trial = np.stack([b[::-1], b, b + 0.25], axis=-1)
         stacked = gaps(trial.ravel()).reshape((-1,) + trial.shape)
@@ -605,13 +609,79 @@ def _refine_evaluating_beta_again(gaps, betas):
     (fig8(), 2 * PI / 3), (torus2n(51), 0.9 * PI), (torus2n(7), 0.02 * PI)],
     ids=_BATCH_IDS + ["fig8-end", "T51", "T7-end"])
 def test_refine_matches_evaluating_beta_again(diagram, psi):
-    gaps = _gaps(psi, *_arc_words(diagram), diagram.residual_crossings)
+    gaps = _gaps(_solver(diagram)[0], psi)
     start = _grid_minima(gaps, DEFAULT_GRID)
     for betas in (start, start[:1]):
         got, want = _refine(gaps, betas), _refine_evaluating_beta_again(
             gaps, betas)
         assert got[0].tobytes() == want[0].tobytes()
         assert np.array_equal(got[1], want[1])
+
+
+_MAKERS = [fig8, lambda: torus2n(9), lambda: torus2n(15, -1),
+           lambda: parse(_CUSTOM)]
+_MAKER_IDS = ["fig8", "T9", "T15-", "parsed"]
+
+
+def test_solver_compiles_a_diagram_once(monkeypatch):
+    compiles = []
+
+    def counted(diagram):
+        compiles.append(diagram)
+        return _arc_words(diagram)
+
+    monkeypatch.setattr(colorings, "_arc_words", counted)
+    d = torus2n(9)
+    for psi in (2.6, 2.8, 3.0, 3.3):
+        assert solve_colorings(d, psi)
+    assert compiles == [d]
+    solve_colorings(torus2n(9), 2.8)  # an equal diagram compiles its own
+    assert len(compiles) == 2
+
+
+@pytest.mark.parametrize("make", _MAKERS, ids=_MAKER_IDS)
+def test_solve_through_the_compiled_diagram_is_bitwise_fresh(make):
+    d = make()
+    solve_colorings(d, 1.3 * PI)  # compiles d
+    found = 0
+    for psi in (0.8 * PI, 0.9 * PI, 1.1 * PI, 1.3 * PI):
+        got, want = solve_colorings(d, psi), solve_colorings(make(), psi)
+        assert len(got) == len(want)
+        for (b, c), (wb, wc) in zip(got, want):
+            assert np.float64(b).tobytes() == np.float64(wb).tobytes()
+            assert np.array(c.colors).tobytes() == np.array(
+                wc.colors).tobytes()
+        found += len(got)
+    assert found > 0
+
+
+@pytest.mark.parametrize("make", _MAKERS, ids=_MAKER_IDS)
+def test_compiled_diagram_keeps_its_identity_and_dies_with_it(make):
+    d, twin = make(), make()
+    before = repr(d), hash(d)
+    solve_colorings(d, 0.9 * PI)
+    assert (repr(d), hash(d)) == before
+    assert d == twin and twin == d
+    entry = weakref.ref(_solver(d)[0])
+    del d
+    gc.collect()
+    assert entry() is None
+
+
+@pytest.mark.parametrize("n", [21, 101])
+def test_grid_must_sample_the_gaps(n):
+    d = torus2n(n)
+    degree = _solver(d)[2]
+    assert degree == n + 1  # k = (n - 1)/2 y syllables
+    with pytest.raises(BadParameter, match=f"at least {degree + 2} "):
+        solve_colorings(d, 2.8, grid=degree + 1)
+    assert solve_colorings(d, 2.8, grid=degree + 2)
+
+
+def test_default_grid_samples_the_largest_diagram():
+    # T(2,1001) is the largest knot that ``color`` solves; compiling it
+    # runs no solve
+    assert _solver(torus2n(1001))[2] <= DEFAULT_GRID - 2
 
 
 def test_solver_rejects_psi_out_of_range():
