@@ -294,16 +294,15 @@ def _arc_words(diagram):
 
 
 def _word_program(pairs):
-    """Compile (word, base) pairs, once per diagram, into a function: psi
-    -> a run, betas -> the colors W b W^-1 of the pairs, shape (3,
+    """Compile (word, base) pairs, once per diagram, into a function
+    run(psi, betas) -> the colors W b W^-1 of the pairs, shape (3,
     len(pairs), len(betas)); complex betas give the complex-step extension.
 
-    The compile does not depend on psi: the prefix trie of the words, the
-    node steps, end nodes, keep set, base mask and syllable keys.  A psi
-    gives the syllable values and the matrices of the x syllables, which do
-    not depend on beta; a run only builds the y-syllable matrices and does
-    the arithmetic.  It multiplies each prefix once, as its own prefix
-    times a syllable c + s (u i + v j), c = cos(a*psi/2).
+    The compile depends on neither psi nor beta: the prefix trie of the
+    words, the node steps, end nodes, keep set, base mask and syllable
+    keys.  Nothing is bound per psi: a run builds the matrix of every
+    syllable key and does the arithmetic.  It multiplies each prefix once,
+    as its own prefix times a syllable c + s (u i + v j), c = cos(a*psi/2).
     """
     ids, ends, keys = {}, [], {}
     for word, _ in pairs:
@@ -320,24 +319,11 @@ def _word_program(pairs):
     steps = [(parent, keys[letter, a], node, parent not in keep)
              for (parent, letter, a), node in ids.items()]
     bases = np.array([base for _, base in pairs])[:, np.newaxis]
-    return partial(_bind_words, steps, ends, bases, list(keys))
+    return partial(_run_words, steps, ends, bases, list(keys))
 
 
 _X_AXIS = np.array([[1.0], [0.0], [1.0]])  # (u, v, 1) of the letter x
 _ONE = np.eye(4, 1)  # the product of the empty word
-
-
-def _bind_words(steps, ends, bases, keys, psi):
-    """A ``_word_program`` at one psi: the (s, s, c) of each syllable, and
-    the matrix of each x syllable."""
-    mats, ys = [], []
-    for i, (letter, a) in enumerate(keys):
-        c, s = math.cos(0.5 * a * psi), math.sin(0.5 * a * psi)
-        half = np.array([[s], [s], [c]])
-        mats.append(None if letter else _syllables(_X_AXIS, half))
-        if letter:
-            ys.append((i, half))
-    return partial(_run_words, steps, ends, bases, mats, ys)
 
 
 def _syllables(axis, half):
@@ -347,13 +333,16 @@ def _syllables(axis, half):
     return (_TIMES.T @ (axis * half)).reshape(4, 4, -1)
 
 
-def _run_words(steps, ends, bases, mats, ys, betas):
-    """A ``_word_program`` run over a stack of seed angles."""
+def _run_words(steps, ends, bases, keys, psi, betas):
+    """A ``_word_program`` run: the matrix of every syllable key at psi, x
+    about _X_AXIS and y about each seed in betas, then the products."""
     cos_b, sin_b = np.cos(betas), np.sin(betas)
     axis = np.stack([cos_b, sin_b, np.ones_like(cos_b)])
-    mats = mats.copy()
-    for i, half in ys:
-        mats[i] = _syllables(axis, half)
+    mats = []
+    for letter, a in keys:
+        c, s = math.cos(0.5 * a * psi), math.sin(0.5 * a * psi)
+        mats.append(_syllables(axis if letter else _X_AXIS,
+                               np.array([[s], [s], [c]])))
     prods = [_ONE + 0.0 * cos_b, *[None] * len(steps)]
     for parent, key, node, drop in steps:  # parents come first
         prods[node] = np.einsum("jk,jlk->lk", prods[parent], mats[key])
@@ -392,11 +381,9 @@ def _gaps(program, psi):
     """The relation gaps that ``solve_colorings`` scans and refines, from
     the gap program of ``_solver``: betas -> each residual crossing's
     out-arc color minus the color its relation demands, shape (3,
-    crossings, len(betas))."""
-    run = program(psi)
-
+    crossings, len(betas)); each call is one run of the program at psi."""
     def gaps(betas):
-        colors = run(betas)
+        colors = program(psi, betas)
         n = colors.shape[1] // 2
         return colors[:, :n] - colors[:, n:]
     return gaps
@@ -453,10 +440,11 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     quandle on the bridges, which ``propagate`` builds (``_arc_words``).
     So rounding grows with the word length, not along the arc chain as in
     a numeric ``propagate``.  The words are compiled once per diagram, on
-    its first solve, into two ``_word_program``s (``_solver``): the
-    relation ``_gaps``, which the grid scan and every refinement step run,
-    and the arc words, which give the final colors.  Three stages, each run
-    on all candidates at once:
+    its first solve, into two ``_word_program``s (``_solver``), each run as
+    a function of (psi, betas) with nothing bound per psi: the relation
+    ``_gaps``, which the grid scan and every refinement step run, and the
+    arc words, which give the final colors.  Three stages, each run on all
+    candidates at once:
 
     1. grid scan: every local minimum over ``grid`` seed angles in [0, pi]
        of the largest relation gap of a residual crossing;
@@ -474,8 +462,6 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     scan's 2(grid - 1) samples per period determine them only then.
     Returns a list of (beta, Coloring) sorted by beta.
     """
-    if not diagram.bridge_arcs:
-        raise NoSchedule("solve_colorings needs a diagram with two bridges")
     if not 16 <= grid <= MAX_GRID:
         raise BadParameter(f"grid must lie in 16..{MAX_GRID}, not {grid}")
     quandle = SphereQuandle(psi)  # BadParameter unless 0 < psi < 2*pi
@@ -486,7 +472,7 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
                            f"beta, not {grid}")
     gaps = _gaps(gap_program, psi)
     betas, ok = _refine(gaps, _grid_minima(gaps, grid))
-    colors = np.moveaxis(arc_program(psi)(betas), 0, -1)
+    colors = np.moveaxis(arc_program(psi, betas), 0, -1)
     ok &= residual(Coloring(quandle, colors), diagram) <= EPS_COLOR
     ok &= betas > SPREAD_TOL  # a seed on the basepoint colors every arc x
 

@@ -291,11 +291,11 @@ def parse(text):
         seen.add(key)
         if key == "kappa":
             try:
-                kappa = tuple(int(s) for s in val.split(","))
+                kappa = tuple(int(s) for s in (val.split(",") if val else ()))
             except ValueError:
                 raise ParseError("kappa entries must be integers", lineno) from None
         elif key == "eps":
-            signs = [s.strip() for s in val.split(",")]
+            signs = [s.strip() for s in (val.split(",") if val else ())]
             if any(s not in ("+", "-") for s in signs):
                 raise ParseError("eps entries must be '+' or '-'", lineno)
             eps = tuple(1 if s == "+" else -1 for s in signs)

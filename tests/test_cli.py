@@ -177,6 +177,20 @@ def test_color_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# the second is the trivial tangle as ``serialize`` writes it
+@pytest.mark.parametrize("text,n", [
+    ("tangle n=3\nkappa=1,2,0\neps=+,+,+\n", 3),
+    ("tangle n=0\nkappa=\neps=\n", 0),
+], ids=["bare", "trivial"])
+def test_color_file_without_bridges_exits_two(tmp_path, capsys, text, n):
+    path = tmp_path / "bare.tangle"
+    path.write_text(text)
+    code, out, err = run(capsys, "color", "--file", str(path), "--psi", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: diagram of {n} crossings has no bridges\n"
+
+
 @pytest.mark.parametrize("bridges", ["0,99", "0,-1"])
 def test_color_file_with_seed_arc_out_of_range_exits_two(tmp_path, capsys,
                                                          bridges):

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ PI = math.pi
 
 def _word_colors(pairs, psi, betas):
     """Colors of all the (word, base) pairs."""
-    return _word_program(pairs)(psi)(betas)
+    return _word_program(pairs)(psi, betas)
 
 
 def test_torus_intervals():
@@ -444,7 +445,7 @@ def test_batched_residual_matches_the_crossing_loop(diagram, psi):
     # of the solver's seeds, and on each of them alone
     q = SphereQuandle(psi)
     arcs, _ = _arc_words(diagram)
-    run = _word_program(arcs)(psi)
+    run = partial(_word_program(arcs), psi)
     seeds = [np.array(c.colors) for _, c in solve_colorings(diagram, psi)]
     stack = np.concatenate([np.moveaxis(run(np.linspace(0.05, 3.1, 9)), 0, -1),
                             np.stack(seeds, axis=1)], axis=1)
@@ -693,7 +694,8 @@ def test_solver_rejects_psi_out_of_range():
 
 def test_solver_requires_schedule():
     bare = TangleDiagram(WirtingerCode((1, 2, 0), (1, 1, 1)))
-    with pytest.raises(NoSchedule):
+    with pytest.raises(NoSchedule, match="^diagram of 3 crossings has no "
+                                         "bridges$"):
         solve_colorings(bare, PI)
     # named by its name, or else its crossing count, not its whole repr
     with pytest.raises(NoSchedule, match="^diagram of 3 crossings has no"):

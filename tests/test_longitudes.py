@@ -1,5 +1,6 @@
 import math
 import struct
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from longmap.quandles import (
     SphereQuandle,
     iso_sphere_to_conj,
 )
-from longmap.quaternions import Quaternion, distance
+from longmap.quaternions import Quaternion, distance, rotate
 from longmap.tangles import fig8, longitude_word, parse, torus2n
 
 PI = math.pi
@@ -353,3 +354,100 @@ def test_matrix_route_agrees_with_word_and_lift():
                 assert distance(by_matrix, galex_lift(d, c)) <= LAMBDA_TOL
                 seeds += 1
     assert seeds > 100
+
+
+# ---------------------------------------------------------------------------
+# finite subquandles: Eisermann's finite-group oracle on any diagram
+
+
+def _icosahedral_axes():
+    """Unit vertex, face and edge axes (12, 20 and 30) of the icosahedron
+    whose vertices are the cyclic shifts of (0, +-1, +-golden ratio); its
+    edges are the vertex pairs at distance 2."""
+    g = (1.0 + math.sqrt(5.0)) / 2.0
+    verts = np.array([np.roll([0.0, s, t * g], k) for k in range(3)
+                      for s in (1.0, -1.0) for t in (1.0, -1.0)])
+    edges = [e for e in combinations(range(12), 2)
+             if abs(np.linalg.norm(verts[e[0]] - verts[e[1]]) - 2.0) < 1e-9]
+    faces = [f for f in combinations(range(12), 3)
+             if all(e in edges for e in combinations(f, 2))]
+    axes = [verts, *(np.array([verts[list(c)].sum(axis=0) for c in cells])
+                     for cells in (faces, edges))]
+    return [a / np.linalg.norm(a, axis=1, keepdims=True) for a in axes]
+
+
+_VERTEX_AXES, _FACE_AXES, _EDGE_AXES = _icosahedral_axes()
+# each axis type is closed under the turns of the icosahedral group about
+# its own axes, so it is a finite subquandle of SphereQuandle(psi)
+_FINITE_CASES = [*((_VERTEX_AXES, 2 * PI * k / 5) for k in range(1, 5)),
+                 (_FACE_AXES, 2 * PI / 3), (_FACE_AXES, 4 * PI / 3),
+                 (_EDGE_AXES, PI)]
+_FINITE_IDS = ["vertex-1", "vertex-2", "vertex-3", "vertex-4", "face-1",
+               "face-2", "edge"]
+_FINITE_DIAGRAMS = [fig8(), _CUSTOM, *(torus2n(n, sign)
+                                       for n in range(3, 22, 2)
+                                       for sign in (1, -1))]
+
+
+def _finite_quandle(axes, psi):
+    """The axes turned so that the first is the basepoint, and the index
+    tables of the crossing relation for signs +1 and -1, each image of
+    ``rotate`` snapped to its nearest axis."""
+    p, q = axes[0], axes[1]
+    u = q - (q @ p) * p
+    u /= np.linalg.norm(u)
+    points = axes @ np.array([p, u, np.cross(p, u)]).T
+    tables = {}
+    for sign in (1, -1):
+        images = rotate(points[:, np.newaxis], sign * psi, points[np.newaxis])
+        snap = np.linalg.norm(images[:, :, np.newaxis] - points, axis=-1)
+        tables[sign] = np.argmin(snap, axis=-1)
+        assert np.max(np.min(snap, axis=-1)) < 1e-9
+    return points, tables
+
+
+def _finite_colorings(diagram, points, tables):
+    """Every coloring of the diagram by the finite quandle with arc 0 on
+    the basepoint: each other point as the seed, propagated as indices
+    through ``steps()``, kept where every crossing holds as an index
+    equality.  An array of shape (colorings, arcs) of point indices."""
+    code = diagram.code
+    seeds = np.arange(1, len(points))
+    arcs = [None] * (code.n + 1)
+    arcs[0], arcs[diagram.bridge_arcs[1]] = 0 * seeds, seeds
+    if diagram.terminal_is_initial:
+        arcs[-1] = arcs[0]
+    for target, source, over, sign in diagram.steps():
+        arcs[target] = tables[sign][arcs[source], arcs[over]]
+    ok = np.all([arcs[i + 1] == tables[code.eps[i]][arcs[i], arcs[k]]
+                 for i, k in enumerate(code.kappa)], axis=0)
+    return np.stack(arcs, axis=1)[ok]
+
+
+@pytest.mark.parametrize("axes,psi", _FINITE_CASES, ids=_FINITE_IDS)
+def test_finite_colorings_are_solver_seeds(axes, psi):
+    # a finite seed that the solver misses is a solver defect; a solver
+    # seed with no finite coloring is not
+    points, tables = _finite_quandle(axes, psi)
+    found = 0
+    for d in _FINITE_DIAGRAMS:
+        solved = solve_colorings(d, psi)
+        betas = np.array([b for b, _ in solved])
+        for arcs in _finite_colorings(d, points, tables):
+            colors = points[arcs]
+            beta = math.acos(colors[0] @ colors[d.bridge_arcs[1]])
+            near = np.flatnonzero(np.abs(betas - beta) <= 1e-8)
+            assert len(near) == 1, (d, psi, beta)
+            want = solved[near[0]][1]
+            # turned about the basepoint, the seed lies on E
+            seed = colors[d.bridge_arcs[1]]
+            turned = rotate(colors, -math.atan2(seed[2], seed[1]), BASEPOINT)
+            assert np.max(np.abs(turned - want.colors)) <= 1e-9, (d, beta)
+            c = Coloring(SphereQuandle(psi), tuple(turned))
+            value, want_q = eval_word(d, c), eval_word(d, want).q
+            for q in (value.q, galex_lift(d, c), _matrix_longitude(d, c)):
+                assert distance(q, want_q) <= LAMBDA_TOL, (d, beta)
+            steps = value.phi / (PI / 30)
+            assert abs(steps - round(steps)) * PI / 30 <= 1e-6
+            found += 1
+    assert found > 0

@@ -195,11 +195,13 @@ def test_bad_torus_params():
 # n = 2: the bridges and the terminal arc define every arc, so the
 # schedule is empty
 EMPTY_SCHEDULE = TangleDiagram(WirtingerCode((1, 0), (1, 1)), (0, 1), ())
+# n = 0: no crossing and no bridges, written with empty kappa= and eps=
+TRIVIAL = TangleDiagram(WirtingerCode((), ()))
 
 
 @pytest.mark.parametrize(
-    "diagram", [torus2n(3), torus2n(7, -1), fig8(), EMPTY_SCHEDULE],
-    ids=["t3", "t7m", "fig8", "empty-schedule"])
+    "diagram", [torus2n(3), torus2n(7, -1), fig8(), EMPTY_SCHEDULE, TRIVIAL],
+    ids=["t3", "t7m", "fig8", "empty-schedule", "trivial"])
 def test_roundtrip(diagram):
     back = parse(serialize(diagram))
     assert back.code == diagram.code
