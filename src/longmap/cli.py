@@ -10,10 +10,10 @@ Subcommands:
 Angles are radians by default; pass ``--deg`` to give them in degrees.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 Each command returns its exit code and its output lines, and ``main``
-writes them; ``sweep`` and ``intervals`` (table or JSON) are generators, so
-their memory does not grow with their length.  A reader that closes stdout
-early, as ``| head`` does, does not change the exit code, and ``verify``
-prints after all its checks have run, so a breach exits 1 even then.
+writes them; ``sweep``, ``intervals`` (table or JSON) and ``color`` as text
+are generators, so none of these reports is ever kept whole.  A reader
+that closes stdout early, as ``| head`` does, does not change the exit code,
+and ``verify`` prints after all its checks, so a breach exits 1 even then.
 
 Importing this module imports no numpy: each handler imports the layers it
 runs after the checks that need none of them.  So ``intervals`` never
@@ -38,7 +38,7 @@ from .tangles import (check_psi, fig8, parse, torus2n, torus_interval,
 FMT = "{:.17g}"
 MAX_STEPS = 100_000  # the theta grid is allocated up front
 # color's output grows as arcs^2, up to (n - 1)/2 seeds of n + 1 arcs for
-# T(2,n): T(2,1001) printed 35 MB in 4.3 s, of which the solver took 0.8 s
+# T(2,n): T(2,1001) prints 35 MB in 2.8 s at the solver's own 90 MB peak RSS
 MAX_ARCS = 1002
 
 
@@ -141,19 +141,22 @@ def cmd_color(args):
 
     grid = {} if args.grid is None else {"grid": args.grid}
     seeds = solve_colorings(diagram, psi, **grid)
-    records = [{"beta": beta, "residual": residual(coloring, diagram),
-                "colors": [list(map(float, c)) for c in coloring.colors]}
-               for beta, coloring in seeds]
     if args.json:
+        records = [{"beta": beta, "residual": residual(coloring, diagram),
+                    "colors": coloring.colors.tolist()}
+                   for beta, coloring in seeds]
         return 0, [json.dumps({"psi": psi, "seeds": records}, indent=2) + "\n"]
-    lines = [f"psi = {_fmt(psi)}: {len(records)} nontrivial seed(s)\n"]
-    for rec in records:
-        lines.append(f"  beta = {_fmt(rec['beta'])}  "
-                     f"residual = {rec['residual']:.3e}\n")
-        for arc, c in enumerate(rec["colors"]):
-            lines.append("    arc {}: ({:.17g}, {:.17g}, {:.17g})\n".format(
-                arc, *c))
-    return 0, lines
+    return 0, _color_lines(psi, seeds, lambda c: residual(c, diagram))
+
+
+def _color_lines(psi, seeds, residual):
+    """The text report of ``color``, a line at a time: a header, then each
+    seed's beta and ``residual`` and the colors of its arcs."""
+    yield f"psi = {_fmt(psi)}: {len(seeds)} nontrivial seed(s)\n"
+    for beta, coloring in seeds:
+        yield f"  beta = {_fmt(beta)}  residual = {residual(coloring):.3e}\n"
+        for arc, (x, y, z) in enumerate(coloring.colors.tolist()):
+            yield f"    arc {arc}: ({x:.17g}, {y:.17g}, {z:.17g})\n"
 
 
 def _sweep_lines(thetas, branches, seed_beta, longitude):

@@ -65,10 +65,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Coloring:
-    """An assignment of quandle elements to the arcs 0..n of a diagram."""
+    """An assignment of quandle elements to the arcs 0..n of a diagram; a
+    sphere coloring made here is an (arcs, 3) float array, a row per arc."""
 
     quandle: object
-    colors: tuple
+    colors: object
 
 
 def propagate(diagram, quandle, bridge_colors):
@@ -187,9 +188,7 @@ def star_polygon(n, h, psi):
 
     # arc j carries braid color q_(2j mod n); the step-h coloring sends q_m
     # to vertex h*m
-    colors = tuple(
-        verts[(h * (2 * j % n)) % n] for j in range(n + 1)
-    )
+    colors = verts[h * (2 * np.arange(n + 1) % n) % n]
     return Coloring(SphereQuandle(psi), colors)
 
 
@@ -232,7 +231,7 @@ def fig8_coloring(psi, branch):
     diagram = fig8()
     quandle = SphereQuandle(psi)
     u2 = np.array([math.cos(beta), math.sin(beta), 0.0])
-    colors = tuple(propagate(diagram, quandle, (BASEPOINT, u2)))
+    colors = np.array(propagate(diagram, quandle, (BASEPOINT, u2)))
     out = Coloring(quandle, colors)
     res = residual(out, diagram)
     if res > EPS_COLOR:
@@ -487,7 +486,7 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
                 "two seeds inside one grid cell; increase the grid",
                 stacklevel=2,
             )
-        seeds.append((beta, Coloring(quandle, tuple(colors[:, i]))))
+        seeds.append((beta, Coloring(quandle, colors[:, i])))
     return seeds
 
 
@@ -512,8 +511,7 @@ def fox_colorings(diagram, m):
 
 def rotate_coloring(coloring, phi):
     """Rotate every color about the basepoint axis (1,0,0) by phi."""
-    cols = tuple(rotate(c, phi, BASEPOINT) for c in coloring.colors)
-    return Coloring(coloring.quandle, cols)
+    return Coloring(coloring.quandle, rotate(coloring.colors, phi, BASEPOINT))
 
 
 def reflect_coloring(coloring):
@@ -523,6 +521,4 @@ def reflect_coloring(coloring):
     a coloring of the mirror diagram (all crossing signs flipped) over the
     same spherical quandle, fixing the basepoint.
     """
-    flip = np.array([1.0, -1.0, 1.0])
-    cols = tuple(np.asarray(c) * flip for c in coloring.colors)
-    return Coloring(coloring.quandle, cols)
+    return Coloring(coloring.quandle, np.asarray(coloring.colors) * [1, -1, 1])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BadParameter, ParseError, ValidationError
 
@@ -112,7 +112,7 @@ class TangleDiagram:
     code: WirtingerCode
     bridge_arcs: tuple = ()
     schedule: tuple = ()
-    name: str = ""
+    name: str = field(default="", compare=False)  # a label, not in ==
 
     def __post_init__(self):
         n, kappa, eps = self.code.n, self.code.kappa, self.code.eps

@@ -19,6 +19,7 @@ from longmap.cli import MAX_ARCS, MAX_STEPS, main
 from longmap.colorings import (
     MAX_GRID,
     admissible_steps,
+    solve_colorings,
     star_beta,
     star_polygon,
     torus_interval,
@@ -473,6 +474,10 @@ def test_readme_library_tour_runs():
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
     )
     assert proc.returncode == 0, proc.stderr
+    # fig8's two seeds, each a beta and its longitude angle
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    assert all(len([*map(float, line.split())]) == 2 for line in lines)
 
 
 def test_readme_cli_block_runs(tmp_path):
@@ -725,6 +730,20 @@ def test_sweep_branches_memory_does_not_grow_with_n(monkeypatch):
                      monkeypatch)
         for n in (21, 200001))
     assert large - small < 100_000, (small, large)
+
+
+def test_color_memory_does_not_grow_with_the_report(monkeypatch):
+    # the report was kept whole, every arc color copied to a list first:
+    # at T(2,301) the command peaked at 3.2 times the solver's own peak
+    tracemalloc.start()
+    try:
+        solve_colorings(torus2n(301), 2.8)
+        solver = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    command = _peak_memory(["color", "--knot", "torus:301", "--psi", "2.8"],
+                           monkeypatch)
+    assert command <= 1.25 * solver, (solver, command)
 
 
 def test_intervals_table(capsys):

@@ -46,6 +46,7 @@ from longmap.errors import (
 from longmap.longitudes import (
     eval_word,
     fig8_closed_form,
+    galex_lift,
     t2n_closed_form,
     to_conj_coloring,
 )
@@ -740,6 +741,59 @@ def test_reflect_coloring_colors_the_mirror():
     assert residual(m, torus2n(5, -1)) <= 1e-9
     # and it is not a coloring of the original
     assert residual(m, torus2n(5, 1)) > 1e-3
+
+
+def _sphere_colorings():
+    """(id, diagram, coloring) of star polygons, fig8 colorings and solver
+    seeds, the three producers of sphere colorings."""
+    for n, h, psi in [(5, 1, 0.9 * PI), (5, 2, 0.9 * PI), (21, 7, 2.8)]:
+        yield f"star{n},{h}", torus2n(n), star_polygon(n, h, psi)
+    for branch in (1, 2):
+        yield f"fig8-{branch}", fig8(), fig8_coloring(2.5, branch)
+    for label, d, psi in [("fig8", fig8(), 2.5), ("T9", torus2n(9), 2.8),
+                          ("T9-", torus2n(9, -1), 2.8),
+                          ("parsed", parse(_CUSTOM), 2.5)]:
+        seeds = solve_colorings(d, psi)
+        assert seeds, label
+        for k, (_, c) in enumerate(seeds):
+            yield f"seed-{label}-{k}", d, c
+
+
+_SPHERE_COLORINGS = list(_sphere_colorings())
+_sphere_ids = [label for label, _, _ in _SPHERE_COLORINGS]
+
+
+def _bits(colors):
+    return np.asarray(colors).tobytes()
+
+
+@pytest.mark.parametrize("label,d,c", _SPHERE_COLORINGS, ids=_sphere_ids)
+def test_every_sphere_coloring_is_one_array(label, d, c):
+    for made in (c, rotate_coloring(c, 1.7), reflect_coloring(c)):
+        assert type(made.colors) is np.ndarray, label
+        assert made.colors.dtype == float
+        assert made.colors.shape == (d.code.n + 1, 3)
+
+
+@pytest.mark.parametrize("label,d,c", _SPHERE_COLORINGS, ids=_sphere_ids)
+def test_transforms_equal_the_per_arc_reference(label, d, c):
+    phi = 1.7
+    turned = [rotate(row, phi, BASEPOINT) for row in c.colors]
+    flipped = [row * np.array([1.0, -1.0, 1.0]) for row in c.colors]
+    assert _bits(rotate_coloring(c, phi).colors) == _bits(turned)
+    assert _bits(reflect_coloring(c).colors) == _bits(flipped)
+
+
+@pytest.mark.parametrize("label,d,c", _SPHERE_COLORINGS, ids=_sphere_ids)
+def test_a_tuple_of_rows_gives_the_same_results(label, d, c):
+    rows = Coloring(c.quandle, tuple(np.array(row) for row in c.colors))
+    assert _bits(residual(rows, d)) == _bits(residual(c, d))
+    assert eval_word(d, rows) == eval_word(d, c)
+    assert galex_lift(d, rows) == galex_lift(d, c)
+    assert _bits(rotate_coloring(rows, 1.7).colors) == _bits(
+        rotate_coloring(c, 1.7).colors)
+    assert _bits(reflect_coloring(rows).colors) == _bits(
+        reflect_coloring(c).colors)
 
 
 def test_residual_detects_perturbation():

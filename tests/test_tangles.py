@@ -204,6 +204,9 @@ TRIVIAL = TangleDiagram(WirtingerCode((), ()))
     ids=["t3", "t7m", "fig8", "empty-schedule", "trivial"])
 def test_roundtrip(diagram):
     back = parse(serialize(diagram))
+    # the name is not written, and is not part of == or hash
+    assert back == diagram
+    assert hash(back) == hash(diagram)
     assert back.code == diagram.code
     assert back.bridge_arcs == diagram.bridge_arcs
     assert back.schedule == diagram.schedule
