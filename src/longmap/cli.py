@@ -38,8 +38,9 @@ from .tangles import (check_psi, fig8, parse, torus2n, torus_interval,
 FMT = "{:.17g}"
 MAX_STEPS = 100_000  # the theta grid is allocated up front
 # color's output grows as arcs^2, up to (n - 1)/2 seeds of n + 1 arcs for
-# T(2,n): T(2,1001) prints 35 MB in 2.8 s at the solver's own 90 MB peak RSS
+# T(2,n): T(2,1001) prints 35 MB in 3 s at the solver's own 90 MB peak RSS
 MAX_ARCS = 1002
+_RESIDUAL_ROWS = 1 << 16  # arc colors of color's report checked at once
 
 
 def _fmt(x):
@@ -137,24 +138,43 @@ def cmd_color(args):
     diagram = _load_diagram(args)
     psi = _angle(args.psi, args)
     check_psi(psi)
-    from .colorings import residual, solve_colorings
+    from .colorings import solve_colorings
 
     grid = {} if args.grid is None else {"grid": args.grid}
     seeds = solve_colorings(diagram, psi, **grid)
+    residuals = _seed_residuals(diagram, seeds)
     if args.json:
-        records = [{"beta": beta, "residual": residual(coloring, diagram),
+        records = [{"beta": beta, "residual": res,
                     "colors": coloring.colors.tolist()}
-                   for beta, coloring in seeds]
+                   for (beta, coloring), res in zip(seeds, residuals)]
         return 0, [json.dumps({"psi": psi, "seeds": records}, indent=2) + "\n"]
-    return 0, _color_lines(psi, seeds, lambda c: residual(c, diagram))
+    return 0, _color_lines(psi, seeds, residuals)
 
 
-def _color_lines(psi, seeds, residual):
+def _seed_residuals(diagram, seeds):
+    """The ``residual`` of each seed's coloring, bitwise the calls one seed
+    at a time, from one call per stack of at most _RESIDUAL_ROWS arc colors:
+    a bigger stack would lift the command's peak memory above the
+    solver's (by 11 MB at T(2,1001), all 446 seeds at once)."""
+    import numpy as np
+
+    from .colorings import Coloring, residual
+
+    per = max(1, _RESIDUAL_ROWS // (diagram.code.n + 1))
+    out = []
+    for start in range(0, len(seeds), per):
+        chunk = [coloring for _, coloring in seeds[start:start + per]]
+        stack = np.stack([c.colors for c in chunk], axis=1)
+        out += residual(Coloring(chunk[0].quandle, stack), diagram).tolist()
+    return out
+
+
+def _color_lines(psi, seeds, residuals):
     """The text report of ``color``, a line at a time: a header, then each
-    seed's beta and ``residual`` and the colors of its arcs."""
+    seed's beta and residual and the colors of its arcs."""
     yield f"psi = {_fmt(psi)}: {len(seeds)} nontrivial seed(s)\n"
-    for beta, coloring in seeds:
-        yield f"  beta = {_fmt(beta)}  residual = {residual(coloring):.3e}\n"
+    for (beta, coloring), res in zip(seeds, residuals):
+        yield f"  beta = {_fmt(beta)}  residual = {res:.3e}\n"
         for arc, (x, y, z) in enumerate(coloring.colors.tolist()):
             yield f"    arc {arc}: ({x:.17g}, {y:.17g}, {z:.17g})\n"
 

@@ -3,8 +3,9 @@
 Closed-form families (spherical star polygons for the (2, n) torus knots,
 the two-branch figure-eight family), a numeric solver that colors 2-bridge
 diagrams over spherical quandles by words in the bridge generators (their
-free-quandle coloring), and an exhaustive Fox-coloring oracle over dihedral
-quandles.
+free-quandle coloring), scanning and refining the seed angle on the
+Fourier coefficients of the crossing relations' gaps, and an exhaustive
+Fox-coloring oracle over dihedral quandles.
 
 Basepoint convention: the initial arc is always colored x = (1, 0, 0), and
 the second bridge color is sought on the half-equator
@@ -246,7 +247,10 @@ def fig8_coloring(psi, branch):
 
 
 _POLISH_STEPS = 4  # Gauss-Newton steps in beta
-_CSTEP = 1e-20     # complex step for the slope in beta
+# complex powers that ``_evaluate`` forms at once: 128 KB, under malloc's
+# default mmap threshold, so that a block mostly reuses heap pages instead
+# of faulting in fresh ones on every run
+_BLOCK = 1 << 13
 
 # the flattened M with p @ M = p*i = (-b, a, d, -c), p*j = (-c, -d, a, b)
 # and p, for a quaternion row p = (a, b, c, d)
@@ -295,7 +299,7 @@ def _arc_words(diagram):
 def _word_program(pairs):
     """Compile (word, base) pairs, once per diagram, into a function
     run(psi, betas) -> the colors W b W^-1 of the pairs, shape (3,
-    len(pairs), len(betas)); complex betas give the complex-step extension.
+    len(pairs), len(betas)).
 
     The compile depends on neither psi nor beta: the prefix trie of the
     words, the node steps, end nodes, keep set, base mask and syllable
@@ -376,58 +380,83 @@ def _solver(diagram):
     return compiled
 
 
-def _gaps(program, psi):
-    """The relation gaps that ``solve_colorings`` scans and refines, from
-    the gap program of ``_solver``: betas -> each residual crossing's
-    out-arc color minus the color its relation demands, shape (3,
-    crossings, len(betas)); each call is one run of the program at psi."""
-    def gaps(betas):
-        colors = program(psi, betas)
-        n = colors.shape[1] // 2
-        return colors[:, :n] - colors[:, n:]
-    return gaps
+def _gap_series(program, psi, degree):
+    """The relation gaps that ``solve_colorings`` scans and refines, by
+    their Fourier coefficients: each residual crossing's out-arc color
+    minus the color its relation demands is Re sum_k c_k e^(ik beta), k =
+    0..D, with D = ``degree`` (``_solver``), so one run of the gap program
+    at psi on 2D + 2 equispaced betas in [0, 2 pi) determines the c_k.
+    Returns the real (2(D + 1), 2 rows) matrix, rows = 3 per residual
+    crossing, that takes the powers e^(ik beta), as the pairs (Re, Im), to
+    the gaps and then their exact slopes Re sum_k ik c_k e^(ik beta):
+    Re(c p) = Re c Re p - Im c Im p.  ``_evaluate`` applies it."""
+    from numpy.fft import rfft  # only a solve pays for the import
+
+    n = 2 * degree + 2
+    colors = program(psi, 2.0 * math.pi / n * np.arange(n))
+    half = colors.shape[1] // 2
+    c = rfft((colors[:, :half] - colors[:, half:]).reshape(-1, n))
+    # c_0 = F_0 / n and c_k = 2 F_k / n; F_(D + 1), at the Nyquist
+    # frequency, is rounding, as the degree is at most D
+    k = np.arange(degree + 1)
+    c = c[:, :degree + 1] * np.where(k, 2.0 / n, 1.0 / n)
+    c = np.concatenate([c, 1j * k * c])
+    return np.stack([c.real, -c.imag], axis=-1).reshape(len(c), -1).T
 
 
-def _grid_minima(gaps, grid):
+def _evaluate(series, betas):
+    """The gaps and slopes of ``_gap_series`` at each of the betas, shape
+    (len(betas), 2 rows): the powers e^(ik beta) of at most _BLOCK betas
+    and terms at a time, by one cumprod over k, then one matmul."""
+    terms = series.shape[0] // 2
+    out = np.empty((len(betas), series.shape[1]))
+    block = max(1, _BLOCK // terms)
+    for start in range(0, len(betas), block):
+        b = betas[start:start + block]
+        powers = np.empty((len(b), terms), dtype=complex)
+        powers[:, 0] = 1.0
+        powers[:, 1:] = np.exp(1j * b)[:, np.newaxis]
+        np.cumprod(powers, axis=1, out=powers)
+        out[start:start + block] = powers.view(float) @ series
+    return out
+
+
+def _grid_minima(series, grid):
     """Stage 1 of ``solve_colorings``: the seed angles on a uniform grid of
-    [0, pi] where the largest of the relation ``gaps`` is a local minimum."""
+    [0, pi] where the largest relation gap is a local minimum, and the
+    gaps and slopes there."""
     betas = np.linspace(0.0, math.pi, grid)
-    res = np.max(np.sum(gaps(betas) ** 2, axis=0), axis=0)
+    values = _evaluate(series, betas)
+    gaps = values[:, :values.shape[1] // 2].reshape(grid, 3, -1)
+    res = np.max(np.sum(gaps ** 2, axis=1), axis=1)
     padded = np.concatenate([[np.inf], res, [np.inf]])
-    return betas[(res <= padded[:-2]) & (res <= padded[2:])]
+    at = (res <= padded[:-2]) & (res <= padded[2:])
+    return betas[at], values[at]
 
 
-def _refine(gaps, betas):
+def _refine(series, betas, values):
     """Stage 2 of ``solve_colorings``: _POLISH_STEPS Gauss-Newton steps in
-    beta on the relation gaps, with slopes from a complex step.  The step
-    and the doubled step, exact at a double root, are evaluated together;
-    the one that lowers the squared gaps below those at beta, known from
-    the evaluation that reached beta, is taken, the lower one if both do,
-    or neither.  Returns the betas and a mask of the steps that were finite
-    and in [0, pi]."""
-    def complex_gaps(b):  # real parts the gaps, imaginary _CSTEP the slopes
-        return gaps(b.ravel() + 1j * _CSTEP).reshape((-1,) + b.shape)
-
+    beta on the relation gaps, from their ``values`` at the betas.  Beta,
+    the step and the doubled step, exact at a double root, are evaluated
+    together; the one with the lowest squared gaps is taken, beta unless a
+    step is lower.  Returns the betas and a mask of the steps that were
+    finite and in [0, pi]."""
     rows = np.arange(len(betas))
-    z = complex_gaps(betas)
-    cost = np.sum(z.real * z.real, axis=0)
     ok = np.ones(len(betas), dtype=bool)
+    half = values.shape[-1] // 2
     for _ in range(_POLISH_STEPS):
-        g, dg = z.real, z.imag / _CSTEP
-        jj = np.sum(dg * dg, axis=0)
-        step = -np.divide(np.sum(g * dg, axis=0), jj,
+        g, dg = values[:, :half], values[:, half:]
+        jj = np.sum(dg * dg, axis=-1)
+        step = -np.divide(np.sum(g * dg, axis=-1), jj,
                           out=np.zeros_like(jj), where=jj > 0.0)
-        trial = betas[:, np.newaxis] + step[:, np.newaxis] * [1.0, 2.0]
-        tz = complex_gaps(trial)
-        tcost = np.where((0.0 <= trial) & (trial <= math.pi),
-                         np.sum(tz.real * tz.real, axis=0), np.inf)
-        ok &= tcost[:, 0] < np.inf  # the step is finite and in [0, pi]
-        # beta itself comes first, so that it stays unless a step is lower
-        tcost = np.column_stack([cost, tcost])
-        best = np.argmin(tcost, axis=1)
-        betas = np.column_stack([betas, trial])[rows, best]
-        cost = tcost[rows, best]
-        z = np.concatenate([z[..., np.newaxis], tz], axis=-1)[:, rows, best]
+        trial = betas[:, np.newaxis] + step[:, np.newaxis] * [0.0, 1.0, 2.0]
+        values = _evaluate(series, trial.ravel()).reshape(*trial.shape, -1)
+        g = values[..., :half]
+        cost = np.where((0.0 <= trial) & (trial <= math.pi),
+                        np.sum(g * g, axis=-1), np.inf)
+        ok &= cost[:, 1] < np.inf  # the step is finite and in [0, pi]
+        best = np.argmin(cost, axis=1)
+        betas, values = trial[rows, best], values[rows, best]
     return betas, ok
 
 
@@ -441,24 +470,28 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     a numeric ``propagate``.  The words are compiled once per diagram, on
     its first solve, into two ``_word_program``s (``_solver``), each run as
     a function of (psi, betas) with nothing bound per psi: the relation
-    ``_gaps``, which the grid scan and every refinement step run, and the
-    arc words, which give the final colors.  Three stages, each run on all
-    candidates at once:
+    gaps, run once per solve on 2D + 2 betas for their Fourier
+    coefficients (``_gap_series``), and the arc words, run once on the
+    refined candidates for the final colors.  Three stages, each on all
+    candidates at once, the first two on the coefficients (``_evaluate``):
 
     1. grid scan: every local minimum over ``grid`` seed angles in [0, pi]
        of the largest relation gap of a residual crossing;
-    2. refinement: Gauss-Newton in beta alone on those gaps, reaching a
-       simple root and also the double root at a window end (``_refine``);
+    2. refinement: Gauss-Newton in beta alone on those gaps, with their
+       exact slopes, reaching a simple root and also the double root at a
+       window end (``_refine``);
     3. acceptance: the refinement stayed finite in [0, pi] and the
        ``residual`` over all crossings of the coloring, all arcs evaluated
        from their words, is at most EPS_COLOR; one batched Rodrigues check
-       of every crossing and candidate, independent of the words.
+       of every crossing and candidate, independent of the words and of
+       the coefficients.
 
     A seed angle beta at most SPREAD_TOL puts the seed on the basepoint,
     which gives the trivial constant coloring; it is dropped, as are
     duplicate seeds within SEED_TOL.  ``grid`` lies in 16..MAX_GRID and
-    above D + 1, with D the degree of the gaps in beta (``_solver``): the
-    scan's 2(grid - 1) samples per period determine them only then.
+    above D + 1, with D the degree of the gaps in beta (``_solver``): a
+    gap of degree D has up to 2D roots per period, so a coarser scan
+    merges neighbouring seeds into one cell and drops them.
     Returns a list of (beta, Coloring) sorted by beta.
     """
     if not 16 <= grid <= MAX_GRID:
@@ -469,8 +502,8 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
         raise BadParameter(f"grid must be at least {degree + 2} for this "
                            f"diagram, whose gaps have degree {degree} in "
                            f"beta, not {grid}")
-    gaps = _gaps(gap_program, psi)
-    betas, ok = _refine(gaps, _grid_minima(gaps, grid))
+    series = _gap_series(gap_program, psi, degree)
+    betas, ok = _refine(series, *_grid_minima(series, grid))
     colors = np.moveaxis(arc_program(psi, betas), 0, -1)
     ok &= residual(Coloring(quandle, colors), diagram) <= EPS_COLOR
     ok &= betas > SPREAD_TOL  # a seed on the basepoint colors every arc x

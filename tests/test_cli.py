@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 import longmap
-from longmap import colorings, verification
+from longmap import cli, colorings, verification
 from longmap.cli import MAX_ARCS, MAX_STEPS, main
 from longmap.colorings import (
     MAX_GRID,
     admissible_steps,
+    residual,
     solve_colorings,
     star_beta,
     star_polygon,
@@ -144,6 +145,20 @@ def test_color_text_and_json_layout(tmp_path, capsys, source, psi):
                  for arc, (x, y, z) in enumerate(seed["colors"])]
     assert text == "".join(f"{line}\n" for line in want)
     assert len(seeds) >= 2
+
+
+@pytest.mark.parametrize("diagram,psi,stacks", [
+    (fig8(), 2.5, 1), (torus2n(101), 2.8, 1), (torus2n(501, -1), 3.5, 2)],
+    ids=["fig8", "T101", "T501-"])
+def test_color_residuals_equal_the_calls_one_seed_at_a_time(diagram, psi,
+                                                            stacks):
+    # bitwise; T(2,501)- has more seeds than one stack of the report holds
+    seeds = solve_colorings(diagram, psi)
+    per = cli._RESIDUAL_ROWS // (diagram.code.n + 1)
+    assert len(seeds) > 1 and -(-len(seeds) // per) == stacks
+    got = cli._seed_residuals(diagram, seeds)
+    want = [residual(coloring, diagram) for _, coloring in seeds]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_color_degrees(capsys):

@@ -5,6 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from numpy.fft import rfft
 
 from longmap import colorings
 from longmap.colorings import (
@@ -14,11 +15,12 @@ from longmap.colorings import (
     FIG8_PSI_HI,
     FIG8_PSI_LO,
     SEED_TOL,
+    SPREAD_TOL,
     Coloring,
-    _CSTEP,
     _POLISH_STEPS,
     _arc_words,
-    _gaps,
+    _evaluate,
+    _gap_series,
     _grid_minima,
     _refine,
     _solver,
@@ -63,7 +65,14 @@ from longmap.quaternions import (
     geodesic_distance,
     rotate,
 )
-from longmap.tangles import TangleDiagram, WirtingerCode, fig8, parse, torus2n
+from longmap.tangles import (
+    TangleDiagram,
+    WirtingerCode,
+    fig8,
+    parse,
+    serialize,
+    torus2n,
+)
 
 PI = math.pi
 
@@ -568,56 +577,131 @@ def test_stacked_fox_colorings_equal_the_per_seed_enumeration(diagram):
     assert found > 0 or diagram.code.n == 2
 
 
+def _direct_gaps(diagram, psi, betas):
+    """Reference: the relation gaps from a run of the gap program itself,
+    shape (3 * crossings, len(betas))."""
+    colors = _solver(diagram)[0](psi, betas)
+    half = colors.shape[1] // 2
+    return (colors[:, :half] - colors[:, half:]).reshape(-1, len(betas))
+
+
+def _series(diagram, psi):
+    gap_program, _, degree = _solver(diagram)
+    return _gap_series(gap_program, psi, degree)
+
+
+_DEGREE_CASES = [fig8(), parse(_CUSTOM), parse(serialize(torus2n(5))),
+                 torus2n(101, -1)]
+_DEGREE_CASES += [torus2n(n, sign) for n in range(3, 22, 2) for sign in (1, -1)]
+_DEGREE_IDS = ["fig8", "parsed", "parsed-T5", "T101-"]
+_DEGREE_IDS += [f"T{n}{'+-'[sign < 0]}" for n in range(3, 22, 2)
+                for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("diagram", _DEGREE_CASES, ids=_DEGREE_IDS)
+def test_gaps_have_degree_at_most_d(diagram):
+    # sampled at 4D + 4 angles, twice as many as the solver takes, every
+    # coefficient above D is rounding
+    degree = _solver(diagram)[2]
+    for psi in (0.7 * PI, 2.3, 1.3 * PI):
+        n = 4 * degree + 4
+        c = np.abs(rfft(_direct_gaps(diagram, psi, 2 * PI / n * np.arange(n))))
+        assert np.max(c[:, degree + 1:]) <= 1e-12 * np.max(c), psi
+
+
+_SERIES_CASES = _BATCH_CASES + [(torus2n(101, -1), 2.8), (torus2n(501), 2.8)]
+_SERIES_IDS = _BATCH_IDS + ["T101-", "T501"]
+
+
+@pytest.mark.parametrize("diagram,psi", _SERIES_CASES, ids=_SERIES_IDS)
+def test_coefficients_reproduce_the_gap_program_on_the_grid(diagram, psi):
+    # the scan's grid, which T(2,501) evaluates in blocks
+    betas = np.linspace(0.0, PI, DEFAULT_GRID)
+    got = _evaluate(_series(diagram, psi), betas)
+    rows = got.shape[1] // 2
+    assert np.max(np.abs(got[:, :rows].T
+                         - _direct_gaps(diagram, psi, betas))) <= 1e-12
+
+
 @pytest.mark.parametrize("diagram,psi", _BATCH_CASES, ids=_BATCH_IDS)
 def test_gaps_at_a_beta_do_not_depend_on_the_stack(diagram, psi):
-    # _refine reuses the gaps at beta from the evaluation that reached it,
-    # which is exact only if they are bitwise the same alone and as one
-    # column of a trial stack, for real and complex-step betas
-    gaps = _gaps(_solver(diagram)[0], psi)
-    for b in (np.linspace(0.05, 3.1, 7), np.linspace(0.05, 3.1, 7) + 1e-20j):
+    # _refine evaluates beta beside its trials, so it needs no bitwise
+    # equality; the gaps and slopes at a beta alone, as a column of a trial
+    # stack and on the grid differ by a few ulps of the sum of their terms
+    series = _series(diagram, psi)
+    tol = 4 * np.finfo(float).eps * np.sum(np.abs(series), axis=0)
+    grid = np.linspace(0.0, PI, DEFAULT_GRID)
+    on_grid = _evaluate(series, grid)
+    for b in (grid[::37], np.linspace(0.05, 3.1, 7)):
         trial = np.stack([b[::-1], b, b + 0.25], axis=-1)
-        stacked = gaps(trial.ravel()).reshape((-1,) + trial.shape)
-        assert gaps(b).tobytes() == stacked[..., 1].copy().tobytes()
+        stacked = _evaluate(series, trial.ravel()).reshape(*trial.shape, -1)
         for k in range(len(b)):
-            alone = gaps(b[k:k + 1])
-            assert alone.tobytes() == stacked[:, k, 1].copy().tobytes()
+            alone = _evaluate(series, b[k:k + 1])[0]
+            assert np.all(np.abs(alone - stacked[k, 1]) <= tol)
+    for k in range(0, DEFAULT_GRID, 37):
+        alone = _evaluate(series, grid[k:k + 1])[0]
+        assert np.all(np.abs(alone - on_grid[k]) <= tol)
 
 
-def _refine_evaluating_beta_again(gaps, betas):
-    """Reference: _refine with beta itself evaluated again as column 0 of
-    every trial stack."""
+@pytest.mark.parametrize("diagram,psi", _SERIES_CASES, ids=_SERIES_IDS)
+def test_coefficient_slopes_match_a_central_difference(diagram, psi):
+    # the difference's own error, about h^2 D^3 / 6, stays below 1e-6 of
+    # the slopes, of order D
+    series = _series(diagram, psi)
+    betas = np.random.default_rng(26).uniform(0.0, PI, 9)
+    got = _evaluate(series, betas)
+    slopes = got[:, got.shape[1] // 2:].T
+    h = 1e-3 / _solver(diagram)[2]
+    diff = (_direct_gaps(diagram, psi, betas + h)
+            - _direct_gaps(diagram, psi, betas - h)) / (2 * h)
+    assert np.max(np.abs(slopes - diff)) <= 1e-6 * np.max(np.abs(diff))
+
+
+def _refine_evaluating_beta_again(diagram, psi, betas):
+    """Reference: _refine's rule, beta evaluated again beside its trials,
+    on the gap program itself, with slopes from a complex step of 1e-20,
+    one candidate at a time."""
     def gaps_and_slopes(b):
-        g = gaps(b.ravel() + 1j * _CSTEP).reshape((-1,) + b.shape)
-        return g.real, g.imag / _CSTEP
+        g = _direct_gaps(diagram, psi, b + 1e-20j)
+        return g.real.T, g.imag.T / 1e-20
 
-    rows = np.arange(len(betas))
-    g, dg = gaps_and_slopes(betas)
-    ok = np.ones(len(betas), dtype=bool)
-    for _ in range(_POLISH_STEPS):
-        jj = np.sum(dg * dg, axis=0)
-        step = -np.divide(np.sum(g * dg, axis=0), jj,
-                          out=np.zeros_like(jj), where=jj > 0.0)
-        trial = betas[:, np.newaxis] + step[:, np.newaxis] * [0.0, 1.0, 2.0]
-        tg, tdg = gaps_and_slopes(trial)
-        cost = np.where((0.0 <= trial) & (trial <= PI),
-                        np.sum(tg * tg, axis=0), np.inf)
-        ok &= cost[:, 1] < np.inf
-        best = np.argmin(cost, axis=1)
-        betas, g, dg = trial[rows, best], tg[:, rows, best], tdg[:, rows, best]
-    return betas, ok
+    out, ok = [], []
+    for beta in betas:
+        good = True
+        g, dg = gaps_and_slopes(np.array([beta]))
+        for _ in range(_POLISH_STEPS):
+            jj = np.sum(dg * dg)
+            step = -np.sum(g * dg) / jj if jj > 0.0 else 0.0
+            trial = beta + step * np.array([0.0, 1.0, 2.0])
+            tg, tdg = gaps_and_slopes(trial)
+            cost = np.where((0.0 <= trial) & (trial <= PI),
+                            np.sum(tg * tg, axis=1), np.inf)
+            good &= bool(cost[1] < np.inf)
+            best = int(np.argmin(cost))
+            beta, g, dg = trial[best], tg[best:best + 1], tdg[best:best + 1]
+        out.append(beta)
+        ok.append(good)
+    return np.array(out), np.array(ok)
 
 
 @pytest.mark.parametrize("diagram,psi", _BATCH_CASES + [
     (fig8(), 2 * PI / 3), (torus2n(51), 0.9 * PI), (torus2n(7), 0.02 * PI)],
     ids=_BATCH_IDS + ["fig8-end", "T51", "T7-end"])
 def test_refine_matches_evaluating_beta_again(diagram, psi):
-    gaps = _gaps(_solver(diagram)[0], psi)
-    start = _grid_minima(gaps, DEFAULT_GRID)
-    for betas in (start, start[:1]):
-        got, want = _refine(gaps, betas), _refine_evaluating_beta_again(
-            gaps, betas)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert np.array_equal(got[1], want[1])
+    # from the scan's candidates, and from one of them alone.  Every gap
+    # vanishes at the trivial coloring beta = 0, where the gap program
+    # stays put but the coefficients' rounding may step below 0; the
+    # solver drops that candidate either way
+    series = _series(diagram, psi)
+    start, values = _grid_minima(series, DEFAULT_GRID)
+    want = _refine_evaluating_beta_again(diagram, psi, start)
+    nontrivial = want[0] > SPREAD_TOL
+    for k in (len(start), 1):
+        got = _refine(series, start[:k], values[:k])
+        assert np.max(np.abs(got[0] - want[0][:k])) <= 1e-12
+        assert np.array_equal(got[1][nontrivial[:k]],
+                              want[1][:k][nontrivial[:k]])
+    assert np.count_nonzero(nontrivial) >= len(start) - 1
 
 
 _MAKERS = [fig8, lambda: torus2n(9), lambda: torus2n(15, -1),
