@@ -10,7 +10,7 @@ Subcommands:
 Angles are radians by default; pass ``--deg`` to give them in degrees.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 Each command returns its exit code and its output lines, and ``main``
-writes them; ``sweep``, ``intervals`` (table or JSON) and ``color`` as text
+writes them; ``sweep``, and ``intervals`` and ``color`` in either format,
 are generators, so none of these reports is ever kept whole.  A reader
 that closes stdout early, as ``| head`` does, does not change the exit code,
 and ``verify`` prints after all its checks, so a breach exits 1 even then.
@@ -38,9 +38,9 @@ from .tangles import (check_psi, fig8, parse, torus2n, torus_interval,
 FMT = "{:.17g}"
 MAX_STEPS = 100_000  # the theta grid is allocated up front
 # color's output grows as arcs^2, up to (n - 1)/2 seeds of n + 1 arcs for
-# T(2,n): T(2,1001) prints 35 MB in 3 s at the solver's own 90 MB peak RSS
+# T(2,n): T(2,1001) prints 35 MB of text in 2.9 s or 50 MB of JSON in 4.8 s,
+# both at the solver's own 90 MB peak RSS
 MAX_ARCS = 1002
-_RESIDUAL_ROWS = 1 << 16  # arc colors of color's report checked at once
 
 
 def _fmt(x):
@@ -138,45 +138,35 @@ def cmd_color(args):
     diagram = _load_diagram(args)
     psi = _angle(args.psi, args)
     check_psi(psi)
-    from .colorings import solve_colorings
+    from .colorings import _solve
 
     grid = {} if args.grid is None else {"grid": args.grid}
-    seeds = solve_colorings(diagram, psi, **grid)
-    residuals = _seed_residuals(diagram, seeds)
-    if args.json:
-        records = [{"beta": beta, "residual": res,
-                    "colors": coloring.colors.tolist()}
-                   for (beta, coloring), res in zip(seeds, residuals)]
-        return 0, [json.dumps({"psi": psi, "seeds": records}, indent=2) + "\n"]
-    return 0, _color_lines(psi, seeds, residuals)
+    report = _color_json if args.json else _color_lines
+    return 0, report(psi, *_solve(diagram, psi, **grid))
 
 
-def _seed_residuals(diagram, seeds):
-    """The ``residual`` of each seed's coloring, bitwise the calls one seed
-    at a time, from one call per stack of at most _RESIDUAL_ROWS arc colors:
-    a bigger stack would lift the command's peak memory above the
-    solver's (by 11 MB at T(2,1001), all 446 seeds at once)."""
-    import numpy as np
-
-    from .colorings import Coloring, residual
-
-    per = max(1, _RESIDUAL_ROWS // (diagram.code.n + 1))
-    out = []
-    for start in range(0, len(seeds), per):
-        chunk = [coloring for _, coloring in seeds[start:start + per]]
-        stack = np.stack([c.colors for c in chunk], axis=1)
-        out += residual(Coloring(chunk[0].quandle, stack), diagram).tolist()
-    return out
-
-
-def _color_lines(psi, seeds, residuals):
+def _color_lines(psi, betas, colors, residuals):
     """The text report of ``color``, a line at a time: a header, then each
     seed's beta and residual and the colors of its arcs."""
-    yield f"psi = {_fmt(psi)}: {len(seeds)} nontrivial seed(s)\n"
-    for (beta, coloring), res in zip(seeds, residuals):
+    yield f"psi = {_fmt(psi)}: {len(betas)} nontrivial seed(s)\n"
+    for i, (beta, res) in enumerate(zip(betas.tolist(), residuals.tolist())):
         yield f"  beta = {_fmt(beta)}  residual = {res:.3e}\n"
-        for arc, (x, y, z) in enumerate(coloring.colors.tolist()):
+        for arc, (x, y, z) in enumerate(colors[:, i].tolist()):
             yield f"    arc {arc}: ({x:.17g}, {y:.17g}, {z:.17g})\n"
+
+
+def _color_json(psi, betas, colors, residuals):
+    """The JSON report of ``color``, ``json.dumps({"psi": psi, "seeds":
+    [...]}, indent=2)`` and a newline, a seed at a time: each seed's
+    record is dumped alone and indented to its place in the list."""
+    yield f'{{\n  "psi": {json.dumps(psi)},\n  "seeds": ['
+    sep = "\n    "
+    for i, (beta, res) in enumerate(zip(betas.tolist(), residuals.tolist())):
+        record = {"beta": beta, "residual": res,
+                  "colors": colors[:, i].tolist()}
+        yield sep + json.dumps(record, indent=2).replace("\n", "\n    ")
+        sep = ",\n    "
+    yield "\n  ]\n}\n" if len(betas) else "]\n}\n"
 
 
 def _sweep_lines(thetas, branches, seed_beta, longitude):

@@ -492,8 +492,17 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     above D + 1, with D the degree of the gaps in beta (``_solver``): a
     gap of degree D has up to 2D roots per period, so a coarser scan
     merges neighbouring seeds into one cell and drops them.
-    Returns a list of (beta, Coloring) sorted by beta.
+    Returns a list of (beta, Coloring) sorted by beta, from ``_solve``.
     """
+    betas, colors, _ = _solve(diagram, psi, grid)
+    quandle = SphereQuandle(psi)
+    return [(beta, Coloring(quandle, colors[:, i]))
+            for i, beta in enumerate(betas.tolist())]
+
+
+def _solve(diagram, psi, grid=DEFAULT_GRID):
+    """``solve_colorings``'s seeds as arrays: the betas, their colors, shape
+    (arcs, seeds, 3), and the residuals that stage 3 accepted them with."""
     if not 16 <= grid <= MAX_GRID:
         raise BadParameter(f"grid must lie in 16..{MAX_GRID}, not {grid}")
     quandle = SphereQuandle(psi)  # BadParameter unless 0 < psi < 2*pi
@@ -505,22 +514,21 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
     series = _gap_series(gap_program, psi, degree)
     betas, ok = _refine(series, *_grid_minima(series, grid))
     colors = np.moveaxis(arc_program(psi, betas), 0, -1)
-    ok &= residual(Coloring(quandle, colors), diagram) <= EPS_COLOR
+    res = residual(Coloring(quandle, colors), diagram)
+    ok &= res <= EPS_COLOR
     ok &= betas > SPREAD_TOL  # a seed on the basepoint colors every arc x
 
     cell = math.pi / (grid - 1)
-    seeds = []
+    keep = []
     for i in np.flatnonzero(ok)[np.argsort(betas[ok], kind="stable")]:
-        beta = float(betas[i])
-        if seeds and beta - seeds[-1][0] <= SEED_TOL:
+        gap = betas[i] - betas[keep[-1]] if keep else math.inf
+        if gap <= SEED_TOL:
             continue
-        if seeds and beta - seeds[-1][0] <= cell:
-            warnings.warn(
-                "two seeds inside one grid cell; increase the grid",
-                stacklevel=2,
-            )
-        seeds.append((beta, Coloring(quandle, colors[:, i])))
-    return seeds
+        if gap <= cell:
+            warnings.warn("two seeds inside one grid cell; increase the "
+                          "grid", stacklevel=3)  # names solve_colorings' caller
+        keep.append(i)
+    return betas[keep], colors[:, keep], res[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,19 @@ def test_solver_fig8_near_a_window_end_keeps_both_seeds(psi):
     assert all(abs(b - w) <= SEED_TOL for b, w in zip(betas, want)), betas
 
 
+def test_the_grid_cell_warning_names_the_caller(monkeypatch):
+    # every grid minimum twice, and no dedup: each seed comes back twice,
+    # 0 apart, inside one grid cell
+    minima = colorings._grid_minima
+    monkeypatch.setattr(colorings, "_grid_minima", lambda series, grid: tuple(
+        np.repeat(x, 2, axis=0) for x in minima(series, grid)))
+    monkeypatch.setattr(colorings, "SEED_TOL", -1.0)
+    with pytest.warns(UserWarning, match="inside one grid cell") as record:
+        seeds = solve_colorings(fig8(), 2.5)
+    assert len(seeds) == 4
+    assert {w.filename for w in record} == {__file__}
+
+
 def test_solver_oracle_sweep_long_chain():
     # forward propagation loses seeds on arc chains this long; the arc
     # words keep every one
