@@ -247,10 +247,13 @@ def fig8_coloring(psi, branch):
 
 
 _POLISH_STEPS = 4  # Gauss-Newton steps in beta
-# complex powers that ``_evaluate`` forms at once: 128 KB, under malloc's
-# default mmap threshold, so that a block mostly reuses heap pages instead
-# of faulting in fresh ones on every run
-_BLOCK = 1 << 13
+# complex powers that ``_evaluate`` forms at once: a 64 KB table, so that
+# the scan of a small D reuses heap pages instead of faulting in fresh ones
+# on every solve; but at least _BLOCK_BETAS betas, as the loop over a few
+# betas at a time would otherwise dominate the scan of a large D (T(2,1001)
+# takes a 1 MB table)
+_BLOCK = 1 << 12
+_BLOCK_BETAS = 64
 
 # the flattened M with p @ M = p*i = (-b, a, d, -c), p*j = (-c, -d, a, b)
 # and p, for a quaternion row p = (a, b, c, d)
@@ -387,9 +390,11 @@ def _gap_series(program, psi, degree):
     0..D, with D = ``degree`` (``_solver``), so one run of the gap program
     at psi on 2D + 2 equispaced betas in [0, 2 pi) determines the c_k.
     Returns the real (2(D + 1), 2 rows) matrix, rows = 3 per residual
-    crossing, that takes the powers e^(ik beta), as the pairs (Re, Im), to
-    the gaps and then their exact slopes Re sum_k ik c_k e^(ik beta):
-    Re(c p) = Re c Re p - Im c Im p.  ``_evaluate`` applies it."""
+    crossing, that takes the powers e^(ik beta), the block of their Re
+    above the block of their Im, to the gaps and then their exact slopes
+    Re sum_k ik c_k e^(ik beta).  As Re(c p) = Re c Re p - Im c Im p, its
+    rows are Re c_k, k = 0..D, then -Im c_k.  It is the transpose of a
+    C-ordered array, so the matmul of ``_evaluate`` reads it in order."""
     from numpy.fft import rfft  # only a solve pays for the import
 
     n = 2 * degree + 2
@@ -401,24 +406,34 @@ def _gap_series(program, psi, degree):
     k = np.arange(degree + 1)
     c = c[:, :degree + 1] * np.where(k, 2.0 / n, 1.0 / n)
     c = np.concatenate([c, 1j * k * c])
-    return np.stack([c.real, -c.imag], axis=-1).reshape(len(c), -1).T
+    return np.concatenate([c.real, -c.imag], axis=1).T
 
 
 def _evaluate(series, betas):
     """The gaps and slopes of ``_gap_series`` at each of the betas, shape
-    (len(betas), 2 rows): the powers e^(ik beta) of at most _BLOCK betas
-    and terms at a time, by one cumprod over k, then one matmul."""
+    (len(betas), 2 rows), as the transpose of a C-ordered array.  For a
+    block of betas at a time (``_BLOCK``), the (terms, betas) table of the
+    powers e^(ik beta) is built by doubling, from row 1 = e^(i beta): rows
+    [h, 2h - 1) are rows [1, h) times row h - 1, so row k has gone through
+    about log2(k) rounded products, not k as in a running product.  Then
+    one real matmul with the table's Re block above its Im block."""
     terms = series.shape[0] // 2
-    out = np.empty((len(betas), series.shape[1]))
-    block = max(1, _BLOCK // terms)
+    out = np.empty((series.shape[1], len(betas)))
+    block = max(_BLOCK_BETAS, _BLOCK // terms)
+    powers = np.empty((terms, min(block, len(betas))), dtype=complex)
+    powers[0] = 1.0
     for start in range(0, len(betas), block):
         b = betas[start:start + block]
-        powers = np.empty((len(b), terms), dtype=complex)
-        powers[:, 0] = 1.0
-        powers[:, 1:] = np.exp(1j * b)[:, np.newaxis]
-        np.cumprod(powers, axis=1, out=powers)
-        out[start:start + block] = powers.view(float) @ series
-    return out
+        p = powers[:, :len(b)]
+        np.exp(1j * b, out=p[1])  # terms = D + 1 >= 3
+        h = 2
+        while h < terms:
+            w = min(h - 1, terms - h)
+            np.multiply(p[1:w + 1], p[h - 1], out=p[h:h + w])
+            h += w
+        np.matmul(series.T, np.concatenate([p.real, p.imag]),
+                  out=out[:, start:start + block])
+    return out.T
 
 
 def _grid_minima(series, grid):
@@ -427,8 +442,8 @@ def _grid_minima(series, grid):
     gaps and slopes there."""
     betas = np.linspace(0.0, math.pi, grid)
     values = _evaluate(series, betas)
-    gaps = values[:, :values.shape[1] // 2].reshape(grid, 3, -1)
-    res = np.max(np.sum(gaps ** 2, axis=1), axis=1)
+    gaps = values.T[:values.shape[1] // 2].reshape(3, -1, grid)
+    res = np.max(np.sum(gaps ** 2, axis=0), axis=0)
     padded = np.concatenate([[np.inf], res, [np.inf]])
     at = (res <= padded[:-2]) & (res <= padded[2:])
     return betas[at], values[at]

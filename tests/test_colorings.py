@@ -622,8 +622,9 @@ def test_gaps_have_degree_at_most_d(diagram):
         assert np.max(c[:, degree + 1:]) <= 1e-12 * np.max(c), psi
 
 
-_SERIES_CASES = _BATCH_CASES + [(torus2n(101, -1), 2.8), (torus2n(501), 2.8)]
-_SERIES_IDS = _BATCH_IDS + ["T101-", "T501"]
+_SERIES_CASES = _BATCH_CASES + [(torus2n(101, -1), 2.8), (torus2n(501), 2.8),
+                                 (torus2n(1001), 2.8)]
+_SERIES_IDS = _BATCH_IDS + ["T101-", "T501", "T1001"]
 
 
 @pytest.mark.parametrize("diagram,psi", _SERIES_CASES, ids=_SERIES_IDS)
@@ -634,6 +635,21 @@ def test_coefficients_reproduce_the_gap_program_on_the_grid(diagram, psi):
     rows = got.shape[1] // 2
     assert np.max(np.abs(got[:, :rows].T
                          - _direct_gaps(diagram, psi, betas))) <= 1e-12
+
+
+@pytest.mark.parametrize("diagram", _DEGREE_CASES, ids=_DEGREE_IDS)
+def test_grid_minima_are_those_of_the_gap_program(diagram):
+    # the scan's seeds equal the local minima of the largest squared gap
+    # that the gap program itself gives on the same grid, without the
+    # coefficients
+    betas = np.linspace(0.0, PI, DEFAULT_GRID)
+    for psi in (0.9, 2.3, 2.8, 1.3 * PI, 5.3):
+        gaps = _direct_gaps(diagram, psi, betas).reshape(3, -1, len(betas))
+        res = np.max(np.sum(gaps ** 2, axis=0), axis=0)
+        padded = np.concatenate([[np.inf], res, [np.inf]])
+        want = betas[(res <= padded[:-2]) & (res <= padded[2:])]
+        got, _ = _grid_minima(_series(diagram, psi), DEFAULT_GRID)
+        assert np.array_equal(got, want), psi
 
 
 @pytest.mark.parametrize("diagram,psi", _BATCH_CASES, ids=_BATCH_IDS)
