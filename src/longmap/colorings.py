@@ -247,13 +247,17 @@ def fig8_coloring(psi, branch):
 
 
 _POLISH_STEPS = 4  # Gauss-Newton steps in beta
-# complex powers that ``_evaluate`` forms at once: a 64 KB table, so that
-# the scan of a small D reuses heap pages instead of faulting in fresh ones
-# on every solve; but at least _BLOCK_BETAS betas, as the loop over a few
-# betas at a time would otherwise dominate the scan of a large D (T(2,1001)
-# takes a 1 MB table)
+_TRIALS = np.array([0.0, 1.0, 2.0])  # beta, the step and the doubled step
+# complex powers that ``_powers`` forms at once for ``_evaluate``: a 64 KB
+# table, so that a small table reuses heap pages instead of faulting in
+# fresh ones on every call; but at least _BLOCK_BETAS betas, as the loop
+# over a few betas at a time would otherwise dominate the scan of a large D
+# (T(2,1001) takes a 1 MB table).  ``_grid_minima`` keeps the table of its
+# whole grid between solves while it holds at most _KEPT powers (1 MB):
+# fig8 and T(2,n) up to n = 29 at DEFAULT_GRID
 _BLOCK = 1 << 12
 _BLOCK_BETAS = 64
+_KEPT = 1 << 16
 
 # the flattened M with p @ M = p*i = (-b, a, d, -c), p*j = (-c, -d, a, b)
 # and p, for a quaternion row p = (a, b, c, d)
@@ -390,10 +394,11 @@ def _gap_series(program, psi, degree):
     0..D, with D = ``degree`` (``_solver``), so one run of the gap program
     at psi on 2D + 2 equispaced betas in [0, 2 pi) determines the c_k.
     Returns the real (2(D + 1), 2 rows) matrix, rows = 3 per residual
-    crossing, that takes the powers e^(ik beta), the block of their Re
-    above the block of their Im, to the gaps and then their exact slopes
-    Re sum_k ik c_k e^(ik beta).  As Re(c p) = Re c Re p - Im c Im p, its
-    rows are Re c_k, k = 0..D, then -Im c_k.  It is the transpose of a
+    crossing, that takes the powers e^(ik beta) as ``_powers`` lays them
+    out, Re and Im interleaved by k, to the gaps and then their exact
+    slopes Re sum_k ik c_k e^(ik beta).  As Re(c p) = Re c Re p - Im c Im
+    p, its rows are Re c_0, -Im c_0, Re c_1, -Im c_1, ..., so the leading
+    2t rows are the series cut to t terms.  It is the transpose of a
     C-ordered array, so the matmul of ``_evaluate`` reads it in order."""
     from numpy.fft import rfft  # only a solve pays for the import
 
@@ -405,43 +410,73 @@ def _gap_series(program, psi, degree):
     # frequency, is rounding, as the degree is at most D
     k = np.arange(degree + 1)
     c = c[:, :degree + 1] * np.where(k, 2.0 / n, 1.0 / n)
-    c = np.concatenate([c, 1j * k * c])
-    return np.concatenate([c.real, -c.imag], axis=1).T
+    return np.conj(np.concatenate([c, 1j * k * c])).view(float).T
+
+
+def _powers(betas, terms):
+    """The real (2 terms, betas) table of the powers e^(ik beta), k <
+    terms, in the row layout of ``_gap_series``: Re e^(ik beta), then Im
+    e^(ik beta), for each k in turn.  The complex powers are built by
+    doubling, from row 1 = e^(i beta): rows [h, 2h - 1) are rows [1, h)
+    times row h - 1, so row k has gone through about log2(k) rounded
+    products, not k as in a running product, and the same ones, elementwise
+    along the betas, for every ``terms`` above k."""
+    p = np.empty((terms, len(betas)), dtype=complex)
+    p[0] = 1.0
+    np.exp(1j * betas, out=p[1])  # terms = D + 1 >= 3
+    h = 2
+    while h < terms:
+        w = min(h - 1, terms - h)
+        np.multiply(p[1:w + 1], p[h - 1], out=p[h:h + w])
+        h += w
+    return p.view(float).reshape(terms, -1, 2).transpose(0, 2, 1).reshape(
+        2 * terms, -1)
 
 
 def _evaluate(series, betas):
     """The gaps and slopes of ``_gap_series`` at each of the betas, shape
-    (len(betas), 2 rows), as the transpose of a C-ordered array.  For a
-    block of betas at a time (``_BLOCK``), the (terms, betas) table of the
-    powers e^(ik beta) is built by doubling, from row 1 = e^(i beta): rows
-    [h, 2h - 1) are rows [1, h) times row h - 1, so row k has gone through
-    about log2(k) rounded products, not k as in a running product.  Then
-    one real matmul with the table's Re block above its Im block."""
+    (len(betas), 2 rows), as the transpose of a C-ordered array: the
+    ``_powers`` of a block of betas at a time (``_BLOCK``), each taken to
+    the gaps and slopes by one real matmul.  The refinement and every scan
+    too large for ``_grid_minima`` to keep its table evaluate here."""
     terms = series.shape[0] // 2
     out = np.empty((series.shape[1], len(betas)))
     block = max(_BLOCK_BETAS, _BLOCK // terms)
-    powers = np.empty((terms, min(block, len(betas))), dtype=complex)
-    powers[0] = 1.0
     for start in range(0, len(betas), block):
-        b = betas[start:start + block]
-        p = powers[:, :len(b)]
-        np.exp(1j * b, out=p[1])  # terms = D + 1 >= 3
-        h = 2
-        while h < terms:
-            w = min(h - 1, terms - h)
-            np.multiply(p[1:w + 1], p[h - 1], out=p[h:h + w])
-            h += w
-        np.matmul(series.T, np.concatenate([p.real, p.imag]),
+        np.matmul(series.T, _powers(betas[start:start + block], terms),
                   out=out[:, start:start + block])
     return out.T
+
+
+# (betas, powers) of the grid that _grid_minima keeps; built at its first scan
+_scan = None
 
 
 def _grid_minima(series, grid):
     """Stage 1 of ``solve_colorings``: the seed angles on a uniform grid of
     [0, pi] where the largest relation gap is a local minimum, and the
-    gaps and slopes there."""
-    betas = np.linspace(0.0, math.pi, grid)
-    values = _evaluate(series, betas)
+    gaps and slopes there.
+
+    The grid and its ``_powers`` depend on neither psi nor the diagram, so
+    the scan keeps one table, for the last grid it kept and the most terms
+    asked there, while it holds at most _KEPT powers; a series of fewer
+    terms takes the leading rows, equal bitwise to a table of its own, in
+    one matmul.  The table is swapped in whole, so a concurrent solve never
+    reads a half-built one.  A scan that needs a larger table goes through
+    ``_evaluate`` and leaves the kept one as it is."""
+    global _scan
+    terms = series.shape[0] // 2
+    kept = _scan
+    if kept is None or len(kept[0]) != grid:
+        kept = np.linspace(0.0, math.pi, grid), np.empty((0, grid))
+    betas, powers = kept
+    if len(powers) < 2 * terms and terms * grid <= _KEPT:
+        powers = _powers(betas, terms)
+        _scan = betas, powers
+    if len(powers) < 2 * terms:
+        values = _evaluate(series, betas)
+    else:
+        values = np.matmul(series.T, powers[:2 * terms]).T
     gaps = values.T[:values.shape[1] // 2].reshape(3, -1, grid)
     res = np.max(np.sum(gaps ** 2, axis=0), axis=0)
     padded = np.concatenate([[np.inf], res, [np.inf]])
@@ -461,14 +496,15 @@ def _refine(series, betas, values):
     half = values.shape[-1] // 2
     for _ in range(_POLISH_STEPS):
         g, dg = values[:, :half], values[:, half:]
-        jj = np.sum(dg * dg, axis=-1)
-        step = -np.divide(np.sum(g * dg, axis=-1), jj,
+        jj = np.einsum("ij,ij->i", dg, dg)
+        step = -np.divide(np.einsum("ij,ij->i", g, dg), jj,
                           out=np.zeros_like(jj), where=jj > 0.0)
-        trial = betas[:, np.newaxis] + step[:, np.newaxis] * [0.0, 1.0, 2.0]
+        trial = betas[:, np.newaxis] + step[:, np.newaxis] * _TRIALS
         values = _evaluate(series, trial.ravel()).reshape(*trial.shape, -1)
         g = values[..., :half]
-        cost = np.where((0.0 <= trial) & (trial <= math.pi),
-                        np.sum(g * g, axis=-1), np.inf)
+        cost = np.einsum("ijk,ijk->ij", g, g)
+        # not (trial < 0) | (trial > pi), which would let a NaN through
+        cost[~((0.0 <= trial) & (trial <= math.pi))] = np.inf
         ok &= cost[:, 1] < np.inf  # the step is finite and in [0, pi]
         best = np.argmin(cost, axis=1)
         betas, values = trial[rows, best], values[rows, best]

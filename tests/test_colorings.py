@@ -14,6 +14,7 @@ from longmap.colorings import (
     EPS_COLOR,
     FIG8_PSI_HI,
     FIG8_PSI_LO,
+    MAX_GRID,
     SEED_TOL,
     SPREAD_TOL,
     Coloring,
@@ -650,6 +651,64 @@ def test_grid_minima_are_those_of_the_gap_program(diagram):
         want = betas[(res <= padded[:-2]) & (res <= padded[2:])]
         got, _ = _grid_minima(_series(diagram, psi), DEFAULT_GRID)
         assert np.array_equal(got, want), psi
+
+
+def _kept_terms(grid):
+    """How many powers per beta the scan keeps for this grid, 0 if none."""
+    kept = colorings._scan
+    return len(kept[1]) // 2 if kept and len(kept[0]) == grid else 0
+
+
+def test_the_scan_does_not_depend_on_the_kept_table(monkeypatch):
+    # fig8's scan reads the leading rows of whatever table the scans
+    # before it kept, bitwise as from a fresh state
+    monkeypatch.setattr(colorings, "_scan", None)
+    series = _series(fig8(), 2.8)
+    want = _grid_minima(series, DEFAULT_GRID)
+    assert _kept_terms(DEFAULT_GRID) == 9
+    for before, grid, terms in [
+            (torus2n(21), DEFAULT_GRID, 23),  # grows the table
+            (torus2n(21), 999, 9),  # replaces it by another grid's
+            (torus2n(101), DEFAULT_GRID, 9),  # too large to keep
+    ]:
+        _grid_minima(_series(before, 2.8), grid)
+        got = _grid_minima(series, DEFAULT_GRID)
+        assert _kept_terms(DEFAULT_GRID) == terms
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), before.name
+
+
+def test_the_kept_table_holds_at_most_kept_powers(monkeypatch):
+    monkeypatch.setattr(colorings, "_scan", None)
+    for diagram, grid in [(fig8(), DEFAULT_GRID),
+                          (torus2n(1001), DEFAULT_GRID),
+                          (torus2n(21), MAX_GRID)]:
+        _grid_minima(_series(diagram, 2.8), grid)
+        assert colorings._scan[1].size <= 2 * colorings._KEPT, diagram.name
+
+
+@pytest.mark.parametrize("diagram", [fig8(), torus2n(21), torus2n(101, -1)],
+                         ids=["fig8", "T21", "T101-"])
+def test_the_finest_grid_finds_the_default_grid_seeds(diagram):
+    # a scan too large to keep its table, at every diagram size
+    want = [beta for beta, _ in solve_colorings(diagram, 2.8)]
+    got = [beta for beta, _ in solve_colorings(diagram, 2.8, MAX_GRID)]
+    assert len(got) == len(want) > 0
+    assert np.max(np.abs(np.subtract(got, want))) <= SEED_TOL
+
+
+@pytest.mark.parametrize("diagram,psi", _SERIES_CASES, ids=_SERIES_IDS)
+def test_grid_minima_values_are_the_gap_program_gaps(diagram, psi):
+    # on both sides of the keep rule: from the kept table up to T(2,21),
+    # through _evaluate from T(2,101) on
+    series = _series(diagram, psi)
+    betas, values = _grid_minima(series, DEFAULT_GRID)
+    terms = series.shape[0] // 2
+    kept = _kept_terms(DEFAULT_GRID) >= terms
+    assert kept == (terms * DEFAULT_GRID <= colorings._KEPT)
+    rows = values.shape[1] // 2
+    assert np.max(np.abs(values[:, :rows].T
+                         - _direct_gaps(diagram, psi, betas))) <= 1e-12
 
 
 @pytest.mark.parametrize("diagram,psi", _BATCH_CASES, ids=_BATCH_IDS)
