@@ -38,8 +38,8 @@ from .tangles import (check_psi, fig8, parse, torus2n, torus_interval,
 FMT = "{:.17g}"
 MAX_STEPS = 100_000  # the theta grid is allocated up front
 # color's output grows as arcs^2, up to (n - 1)/2 seeds of n + 1 arcs for
-# T(2,n): T(2,1001) prints 35 MB of text in 2.9 s or 50 MB of JSON in 4.8 s,
-# both at the solver's own 90 MB peak RSS
+# T(2,n): T(2,1001) prints 35 MB of text in 2.9 s or 50 MB of JSON in 1.7 s
+# (medians of 5, 2-CPU machine), both at the solver's own 90 MB peak RSS
 MAX_ARCS = 1002
 
 
@@ -157,14 +157,18 @@ def _color_lines(psi, betas, colors, residuals):
 
 def _color_json(psi, betas, colors, residuals):
     """The JSON report of ``color``, ``json.dumps({"psi": psi, "seeds":
-    [...]}, indent=2)`` and a newline, a seed at a time: each seed's
-    record is dumped alone and indented to its place in the list."""
+    [...]}, indent=2)`` and a newline, a seed at a time, laid out here as
+    ``_json_lines`` does: json's indenting encoder is pure Python.  Every
+    number is finite (psi passes ``check_psi``, and a NaN color fails the
+    solver's acceptance), so ``repr`` prints what json prints."""
     yield f'{{\n  "psi": {json.dumps(psi)},\n  "seeds": ['
     sep = "\n    "
     for i, (beta, res) in enumerate(zip(betas.tolist(), residuals.tolist())):
-        record = {"beta": beta, "residual": res,
-                  "colors": colors[:, i].tolist()}
-        yield sep + json.dumps(record, indent=2).replace("\n", "\n    ")
+        arcs = ",\n        ".join(
+            f"[\n          {x!r},\n          {y!r},\n          {z!r}\n"
+            "        ]" for x, y, z in colors[:, i].tolist())
+        yield (f'{sep}{{\n      "beta": {beta!r},\n      "residual": {res!r},'
+               f'\n      "colors": [\n        {arcs}\n      ]\n    }}')
         sep = ",\n    "
     yield "\n  ]\n}\n" if len(betas) else "]\n}\n"
 

@@ -19,6 +19,7 @@ from longmap.errors import (
     ArityMismatch,
     BadParameter,
     NotInLambda,
+    NotMinusOne,
     OutOfInterval,
 )
 from longmap.longitudes import (
@@ -163,6 +164,16 @@ def test_qn_check_on_reflected_star_polygons(n):
             assert distance(qn, Quaternion(-1.0, 0.0, 0.0, 0.0)) <= 1e-9
 
 
+def test_qn_check_fails_on_a_nan_arc():
+    # a NaN q^n once passed `distance > LAMBDA_TOL`, and eval_word then
+    # raised NotInLambda in its place
+    c = star_polygon(7, 2, 0.8 * PI)
+    colors = np.array(c.colors, dtype=float)
+    colors[0] = math.nan
+    with pytest.raises(NotMinusOne, match="q\\^n"):
+        qn_check(torus2n(7), Coloring(c.quandle, colors))
+
+
 def test_rotation_invariance():
     d = fig8()
     c = fig8_coloring(0.9 * PI, 1)
@@ -242,8 +253,12 @@ def _bits(q):
     return struct.pack("<4d", q.a, q.b, q.c, q.d)
 
 
+_CUSTOM = parse("tangle n=4\nkappa=2,3,0,1\neps=+,-,+,-\nbridges=0,2\n"
+                "schedule=1:1;3:3\n")
+
+
 def _pinned_cases():
-    for n in (3, 7, 21, 101):
+    for n in (3, 7, 21, 51, 101):
         pos, neg = torus2n(n), torus2n(n, -1)
         for h in sorted({1, (n + 1) // 4, (n - 1) // 2}):
             lo, hi = torus_theta_interval(n, h)
@@ -257,7 +272,8 @@ def _pinned_cases():
     c = star_polygon(7, 2, 0.8 * PI)
     yield torus2n(7), to_conj_coloring(c)
     for d, psi in ((fig8(), 1.1 * PI), (torus2n(9), 0.9 * PI),
-                   (torus2n(21, -1), 1.3 * PI)):
+                   (torus2n(21, -1), 1.3 * PI), (_CUSTOM, 0.8 * PI),
+                   (_CUSTOM, 1.15 * PI)):
         for _beta, c in solve_colorings(d, psi):
             yield d, c
 
@@ -273,7 +289,41 @@ def test_word_routes_bitwise_equal_to_quaternion_products():
         want_colors = _ref_conj_colors(c)
         assert [_bits(q) for q in got_colors] == [_bits(q) for q in want_colors]
         cases += 1
-    assert cases > 60
+    assert cases > 80
+
+
+def _outcome(route, diagram, coloring):
+    """The error a route raises, or its value with each NaN as None."""
+    try:
+        value = route(diagram, coloring)
+    except (NotInLambda, ValueError) as exc:
+        return type(exc), str(exc)
+    q = getattr(value, "q", value)
+    return tuple(None if math.isnan(x) else x for x in q)
+
+
+@pytest.mark.parametrize("bad, word_gives, lift_gives", [
+    (Quaternion(math.nan, math.nan, math.nan, math.nan),
+     (NotInLambda, "longitude value does not commute with the basepoint"),
+     (None,) * 4),
+    (Quaternion(0.0, 0.0, 0.0, 0.0), (ValueError, "zero quaternion"),
+     (ValueError, "zero quaternion")),
+], ids=["nan", "zero"])
+def test_word_routes_fail_as_the_quaternion_products_do(bad, word_gives,
+                                                        lift_gives):
+    # a NaN arc makes every later product NaN, and a zero arc a product of
+    # norm 0: the routes' own products must give what __mul__'s folds give
+    d = fig8()
+    c = to_conj_coloring(fig8_coloring(1.1 * PI, 2))
+    factors = longitude_word(d.code).factors
+    assert {e for _arc, e in factors} == {1, -1}
+    for arc in sorted({arc for arc, _e in factors}):
+        bad_c = Coloring(c.quandle,
+                         c.colors[:arc] + (bad,) + c.colors[arc + 1:])
+        assert (_outcome(eval_word, d, bad_c)
+                == _outcome(_ref_eval_word, d, bad_c) == word_gives)
+        assert (_outcome(galex_lift, d, bad_c)
+                == _outcome(_ref_galex_lift, d, bad_c) == lift_gives)
 
 
 def _all_floats(q):
@@ -334,10 +384,6 @@ def _matrix_longitude(diagram, coloring):
         value = value @ (mats[arc] if e > 0 else mats[arc].conj().T)
     return Quaternion(value[0, 0].real, value[0, 0].imag,
                       value[0, 1].real, value[0, 1].imag)
-
-
-_CUSTOM = parse("tangle n=4\nkappa=2,3,0,1\neps=+,-,+,-\nbridges=0,2\n"
-                "schedule=1:1;3:3\n")
 
 
 def test_matrix_route_agrees_with_word_and_lift():
