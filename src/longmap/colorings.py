@@ -15,6 +15,7 @@ E = {(cos b, sin b, 0) : 0 <= b <= pi}.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -66,8 +67,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Coloring:
-    """An assignment of quandle elements to the arcs 0..n of a diagram; a
-    sphere coloring made here is an (arcs, 3) float array, a row per arc."""
+    """Quandle elements on the arcs 0..n, a row per arc; a sphere coloring
+    made here is an (arcs, 3) float array, a conjugation one (arcs, 4)."""
 
     quandle: object
     colors: object
@@ -212,16 +213,11 @@ def fig8_betas(psi):
             f"psi={psi:.6f} outside [{FIG8_PSI_LO:.6f}, {FIG8_PSI_HI:.6f}]"
         )
     c = math.cos(psi)
-    disc = max(4.0 * c * c - 4.0 * c - 3.0, 0.0)
-    root = math.sqrt(disc)
+    root = math.sqrt(max(4.0 * c * c - 4.0 * c - 3.0, 0.0))
     denom = 2.0 * (c - 1.0)
-    beta1 = math.pi - math.acos(_clip1((-1.0 + root) / denom))
-    beta2 = math.acos(_clip1((1.0 + root) / denom))
+    beta1 = math.pi - math.acos(min(1.0, max(-1.0, (-1.0 + root) / denom)))
+    beta2 = math.acos(min(1.0, max(-1.0, (1.0 + root) / denom)))
     return (beta1, beta2)
-
-
-def _clip1(x):
-    return min(1.0, max(-1.0, x))
 
 
 def fig8_coloring(psi, branch):
@@ -554,6 +550,10 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
 def _solve(diagram, psi, grid=DEFAULT_GRID):
     """``solve_colorings``'s seeds as arrays: the betas, their colors, shape
     (arcs, seeds, 3), and the residuals that stage 3 accepted them with."""
+    try:
+        grid = operator.index(grid)  # a float or a string is not truncated
+    except TypeError:
+        raise BadParameter(f"grid must be an integer, not {grid!r}") from None
     if not 16 <= grid <= MAX_GRID:
         raise BadParameter(f"grid must lie in 16..{MAX_GRID}, not {grid}")
     quandle = SphereQuandle(psi)  # BadParameter unless 0 < psi < 2*pi

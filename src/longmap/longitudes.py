@@ -11,17 +11,19 @@ u -> exp(theta, u) with theta = pi - psi/2.
 
 Two independent evaluation routes are provided: direct word evaluation and
 the generalized-Alexander lift recurrence; they must agree on every valid
-coloring.  Both convert every arc in one numpy pass (``to_conj_coloring``);
-then each multiplies in its own loop on float components, with the
-arithmetic and renormalization of ``Quaternion.__mul__``, and builds one
-``Quaternion`` at the end.  Closed forms for the (2, n) torus knots,
-their mirrors, and the figure-eight knot are the third route.
+coloring.  Both read the rows of ``to_conj_coloring``'s (arcs, 4) array once
+as floats; then each multiplies in its own loop with the arithmetic and
+renormalization of ``Quaternion.__mul__``, and builds one ``Quaternion`` at
+the end.  Closed forms for the (2, n) torus knots, their mirrors, and the
+figure-eight knot are the third route.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .colorings import (BASEPOINT, FIG8_PSI_HI, FIG8_PSI_LO, Coloring,
                         _check_arity)
@@ -84,7 +86,7 @@ class LongitudeValue:
 
 
 def to_conj_coloring(coloring):
-    """Convert a spherical coloring to conjugation-quandle coordinates."""
+    """A spherical coloring in conjugation coordinates, an (arcs, 4) array."""
     q = coloring.quandle
     if isinstance(q, ConjClassQuandle):
         return coloring
@@ -94,7 +96,7 @@ def to_conj_coloring(coloring):
         )
     theta = math.pi - q.psi / 2.0
     return Coloring(ConjClassQuandle(theta),
-                    tuple(iso_sphere_to_conj(coloring.colors, theta)))
+                    iso_sphere_to_conj(coloring.colors, theta))
 
 
 def eval_word(diagram, coloring):
@@ -104,9 +106,9 @@ def eval_word(diagram, coloring):
     checked for membership in the circle group about the basepoint.
     """
     _check_arity(diagram, coloring)
-    cols = to_conj_coloring(coloring).colors
+    cols = np.asarray(to_conj_coloring(coloring).colors, dtype=float).tolist()
     word = longitude_word(diagram.code)
-    x0 = cols[0]
+    x0 = Quaternion._make(cols[0])
     # the left fold value * x_arc^e; each product is Quaternion.__mul__'s
     # arithmetic on floats, in its order, so the value is bitwise its fold
     a1, b1, c1, d1 = x0.pow(word.lead_exponent)
@@ -122,7 +124,7 @@ def eval_word(diagram, coloring):
         if nrm == 0.0:
             raise ValueError("zero quaternion")
         a1, b1, c1, d1 = a / nrm, b / nrm, c / nrm, d / nrm
-    value = Quaternion(a1, b1, c1, d1)
+    value = Quaternion._make((a1, b1, c1, d1))
     return LongitudeValue.from_quaternion(value, basepoint=x0)
 
 
@@ -132,12 +134,12 @@ def galex_lift(diagram, coloring):
     Starting from g_0 = 1, each crossing updates
     g_i = x^(-eps i) * g_(i-1) * u_(kappa i)^(eps i); the final g_n is the
     longitude value, both products renormalized at every crossing.
-    Independent of ``eval_word``: the two routes share only
-    ``to_conj_coloring``, and each writes out ``Quaternion.__mul__``'s
-    arithmetic in its own loop.
+    Independent of ``eval_word``: the routes share only the (arcs, 4) array
+    of ``to_conj_coloring``, whose rows each reads once as floats, and each
+    writes out ``Quaternion.__mul__``'s arithmetic in its own loop.
     """
     _check_arity(diagram, coloring)
-    cols = to_conj_coloring(coloring).colors
+    cols = np.asarray(to_conj_coloring(coloring).colors, dtype=float).tolist()
     xa, xb, xc, xd = cols[0]
     ga, gb, gc, gd = Quaternion.one()
     for arc, e in longitude_word(diagram.code).factors:
@@ -165,7 +167,7 @@ def galex_lift(diagram, coloring):
         if nrm == 0.0:
             raise ValueError("zero quaternion")
         ga, gb, gc, gd = a / nrm, b / nrm, c / nrm, d / nrm
-    return Quaternion(ga, gb, gc, gd)
+    return Quaternion._make((ga, gb, gc, gd))
 
 
 def t2n_closed_form(n, theta, mirror=False):
@@ -217,10 +219,10 @@ def qn_check(diagram, coloring):
     exponent, -n for sign +1 and n for the mirror.  Returns q^n."""
     _check_arity(diagram, coloring)
     coloring = to_conj_coloring(coloring)
-    cols = coloring.colors
+    cols = np.asarray(coloring.colors, dtype=float).tolist()
     n = diagram.code.n
-    q0 = cols[0]
-    q = q0 * cols[(n - 1) // 2 + 1]
+    q0 = Quaternion._make(cols[0])
+    q = q0 * Quaternion._make(cols[(n - 1) // 2 + 1])
     qn = q.pow(n)
     minus_one = Quaternion(-1.0, 0.0, 0.0, 0.0)
     # written as `not <=` so that a NaN q^n fails

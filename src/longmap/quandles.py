@@ -12,13 +12,14 @@ base class adds ``op`` and ``op_inv``, the two signs, ``stack`` and a check):
   f(g) = x^-1 g x (SU(2) is perfect, so the carrier is the whole group)
 - ``EisQuandle(x)``            : pairs (a, g) with a = g^-1 x g
 
-Elements are plain payloads (numpy unit vectors, Quaternions, ints, or
-(Quaternion, Quaternion) pairs); each quandle validates its own payloads.
-Elements may also be stacks, as ``stack`` builds them: op_signed, with
-sign +-1 or an array of signs that broadcasts over the rows, and distance
-then run once on all rows (quaternions through ``qmul``, bitwise ``*`` per
-row), validate returns a bool per row, and one foreign row is a
-MixedQuandleError.  A single Quaternion in gives a Quaternion out.
+Elements are plain payloads (numpy unit vectors, Quaternions or float rows
+(a, b, c, d), ints, or (Quaternion, Quaternion) pairs); each quandle
+validates its own payloads.  Elements may also be stacks, as ``stack``
+builds them, such as a conjugation coloring's (arcs, 4) float array: then
+op_signed, with sign +-1 or an array of signs that broadcasts over the
+rows, and distance run once on all rows (quaternions through ``qmul``,
+bitwise ``*`` per row), validate returns a bool per row, and one foreign
+row is a MixedQuandleError.  A single Quaternion in gives a Quaternion out.
 """
 
 from __future__ import annotations
@@ -246,8 +247,8 @@ class EisQuandle(Quandle):
 
 def iso_sphere_to_conj(points, theta):
     """u -> exp(theta, u), S^2_(2*pi - 2*theta) -> conjugacy class of theta,
-    over an (m, 3) stack of nonzero vectors u in one numpy pass: a list of
-    m ``Quaternion``s.
+    over an (m, 3) stack of nonzero vectors u in one numpy pass: an (m, 4)
+    float array, a row (a, b, c, d) per vector.
 
     Each row sum adds its components left to right, the order of the
     plain-float sqrt(x*x + y*y + z*z) and of ``Quaternion.from_components``,
@@ -262,8 +263,7 @@ def iso_sphere_to_conj(points, theta):
     q = np.empty((len(p), 4))
     q[:, 0] = math.cos(theta)
     q[:, 1:] = math.sin(theta) * (p / nrm)
-    rows = (q / np.sqrt((q * q).sum(axis=1, keepdims=True))).tolist()
-    return [tuple.__new__(Quaternion, r) for r in rows]
+    return q / np.sqrt((q * q).sum(axis=1, keepdims=True))
 
 
 def eis_to_galex(elem):

@@ -101,7 +101,8 @@ def suite_axioms():
     uv = rotate(u, 2.0 * math.pi - 2.0 * theta, v)
     worst = 0.0
     for (t, ui, vi), uvi in zip(samples, uv):
-        lhs, iu, iv = iso_sphere_to_conj([uvi, ui, vi], t)
+        lhs, iu, iv = map(Quaternion._make,
+                          iso_sphere_to_conj([uvi, ui, vi], t).tolist())
         rhs = ConjClassQuandle(t).op(iu, iv)
         worst = np.maximum(worst, distance(lhs, rhs))
     lines.append(CheckLine("sphere/conjugation isomorphism", worst, 1e-10))
@@ -167,11 +168,8 @@ def suite_fig8():
         value = eval_word(diagram, coloring)
         closed = fig8_closed_form(theta, branch)
         worst_cf = np.maximum(worst_cf, distance(value.q, closed.q))
-    beta = fig8_betas(FIG8_PSI_LO)
-    dev = np.maximum(
-        abs(beta[0] - math.acos(-1.0 / 3.0)),
-        abs(beta[1] - math.acos(-1.0 / 3.0)),
-    )
+    dev = np.max(np.abs(np.subtract(fig8_betas(FIG8_PSI_LO),
+                                    math.acos(-1.0 / 3.0))))
     return [
         CheckLine("fig8 coloring residual", worst_res, 1e-9),
         CheckLine("fig8 closed form", worst_cf, 1e-8),

@@ -209,6 +209,17 @@ def test_criterion_7_fox_correspondence():
             worst = max(worst, abs(got - want))
     b1, b2 = fig8_betas(PI)
     worst = max(worst, abs(b1 - 2 * PI / 5), abs(b2 - 4 * PI / 5))
+    # the seed angles of the Fox colorings themselves: the bridge arc's
+    # color k is the equator point at 2 pi k / m, folded into [0, pi] as
+    # 2 pi min(k, m - k) / m, so that k and m - k give one float
+    for d, m in [(fig8(), 5), (torus2n(21), 21), (torus2n(21, -1), 21),
+                 (torus2n(51), 51), (torus2n(63), 63),
+                 (torus2n(101, -1), 101)]:
+        seeds = [b for b, _c in solve_colorings(d, PI)]
+        ks = {c.colors[d.bridge_arcs[1]] for c in fox_colorings(d, m)}
+        fox = sorted({2 * PI * min(k, m - k) / m for k in ks})
+        assert len(seeds) == len(fox)
+        worst = max(worst, *(abs(got - want) for got, want in zip(seeds, fox)))
     assert worst <= 1e-8
     assert len(fox_colorings(fig8(), 5)) == 4
     report(7, "Fox correspondence at psi = pi", worst, 1e-8)
@@ -254,7 +265,8 @@ def test_criterion_9_algebraic_suites(torus_grid, fig8_grid):
         sq = SphereQuandle(2 * PI - 2 * theta)
         cq = ConjClassQuandle(theta)
         u, v = random_sphere_point(rng), random_sphere_point(rng)
-        lhs, iu, iv = iso_sphere_to_conj([sq.op(u, v), u, v], theta)
+        lhs, iu, iv = map(Quaternion._make, iso_sphere_to_conj(
+            [sq.op(u, v), u, v], theta).tolist())
         worst_iso = max(worst_iso, distance(lhs, cq.op(iu, iv)))
     assert worst_iso <= 1e-10
 

@@ -850,6 +850,13 @@ def test_grid_must_sample_the_gaps(n):
     with pytest.raises(BadParameter, match=f"at least {degree + 2} "):
         solve_colorings(d, 2.8, grid=degree + 1)
     assert solve_colorings(d, 2.8, grid=degree + 2)
+    assert solve_colorings(d, 2.8, grid=np.int64(degree + 2))
+    # a float or a string is refused, not truncated or compared; True is 1
+    for bad in (100.5, 100.0, "200"):
+        with pytest.raises(BadParameter, match=f"integer, not {bad!r}$"):
+            solve_colorings(d, 2.8, grid=bad)
+    with pytest.raises(BadParameter, match=f"16..{MAX_GRID}, not 1$"):
+        solve_colorings(d, 2.8, grid=True)
 
 
 def test_default_grid_samples_the_largest_diagram():

@@ -1,3 +1,4 @@
+import decimal
 import math
 import struct
 from itertools import combinations
@@ -224,10 +225,13 @@ def test_arity_is_checked_before_the_colors(fn):
 
 
 def _ref_conj_colors(coloring):
+    """The conjugation colors as Quaternions, a sphere point at a time."""
     if isinstance(coloring.quandle, ConjClassQuandle):
-        return list(coloring.colors)
-    theta = PI - coloring.quandle.psi / 2.0
-    return [iso_sphere_to_conj([u], theta)[0] for u in coloring.colors]
+        rows = coloring.colors
+    else:
+        theta = PI - coloring.quandle.psi / 2.0
+        rows = [iso_sphere_to_conj([u], theta)[0] for u in coloring.colors]
+    return [Quaternion(*map(float, r)) for r in rows]
 
 
 def _ref_eval_word(diagram, coloring):
@@ -250,7 +254,8 @@ def _ref_galex_lift(diagram, coloring):
 
 
 def _bits(q):
-    return struct.pack("<4d", q.a, q.b, q.c, q.d)
+    """The bytes of a Quaternion or of a row (a, b, c, d)."""
+    return struct.pack("<4d", *q)
 
 
 _CUSTOM = parse("tangle n=4\nkappa=2,3,0,1\neps=+,-,+,-\nbridges=0,2\n"
@@ -286,6 +291,8 @@ def test_word_routes_bitwise_equal_to_quaternion_products():
         assert got.phi == want.phi
         assert _bits(galex_lift(d, c)) == _bits(_ref_galex_lift(d, c))
         got_colors = to_conj_coloring(c).colors
+        assert isinstance(got_colors, np.ndarray) and got_colors.dtype == float
+        assert got_colors.shape == (len(c.colors), 4)
         want_colors = _ref_conj_colors(c)
         assert [_bits(q) for q in got_colors] == [_bits(q) for q in want_colors]
         cases += 1
@@ -312,18 +319,21 @@ def _outcome(route, diagram, coloring):
 def test_word_routes_fail_as_the_quaternion_products_do(bad, word_gives,
                                                         lift_gives):
     # a NaN arc makes every later product NaN, and a zero arc a product of
-    # norm 0: the routes' own products must give what __mul__'s folds give
+    # norm 0: the routes' own products must give what __mul__'s folds give,
+    # on the (arcs, 4) array and on a caller's tuple of Quaternions
     d = fig8()
     c = to_conj_coloring(fig8_coloring(1.1 * PI, 2))
     factors = longitude_word(d.code).factors
     assert {e for _arc, e in factors} == {1, -1}
     for arc in sorted({arc for arc, _e in factors}):
-        bad_c = Coloring(c.quandle,
-                         c.colors[:arc] + (bad,) + c.colors[arc + 1:])
-        assert (_outcome(eval_word, d, bad_c)
-                == _outcome(_ref_eval_word, d, bad_c) == word_gives)
-        assert (_outcome(galex_lift, d, bad_c)
-                == _outcome(_ref_galex_lift, d, bad_c) == lift_gives)
+        rows = c.colors.copy()
+        rows[arc] = bad
+        for colors in (rows, tuple(map(Quaternion._make, rows.tolist()))):
+            bad_c = Coloring(c.quandle, colors)
+            assert (_outcome(eval_word, d, bad_c)
+                    == _outcome(_ref_eval_word, d, bad_c) == word_gives)
+            assert (_outcome(galex_lift, d, bad_c)
+                    == _outcome(_ref_galex_lift, d, bad_c) == lift_gives)
 
 
 def _all_floats(q):
@@ -346,7 +356,6 @@ def test_every_quaternion_has_float_components():
         q * Quaternion.exp(1.1, [0.0, 1.0, 0.0]),
         q.inverse(),
         -q,
-        *iso_sphere_to_conj([axis], 1.2),
         ConjClassQuandle(1.2).sample(rng),
         GAlexQuandle(q).sample(rng),
         t2n_closed_form(101, 1.5).q,
@@ -355,11 +364,15 @@ def test_every_quaternion_has_float_components():
     ]
     d = torus2n(101)
     c = star_polygon(101, 50, 2 * PI - 2 * 1.5)
-    made += to_conj_coloring(c).colors
-    made += [eval_word(d, c).q, galex_lift(d, c)]
+    made += [eval_word(d, c).q, galex_lift(d, c), qn_check(d, c)]
     assert longitude_word(d.code).lead_exponent == -101
     bad = [q for q in made if not _all_floats(q)]
     assert bad == []
+    # the conjugation arrays give their components as floats
+    rows = [*iso_sphere_to_conj([axis], 1.2).tolist(),
+            *to_conj_coloring(c).colors.tolist()]
+    assert len(rows) == 103
+    assert all(type(x) is float for row in rows for x in row)
 
 
 # a + bi + cj + dk is the SU(2) matrix a + b*_I + c*_J + d*_K
@@ -400,6 +413,49 @@ def test_matrix_route_agrees_with_word_and_lift():
                 assert distance(by_matrix, galex_lift(d, c)) <= LAMBDA_TOL
                 seeds += 1
     assert seeds > 100
+
+
+_PI_50 = decimal.Decimal(
+    "3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _phase_error(phi, n, psi, sign):
+    """|phi - phi_exact| mod 2 pi for T(2,n) with the given sign, where
+    phi_exact = sign (pi + n psi) at the float psi, to 50 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        exact = sign * (_PI_50 + n * decimal.Decimal(psi))
+        d = abs((decimal.Decimal(phi) - exact) % (2 * _PI_50))
+        return float(min(d, 2 * _PI_50 - d))
+
+
+@pytest.mark.parametrize("n", [3, 7, 21, 51, 101])
+def test_torus_longitudes_match_the_exact_phase(n):
+    # an oracle that shares no derivation with the routes: at a float psi
+    # the longitude of T(2,n) is exp(pi + n psi, i), the inverse for the
+    # mirror; the bounds, linear in n, leave at least 4x headroom over the
+    # worst errors measured: 9.6e-15 at n = 21 on star polygons (closed
+    # form), 2.1e-13 at n = 101 on solver seeds
+    star_tol, seed_tol = n * 2e-15, n * 1e-14
+    for sign in (1, -1):
+        d = torus2n(n, sign)
+        for h in sorted({1, (n + 1) // 4, (n - 1) // 2}):
+            lo, hi = torus_theta_interval(n, h)
+            for theta in np.linspace(lo, hi, 5)[1:-1].tolist():
+                psi = 2 * PI - 2 * theta
+                c = star_polygon(n, h, psi)
+                c = c if sign > 0 else reflect_coloring(c)
+                g = galex_lift(d, c)
+                closed = t2n_closed_form(n, PI - psi / 2, mirror=sign < 0)
+                for phi in (eval_word(d, c).phi, math.atan2(g.b, g.a),
+                            closed.phi):
+                    assert _phase_error(phi, n, psi, sign) <= star_tol
+        for psi in (0.8 * PI, 2.8):
+            seeds = solve_colorings(d, psi)
+            assert seeds
+            for _beta, c in seeds:
+                err = _phase_error(eval_word(d, c).phi, n, psi, sign)
+                assert err <= seed_tol
 
 
 # ---------------------------------------------------------------------------

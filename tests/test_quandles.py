@@ -198,9 +198,10 @@ def test_sphere_conj_isomorphism():
         sq = SphereQuandle(2 * math.pi - 2 * theta)
         cq = ConjClassQuandle(theta)
         u, v = random_sphere_point(rng), random_sphere_point(rng)
+        # the rows of the (3, 4) array are elements of the class as they are
         lhs, iu, iv = iso_sphere_to_conj([sq.op(u, v), u, v], theta)
         rhs = cq.op(iu, iv)
-        worst = max(worst, distance(lhs, rhs))
+        worst = max(worst, qdistance(lhs, rhs))
     assert worst <= 1e-10
 
 
@@ -263,11 +264,12 @@ def test_iso_rows_equal_the_one_point_map():
     for theta in (1e-3, 0.4, math.pi / 2, 2.9):
         points = rng.normal(size=(200, 3)) * rng.uniform(1e-3, 1e3, (200, 1))
         rows = iso_sphere_to_conj(points, theta)
-        assert len(rows) == len(points)
-        for u, row in zip(points, rows):
-            [one] = iso_sphere_to_conj([u], theta)
+        assert isinstance(rows, np.ndarray) and rows.dtype == float
+        assert rows.shape == (len(points), 4)
+        for u, row in zip(points, rows.tolist()):
+            [one] = iso_sphere_to_conj([u], theta).tolist()
             plain = _plain_iso(u, theta)
-            assert (one.a, one.b, one.c, one.d) == tuple(row)
+            assert one == row
             assert (plain.a, plain.b, plain.c, plain.d) == tuple(row)
             assert all(type(c) is float for c in row)
 
