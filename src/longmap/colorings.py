@@ -19,7 +19,7 @@ import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -121,6 +121,7 @@ def residual(coloring, diagram):
 
 def admissible_steps(n, psi, margin=0.0):
     """Steps h whose star-polygon interval contains psi (with margin)."""
+    torus_interval(n, 1)  # BadParameter unless n is odd and >= 3
     k = (n - 1) // 2
     out = []
     for h in range(1, k + 1):
@@ -248,9 +249,9 @@ _TRIALS = np.array([0.0, 1.0, 2.0])  # beta, the step and the doubled step
 # table, so that a small table reuses heap pages instead of faulting in
 # fresh ones on every call; but at least _BLOCK_BETAS betas, as the loop
 # over a few betas at a time would otherwise dominate the scan of a large D
-# (T(2,1001) takes a 1 MB table).  ``_grid_minima`` keeps the table of its
-# whole grid between solves while it holds at most _KEPT powers (1 MB):
-# fig8 and T(2,n) up to n = 29 at DEFAULT_GRID
+# (T(2,1001) takes a 1 MB table).  ``_grid`` caches a table of _KEPT powers
+# (1 MB) for the last grid, _KEPT // grid terms per beta: at DEFAULT_GRID,
+# 32 terms, enough for fig8 and T(2,n) up to n = 29
 _BLOCK = 1 << 12
 _BLOCK_BETAS = 64
 _KEPT = 1 << 16
@@ -419,7 +420,7 @@ def _powers(betas, terms):
     along the betas, for every ``terms`` above k."""
     p = np.empty((terms, len(betas)), dtype=complex)
     p[0] = 1.0
-    np.exp(1j * betas, out=p[1])  # terms = D + 1 >= 3
+    np.exp(1j * betas, out=p[1])  # terms >= 3: D + 1, or _grid's
     h = 2
     while h < terms:
         w = min(h - 1, terms - h)
@@ -444,8 +445,14 @@ def _evaluate(series, betas):
     return out.T
 
 
-# (betas, powers) of the grid that _grid_minima keeps; built at its first scan
-_scan = None
+@lru_cache(maxsize=1)
+def _grid(grid):
+    """The ``grid`` betas of the scan, equispaced over [0, pi], and their
+    ``_powers`` to _KEPT // grid terms, or None where fewer than 3 fit.  A
+    function of the grid alone, cached for the last one."""
+    betas = np.linspace(0.0, math.pi, grid)
+    terms = _KEPT // grid
+    return betas, _powers(betas, terms) if terms >= 3 else None
 
 
 def _grid_minima(series, grid):
@@ -453,26 +460,15 @@ def _grid_minima(series, grid):
     [0, pi] where the largest relation gap is a local minimum, and the
     gaps and slopes there.
 
-    The grid and its ``_powers`` depend on neither psi nor the diagram, so
-    the scan keeps one table, for the last grid it kept and the most terms
-    asked there, while it holds at most _KEPT powers; a series of fewer
-    terms takes the leading rows, equal bitwise to a table of its own, in
-    one matmul.  The table is swapped in whole, so a concurrent solve never
-    reads a half-built one.  A scan that needs a larger table goes through
-    ``_evaluate`` and leaves the kept one as it is."""
-    global _scan
-    terms = series.shape[0] // 2
-    kept = _scan
-    if kept is None or len(kept[0]) != grid:
-        kept = np.linspace(0.0, math.pi, grid), np.empty((0, grid))
-    betas, powers = kept
-    if len(powers) < 2 * terms and terms * grid <= _KEPT:
-        powers = _powers(betas, terms)
-        _scan = betas, powers
-    if len(powers) < 2 * terms:
-        values = _evaluate(series, betas)
+    A series whose terms fit in the table of ``_grid`` takes its leading
+    rows, equal bitwise to a table of its own, in one matmul; a larger one
+    goes through ``_evaluate``."""
+    betas, powers = _grid(grid)
+    rows = series.shape[0]
+    if powers is not None and rows <= len(powers):
+        values = np.matmul(series.T, powers[:rows]).T
     else:
-        values = np.matmul(series.T, powers[:2 * terms]).T
+        values = _evaluate(series, betas)
     gaps = values.T[:values.shape[1] // 2].reshape(3, -1, grid)
     res = np.max(np.sum(gaps ** 2, axis=0), axis=0)
     padded = np.concatenate([[np.inf], res, [np.inf]])

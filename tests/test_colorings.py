@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 from functools import partial
 
@@ -22,7 +23,9 @@ from longmap.colorings import (
     _arc_words,
     _evaluate,
     _gap_series,
+    _grid,
     _grid_minima,
+    _powers,
     _refine,
     _solver,
     _word_program,
@@ -105,6 +108,13 @@ def test_admissible_steps():
     psi = 5 * PI / 7 + 0.01
     assert 1 in admissible_steps(7, psi)
     assert 1 not in admissible_steps(7, psi, margin=0.05)
+
+
+@pytest.mark.parametrize("n", [4, 2, 1, 0, -3])
+def test_admissible_steps_rejects_a_bad_n(n):
+    # not an empty list, which would read as no coloring
+    with pytest.raises(BadParameter, match="odd integer >= 3"):
+        admissible_steps(n, 3.0)
 
 
 @pytest.mark.parametrize("n,h", [(3, 1), (5, 1), (5, 2), (7, 2), (9, 4)])
@@ -368,17 +378,38 @@ def test_solver_fig8_near_a_window_end_keeps_both_seeds(psi):
     assert all(abs(b - w) <= SEED_TOL for b, w in zip(betas, want)), betas
 
 
-def test_the_grid_cell_warning_names_the_caller(monkeypatch):
-    # every grid minimum twice, and no dedup: each seed comes back twice,
-    # 0 apart, inside one grid cell
+def _double_the_grid_minima(monkeypatch):
+    """Make the scan return every grid minimum twice."""
     minima = colorings._grid_minima
     monkeypatch.setattr(colorings, "_grid_minima", lambda series, grid: tuple(
         np.repeat(x, 2, axis=0) for x in minima(series, grid)))
+
+
+def test_the_grid_cell_warning_names_the_caller(monkeypatch):
+    # every grid minimum twice, and no dedup: each seed comes back twice,
+    # 0 apart, inside one grid cell
+    _double_the_grid_minima(monkeypatch)
     monkeypatch.setattr(colorings, "SEED_TOL", -1.0)
     with pytest.warns(UserWarning, match="inside one grid cell") as record:
         seeds = solve_colorings(fig8(), 2.5)
     assert len(seeds) == 4
     assert {w.filename for w in record} == {__file__}
+
+
+@pytest.mark.parametrize("diagram,psi", [(fig8(), 2.5), (torus2n(21), 2.8),
+                                         (torus2n(7, -1), 3.3)],
+                         ids=["fig8", "T21", "T7-"])
+def test_the_solver_drops_a_duplicate_seed(monkeypatch, diagram, psi):
+    # every grid minimum twice, with the real SEED_TOL: each copy of a
+    # seed lands on the seed itself and is dropped, before the grid cell
+    # warning can fire
+    want = [beta for beta, _ in solve_colorings(diagram, psi)]
+    _double_the_grid_minima(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [beta for beta, _ in solve_colorings(diagram, psi)]
+    assert len(got) == len(want) > 0
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-12
 
 
 def test_solver_oracle_sweep_long_chain():
@@ -653,38 +684,42 @@ def test_grid_minima_are_those_of_the_gap_program(diagram):
         assert np.array_equal(got, want), psi
 
 
-def _kept_terms(grid):
-    """How many powers per beta the scan keeps for this grid, 0 if none."""
-    kept = colorings._scan
-    return len(kept[1]) // 2 if kept and len(kept[0]) == grid else 0
-
-
-def test_the_scan_does_not_depend_on_the_kept_table(monkeypatch):
-    # fig8's scan reads the leading rows of whatever table the scans
-    # before it kept, bitwise as from a fresh state
-    monkeypatch.setattr(colorings, "_scan", None)
+def test_the_scan_does_not_depend_on_the_kept_table():
+    # fig8's scan reads the leading rows of its grid's cached table,
+    # bitwise as from a fresh cache, whatever was scanned before it
+    _grid.cache_clear()
     series = _series(fig8(), 2.8)
     want = _grid_minima(series, DEFAULT_GRID)
-    assert _kept_terms(DEFAULT_GRID) == 9
-    for before, grid, terms in [
-            (torus2n(21), DEFAULT_GRID, 23),  # grows the table
-            (torus2n(21), 999, 9),  # replaces it by another grid's
-            (torus2n(101), DEFAULT_GRID, 9),  # too large to keep
+    for before, grid in [
+            (torus2n(21), DEFAULT_GRID),  # more rows of the same table
+            (torus2n(21), 999),  # replaces it by another grid's
+            (torus2n(101), DEFAULT_GRID),  # too large for the table
+            (torus2n(21), MAX_GRID),  # a grid with no table
     ]:
         _grid_minima(_series(before, 2.8), grid)
         got = _grid_minima(series, DEFAULT_GRID)
-        assert _kept_terms(DEFAULT_GRID) == terms
         for a, b in zip(got, want):
-            assert a.tobytes() == b.tobytes(), before.name
+            assert a.tobytes() == b.tobytes(), (before.name, grid)
 
 
-def test_the_kept_table_holds_at_most_kept_powers(monkeypatch):
-    monkeypatch.setattr(colorings, "_scan", None)
-    for diagram, grid in [(fig8(), DEFAULT_GRID),
-                          (torus2n(1001), DEFAULT_GRID),
-                          (torus2n(21), MAX_GRID)]:
-        _grid_minima(_series(diagram, 2.8), grid)
-        assert colorings._scan[1].size <= 2 * colorings._KEPT, diagram.name
+def test_the_leading_rows_of_the_powers_are_a_smaller_table():
+    # what lets a series take the leading rows of the kept table: bitwise
+    # those of a table of its own terms
+    betas, powers = _grid(DEFAULT_GRID)
+    for terms in range(3, len(powers) // 2 + 1):
+        own = _powers(betas, terms)
+        assert own.tobytes() == powers[:2 * terms].tobytes(), terms
+
+
+def test_the_kept_table_holds_at_most_kept_powers():
+    for grid in (16, 999, DEFAULT_GRID, 16_000, 30_000, MAX_GRID):
+        betas, powers = _grid(grid)
+        assert betas.tobytes() == np.linspace(0.0, PI, grid).tobytes()
+        if colorings._KEPT // grid < 3:
+            assert powers is None, grid
+        else:
+            assert powers.size <= 2 * colorings._KEPT, grid
+            assert len(powers) == 2 * (colorings._KEPT // grid), grid
 
 
 @pytest.mark.parametrize("diagram", [fig8(), torus2n(21), torus2n(101, -1)],
@@ -704,7 +739,7 @@ def test_grid_minima_values_are_the_gap_program_gaps(diagram, psi):
     series = _series(diagram, psi)
     betas, values = _grid_minima(series, DEFAULT_GRID)
     terms = series.shape[0] // 2
-    kept = _kept_terms(DEFAULT_GRID) >= terms
+    kept = 2 * terms <= len(_grid(DEFAULT_GRID)[1])
     assert kept == (terms * DEFAULT_GRID <= colorings._KEPT)
     rows = values.shape[1] // 2
     assert np.max(np.abs(values[:, :rows].T

@@ -8,8 +8,12 @@ import pytest
 
 from longmap.colorings import (
     BASEPOINT,
+    FIG8_PSI_HI,
+    FIG8_PSI_LO,
     Coloring,
+    fig8_betas,
     fig8_coloring,
+    fox_colorings,
     reflect_coloring,
     rotate_coloring,
     solve_colorings,
@@ -24,6 +28,7 @@ from longmap.errors import (
     OutOfInterval,
 )
 from longmap.longitudes import (
+    FIG8_BRANCH_SIGN,
     LAMBDA_TOL,
     LongitudeValue,
     eval_word,
@@ -52,6 +57,8 @@ def test_wrap_angle():
     assert abs(wrap_angle(-PI) - PI) < 1e-15
     assert abs(wrap_angle(3 * PI) - PI) < 1e-12
     assert abs(wrap_angle(-0.3) + 0.3) < 1e-15
+    assert abs(wrap_angle(1.5 * PI) + 0.5 * PI) < 1e-15
+    assert abs(wrap_angle(-1.5 * PI) - 0.5 * PI) < 1e-15
 
 
 def test_t2n_closed_form_values():
@@ -190,6 +197,12 @@ def test_to_conj_coloring():
     assert abs(cc.quandle.theta - (PI - 0.45 * PI)) < 1e-12
     # converting twice is a no-op
     assert to_conj_coloring(cc) is cc
+
+
+def test_to_conj_coloring_rejects_a_fox_coloring():
+    fox = fox_colorings(torus2n(3), 3)[0]
+    with pytest.raises(BadParameter, match="sphere or conjugation"):
+        to_conj_coloring(fox)
 
 
 def test_from_quaternion_reads_phi():
@@ -458,6 +471,83 @@ def test_torus_longitudes_match_the_exact_phase(n):
                 assert err <= seed_tol
 
 
+def _dec_cos(x):
+    """cos of a Decimal by its Taylor series, the recipe of the decimal
+    docs; two guard digits over the context's precision."""
+    decimal.getcontext().prec += 2
+    i, lasts, s, fact, num, sign = 0, 0, 1, 1, 1, 1
+    while s != lasts:
+        lasts = s
+        i += 2
+        fact *= i * (i - 1)
+        num *= x * x
+        sign *= -1
+        s += num / fact * sign
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def _dec_sin(x):
+    """sin of a Decimal, as ``_dec_cos``."""
+    decimal.getcontext().prec += 2
+    i, lasts, s, fact, num, sign = 1, 0, x, 1, x, 1
+    while s != lasts:
+        lasts = s
+        i += 2
+        fact *= i * (i - 1)
+        num *= x * x
+        sign *= -1
+        s += num / fact * sign
+    decimal.getcontext().prec -= 2
+    return +s
+
+
+def _fig8_error(q, psi, branch):
+    """|q - exact| for the figure-eight longitude of the branch at the
+    float psi, to 50 digits: with c = cos psi and s = sin psi, the exact
+    value is (2c^2 - c - 2) - sign sqrt(4c^2 - 4c - 3) s i, of norm 1
+    exactly; it needs no pi."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        x = decimal.Decimal(psi)
+        c, s = _dec_cos(x), _dec_sin(x)
+        re = 2 * c * c - c - 2
+        im = -decimal.Decimal(FIG8_BRANCH_SIGN[branch]) * (
+            4 * c * c - 4 * c - 3).sqrt() * s
+        d = [decimal.Decimal(v) for v in q]
+        return float(((d[0] - re) ** 2 + (d[1] - im) ** 2 + d[2] ** 2
+                      + d[3] ** 2).sqrt())
+
+
+_FIG8_PSIS = np.linspace(FIG8_PSI_LO + 0.01, FIG8_PSI_HI - 0.01, 41).tolist()
+
+
+def test_fig8_longitudes_match_the_exact_value():
+    # an oracle that shares no derivation with the routes, as for the
+    # torus knots; the bounds leave at least 4x headroom over the worst
+    # errors measured on these psi, over all four components: 1.4e-15
+    # for the word, 1.5e-15 for the lift, 3.1e-15 for the float closed
+    # form (at the rounded theta) and 2.7e-15 on solver seeds
+    d = fig8()
+    word_tol, closed_tol, seed_tol = 6.5e-15, 1.3e-14, 1.1e-14
+    for psi in _FIG8_PSIS:
+        for branch in (1, 2):
+            c = fig8_coloring(psi, branch)
+            assert _fig8_error(eval_word(d, c).q, psi, branch) <= word_tol
+            assert _fig8_error(galex_lift(d, c), psi, branch) <= word_tol
+            closed = fig8_closed_form(PI - psi / 2, branch).q
+            assert _fig8_error(closed, psi, branch) <= closed_tol
+        # each solver seed on the branch of the nearer closed-form seed
+        want = fig8_betas(psi)
+        seeds = solve_colorings(d, psi)
+        branches = [1 + int(abs(b - want[1]) < abs(b - want[0]))
+                    for b, _ in seeds]
+        assert sorted(branches) == [1, 2], psi
+        for (_beta, c), branch in zip(seeds, branches):
+            assert _fig8_error(eval_word(d, c).q, psi, branch) <= seed_tol
+            assert _fig8_error(galex_lift(d, c), psi, branch) <= seed_tol
+
+
 # ---------------------------------------------------------------------------
 # finite subquandles: Eisermann's finite-group oracle on any diagram
 
@@ -487,7 +577,8 @@ _FINITE_CASES = [*((_VERTEX_AXES, 2 * PI * k / 5) for k in range(1, 5)),
 _FINITE_IDS = ["vertex-1", "vertex-2", "vertex-3", "vertex-4", "face-1",
                "face-2", "edge"]
 _FINITE_DIAGRAMS = [fig8(), _CUSTOM, *(torus2n(n, sign)
-                                       for n in range(3, 22, 2)
+                                       for n in (*range(3, 22, 2), 31, 51,
+                                                 101)
                                        for sign in (1, -1))]
 
 

@@ -243,6 +243,40 @@ def test_eis_rejects_inconsistent_pair():
         eq.op(a, bad)
 
 
+@pytest.mark.parametrize("theta", [0.0, math.pi, -0.5, 4.0, math.nan])
+def test_conj_class_rejects_a_bad_theta(theta):
+    with pytest.raises(BadParameter, match="theta must lie in"):
+        ConjClassQuandle(theta)
+
+
+@pytest.mark.parametrize("m", [2, 1, 0, -5])
+def test_dihedral_rejects_m_below_3(m):
+    with pytest.raises(BadParameter, match="m must be at least 3"):
+        DihedralQuandle(m)
+
+
+@pytest.mark.parametrize("q", [ConjClassQuandle(0.9), GAlexQuandle(X)],
+                         ids=["ConjClass", "GAlex"])
+def test_quaternion_quandles_reject_a_non_quaternion(q):
+    # a point of S^2, an int row and a plain tuple are not quaternions
+    for a in (np.array([1.0, 0.0, 0.0]), np.array([1, 0, 0, 0]),
+              (1.0, 0.0, 0.0, 0.0)):
+        assert q.validate(a) is False
+        with pytest.raises(MixedQuandleError):
+            q.op(a, q.sample(np.random.default_rng(17)))
+
+
+def test_eis_rejects_a_malformed_pair():
+    eq = EisQuandle(X)
+    good = eq.sample(np.random.default_rng(18))
+    stacked = (np.array([good[0]] * 2), np.array([good[1]]))
+    for a in (good[0], [good[0], good[1]], (good[0],), (*good, good[1]),
+              (good[0], np.array([1.0, 0.0, 0.0])), stacked):
+        assert eq.validate(a) is False
+        with pytest.raises(MixedQuandleError):
+            eq.op(a, good)
+
+
 def test_iso_rejects_bad_theta():
     for theta in (0.0, math.pi, -1.0, 4.0):
         with pytest.raises(BadParameter):

@@ -246,6 +246,37 @@ def test_parse_errors_carry_line_numbers():
         assert ei.value.line == len(lines) + 1
 
 
+_HEAD = "tangle n=3\n"
+
+
+@pytest.mark.parametrize("text,error,message,line", [
+    ("tangle n3\n", ParseError, "malformed tangle header", 1),
+    ("# trefoil\ntangle m=3\n", ParseError, "unknown header key 'm'", 2),
+    ("tangle n=three\n", ParseError, "bad crossing count 'three'", 1),
+    (_HEAD + "kappa=1,2,0\neps\n", ParseError,
+     "expected key=value, got 'eps'", 3),
+    (_HEAD + "kappa=1,x,0\neps=+,+,+\n", ParseError,
+     "kappa entries must be integers", 2),
+    (_HEAD + "kappa=1,2,0\neps=+,+,+\n\nbridges=0,two\n", ParseError,
+     "bridge entries must be integers", 5),
+    ("# only a comment\n\n", ParseError, "missing 'tangle n=<N>' header",
+     None),
+    (_HEAD + "kappa=1,2,0\n", ParseError, "missing kappa or eps line", None),
+    (_HEAD + "eps=+,+,+\n", ParseError, "missing kappa or eps line", None),
+    (_HEAD + "kappa=1,2,0\neps=+,+\n", ValidationError,
+     "eps has 2 entries, expected 3", None),
+], ids=["malformed-header", "header-key", "crossing-count", "no-equals",
+        "kappa-int", "bridges-int", "no-header", "no-eps", "no-kappa",
+        "eps-count"])
+def test_parse_error_messages(text, error, message, line):
+    with pytest.raises(error) as ei:
+        parse(text)
+    want = message if line is None else f"line {line}: {message}"
+    assert str(ei.value) == want
+    if error is ParseError:
+        assert ei.value.line == line
+
+
 def test_parse_length_mismatch():
     with pytest.raises(ValidationError):
         parse("tangle n=4\nkappa=1,2,0\neps=+,+,+\n")
