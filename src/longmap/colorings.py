@@ -15,7 +15,6 @@ E = {(cos b, sin b, 0) : 0 <= b <= pi}.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from .errors import (
 )
 from .quandles import DihedralQuandle, SphereQuandle
 from .quaternions import rotate
-from .tangles import fig8, torus_interval, torus_theta_interval
+from .tangles import _index, fig8, torus_interval, torus_theta_interval
 
 EPS_COLOR = 1e-8        # residual acceptance for a valid coloring
 SEED_TOL = 1e-6         # dedup tolerance between solver seeds
@@ -68,7 +67,13 @@ __all__ = [
 @dataclass(frozen=True)
 class Coloring:
     """Quandle elements on the arcs 0..n, a row per arc; a sphere coloring
-    made here is an (arcs, 3) float array, a conjugation one (arcs, 4)."""
+    made here is an (arcs, 3) float array, a conjugation one (arcs, 4).
+
+    The longitude routes keep the coloring's conjugation rows beside its
+    fields on their first read (``longitudes._conj_rows``), out of its
+    ``==``, ``hash`` and ``repr``; so its colors must not be mutated after
+    a route has read them.  Make a new ``Coloring`` instead.
+    """
 
     quandle: object
     colors: object
@@ -223,6 +228,7 @@ def fig8_betas(psi):
 
 def fig8_coloring(psi, branch):
     """Figure-eight coloring over SphereQuandle(psi) for branch 1 or 2."""
+    branch = _index(branch, "branch")
     if branch not in (1, 2):
         raise BadParameter("branch must be 1 or 2")
     beta = fig8_betas(psi)[branch - 1]
@@ -546,10 +552,7 @@ def solve_colorings(diagram, psi, grid=DEFAULT_GRID):
 def _solve(diagram, psi, grid=DEFAULT_GRID):
     """``solve_colorings``'s seeds as arrays: the betas, their colors, shape
     (arcs, seeds, 3), and the residuals that stage 3 accepted them with."""
-    try:
-        grid = operator.index(grid)  # a float or a string is not truncated
-    except TypeError:
-        raise BadParameter(f"grid must be an integer, not {grid!r}") from None
+    grid = _index(grid, "grid")
     if not 16 <= grid <= MAX_GRID:
         raise BadParameter(f"grid must lie in 16..{MAX_GRID}, not {grid}")
     quandle = SphereQuandle(psi)  # BadParameter unless 0 < psi < 2*pi
@@ -597,8 +600,16 @@ def fox_colorings(diagram, m):
 # coloring transforms
 
 
+def _check_sphere(coloring, what):
+    """BadParameter unless the coloring is over a sphere quandle."""
+    if not isinstance(coloring.quandle, SphereQuandle):
+        raise BadParameter(f"{what} is defined for sphere colorings, not "
+                           f"{type(coloring.quandle).__name__} ones")
+
+
 def rotate_coloring(coloring, phi):
     """Rotate every color about the basepoint axis (1,0,0) by phi."""
+    _check_sphere(coloring, "rotate_coloring")
     return Coloring(coloring.quandle, rotate(coloring.colors, phi, BASEPOINT))
 
 
@@ -609,4 +620,5 @@ def reflect_coloring(coloring):
     a coloring of the mirror diagram (all crossing signs flipped) over the
     same spherical quandle, fixing the basepoint.
     """
+    _check_sphere(coloring, "reflect_coloring")
     return Coloring(coloring.quandle, np.asarray(coloring.colors) * [1, -1, 1])

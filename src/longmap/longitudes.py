@@ -11,11 +11,13 @@ u -> exp(theta, u) with theta = pi - psi/2.
 
 Two independent evaluation routes are provided: direct word evaluation and
 the generalized-Alexander lift recurrence; they must agree on every valid
-coloring.  Both read the rows of ``to_conj_coloring``'s (arcs, 4) array once
-as floats; then each multiplies in its own loop with the arithmetic and
-renormalization of ``Quaternion.__mul__``, and builds one ``Quaternion`` at
-the end.  Closed forms for the (2, n) torus knots, their mirrors, and the
-figure-eight knot are the third route.
+coloring.  Both read one list of float rows, ``to_conj_coloring``'s (arcs, 4)
+array converted once per coloring and kept on it (``_conj_rows``), and one
+``longitude_word``, built once per code and kept on it; then each multiplies
+in its own loop with the arithmetic and renormalization of
+``Quaternion.__mul__``, and builds one ``Quaternion`` at the end.  Closed
+forms for the (2, n) torus knots, their mirrors, and the figure-eight knot
+are the third route.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .colorings import (BASEPOINT, FIG8_PSI_HI, FIG8_PSI_LO, Coloring,
 from .errors import BadParameter, NotInLambda, NotMinusOne, OutOfInterval
 from .quandles import ConjClassQuandle, SphereQuandle, iso_sphere_to_conj
 from .quaternions import Quaternion, distance
-from .tangles import longitude_word, torus_theta_interval
+from .tangles import _torus_code, longitude_word, torus_theta_interval
 
 LAMBDA_TOL = 1e-9
 
@@ -99,6 +101,19 @@ def to_conj_coloring(coloring):
                     iso_sphere_to_conj(coloring.colors, theta))
 
 
+def _conj_rows(coloring):
+    """The rows of ``to_conj_coloring(coloring)`` as lists of floats,
+    converted on the coloring's first read and kept beside its fields, as
+    ``colorings._solver`` keeps a diagram's program; they hold no reference
+    to the coloring, so they die with it."""
+    rows = vars(coloring).get("_conj_rows")
+    if rows is None:
+        rows = np.asarray(to_conj_coloring(coloring).colors,
+                          dtype=float).tolist()
+        object.__setattr__(coloring, "_conj_rows", rows)
+    return rows
+
+
 def eval_word(diagram, coloring):
     """Evaluate the longitude word on a coloring.
 
@@ -106,7 +121,7 @@ def eval_word(diagram, coloring):
     checked for membership in the circle group about the basepoint.
     """
     _check_arity(diagram, coloring)
-    cols = np.asarray(to_conj_coloring(coloring).colors, dtype=float).tolist()
+    cols = _conj_rows(coloring)
     word = longitude_word(diagram.code)
     x0 = Quaternion._make(cols[0])
     # the left fold value * x_arc^e; each product is Quaternion.__mul__'s
@@ -134,12 +149,13 @@ def galex_lift(diagram, coloring):
     Starting from g_0 = 1, each crossing updates
     g_i = x^(-eps i) * g_(i-1) * u_(kappa i)^(eps i); the final g_n is the
     longitude value, both products renormalized at every crossing.
-    Independent of ``eval_word``: the routes share only the (arcs, 4) array
-    of ``to_conj_coloring``, whose rows each reads once as floats, and each
-    writes out ``Quaternion.__mul__``'s arithmetic in its own loop.
+    Independent of ``eval_word``: the routes share only the float rows of
+    ``to_conj_coloring`` kept on the coloring (``_conj_rows``) and the
+    code's ``longitude_word``, and each writes out ``Quaternion.__mul__``'s
+    arithmetic in its own loop.
     """
     _check_arity(diagram, coloring)
-    cols = np.asarray(to_conj_coloring(coloring).colors, dtype=float).tolist()
+    cols = _conj_rows(coloring)
     xa, xb, xc, xd = cols[0]
     ga, gb, gc, gd = Quaternion.one()
     for arc, e in longitude_word(diagram.code).factors:
@@ -216,11 +232,16 @@ def qn_check(diagram, coloring):
     """Verify q^n = -1 for the braid product q = q_0 q_1 of a coloring of
     ``torus2n(n, sign)``, and that q_0^(2 lead) q^n reproduces the longitude
     word, each within LAMBDA_TOL; lead = -writhe is the word's lead
-    exponent, -n for sign +1 and n for the mirror.  Returns q^n."""
+    exponent, -n for sign +1 and n for the mirror.  Returns q^n; any other
+    code is a BadParameter."""
     _check_arity(diagram, coloring)
-    coloring = to_conj_coloring(coloring)
-    cols = np.asarray(coloring.colors, dtype=float).tolist()
-    n = diagram.code.n
+    code = diagram.code
+    n = code.n
+    if not (n >= 3 and n % 2 and code == _torus_code(n, code.eps[0])):
+        raise BadParameter(
+            "qn_check is defined on the codes of torus2n(n, +-1) only"
+        )
+    cols = _conj_rows(coloring)
     q0 = Quaternion._make(cols[0])
     q = q0 * Quaternion._make(cols[(n - 1) // 2 + 1])
     qn = q.pow(n)
@@ -229,7 +250,7 @@ def qn_check(diagram, coloring):
     if not distance(qn, minus_one) <= LAMBDA_TOL:
         raise NotMinusOne(f"q^n is {qn}, expected -1")
     direct = eval_word(diagram, coloring).q
-    via_product = q0.pow(2 * longitude_word(diagram.code).lead_exponent) * qn
+    via_product = q0.pow(2 * longitude_word(code).lead_exponent) * qn
     if not distance(direct, via_product) <= LAMBDA_TOL:
         raise NotMinusOne(
             "q_0^(2 lead) q^n does not reproduce the longitude word"

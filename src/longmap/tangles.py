@@ -86,11 +86,17 @@ class LongitudeWord:
 
 def longitude_word(code):
     """The preferred longitude of the tangle: leading exponent -writhe on
-    arc 0 followed by the over-arc generators in crossing order."""
-    return LongitudeWord(
-        lead_exponent=-code.writhe,
-        factors=tuple(zip(code.kappa, code.eps)),
-    )
+    arc 0 followed by the over-arc generators in crossing order.  Built on
+    the code's first call and kept beside its fields, out of its ``==``,
+    ``hash`` and ``repr``, so that every route reads one word."""
+    word = vars(code).get("_longitude_word")
+    if word is None:
+        word = LongitudeWord(
+            lead_exponent=-code.writhe,
+            factors=tuple(zip(code.kappa, code.eps)),
+        )
+        object.__setattr__(code, "_longitude_word", word)
+    return word
 
 
 @dataclass(frozen=True)
@@ -183,9 +189,7 @@ def torus2n(n, sign=1):
     if sign not in (1, -1):
         raise BadParameter("sign must be +1 or -1")
     k = (n - 1) // 2
-    kappa = tuple((i + k) % n for i in range(1, n + 1))
-    eps = (sign,) * n
-    code = WirtingerCode(kappa, eps)
+    code = _torus_code(n, sign)
     # define braid colors q_2..q_(n-1) in order, then the terminal arc;
     # arc of q_j is j*(k+1) mod n because 2*(k+1) = 1 (mod n)
     schedule = [(j * (k + 1) % n, j * (k + 1) % n) for j in range(2, n)]
@@ -198,9 +202,29 @@ def torus2n(n, sign=1):
     )
 
 
+def _index(value, what):
+    """``value`` as an int: a float or a string is a BadParameter, not
+    truncated; numpy integers pass."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParameter(
+            f"{what} must be an integer, not {value!r}"
+        ) from None
+
+
+def _torus_code(n, sign):
+    """The Wirtinger code of ``torus2n(n, sign)``: crossing i passes under
+    arc (i + (n-1)/2) mod n, every crossing of the given sign."""
+    k = (n - 1) // 2
+    return WirtingerCode(tuple((i + k) % n for i in range(1, n + 1)),
+                         (sign,) * n)
+
+
 def torus_interval(n, h):
     """Open psi-interval ((n-2h)pi/n, (n+2h)pi/n) admitting the step-h
     star-polygon coloring of the (2, n) torus knot."""
+    n, h = _index(n, "n"), _index(h, "h")
     if n < 3 or n % 2 == 0:
         raise BadParameter("n must be an odd integer >= 3")
     if not 1 <= h <= (n - 1) // 2:

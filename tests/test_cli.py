@@ -148,6 +148,18 @@ def test_color_text_and_json_layout(tmp_path, capsys, source, psi, count):
     assert len(seeds) == count
 
 
+def test_color_text_is_a_string_per_seed():
+    # a line per arc made the text report slower than the JSON one
+    from longmap.cli import _color_lines
+
+    d = torus2n(21)
+    betas, colors, residuals = colorings._solve(d, 2.8)
+    chunks = list(_color_lines(2.8, betas, colors, residuals))
+    assert len(chunks) == 1 + len(betas) > 1
+    assert all(chunk.count("\n") == 1 + d.code.n + 1 for chunk in chunks[1:])
+    assert all(chunk.startswith("  beta = ") for chunk in chunks[1:])
+
+
 @pytest.mark.parametrize("diagram,psi", [
     (fig8(), 2.5), (torus2n(101), 2.8), (torus2n(501, -1), 3.5)],
     ids=["fig8", "T101", "T501-"])

@@ -957,6 +957,49 @@ def test_reflect_coloring_colors_the_mirror():
     assert residual(m, torus2n(5, 1)) > 1e-3
 
 
+@pytest.mark.parametrize("transform", [partial(rotate_coloring, phi=1.7),
+                                       reflect_coloring],
+                         ids=["rotate", "reflect"])
+def test_transforms_refuse_colorings_off_the_sphere(transform):
+    # both raised numpy's broadcast ValueError on these colorings
+    conj = to_conj_coloring(star_polygon(5, 1, 0.9 * PI))
+    fox = fox_colorings(torus2n(3), 3)[0]
+    for c, kind in ((conj, "ConjClassQuandle"), (fox, "DihedralQuandle")):
+        with pytest.raises(BadParameter,
+                           match=f"sphere colorings, not {kind} ones$"):
+            transform(c)
+
+
+@pytest.mark.parametrize("call,what,bad", [
+    (partial(star_beta, 7, 1.5, 2.8), "h", 1.5),
+    (partial(star_polygon, 7, 1.5, 2.8), "h", 1.5),
+    (partial(star_polygon, 7.0, 1, 2.8), "n", 7.0),
+    (partial(torus_interval, "7", 1), "n", "7"),
+    (partial(admissible_steps, 7.0, 2.8), "n", 7.0),
+    (partial(fig8_coloring, 2.5, 1.0), "branch", 1.0),
+    (partial(fig8_coloring, 2.5, "1"), "branch", "1"),
+], ids=["star_beta-h", "star_polygon-h", "star_polygon-n",
+        "torus_interval-str", "admissible_steps-n", "fig8-branch",
+        "fig8-branch-str"])
+def test_integer_parameters_are_not_truncated(call, what, bad):
+    # star_beta(7, 1.5, 2.8) returned 1.3089, star_polygon raised numpy's
+    # IndexError and fig8_coloring(2.5, 1.0) a TypeError
+    with pytest.raises(BadParameter,
+                       match=f"^{what} must be an integer, not {bad!r}$"):
+        call()
+
+
+def test_numpy_integer_parameters_pass():
+    i = np.int64
+    assert torus_interval(i(7), i(2)) == torus_interval(7, 2)
+    assert star_beta(i(7), i(2), 2.8) == star_beta(7, 2, 2.8)
+    assert _bits(star_polygon(i(7), i(2), 2.8).colors) == _bits(
+        star_polygon(7, 2, 2.8).colors)
+    assert admissible_steps(i(7), 2.8) == admissible_steps(7, 2.8)
+    assert _bits(fig8_coloring(2.5, i(2)).colors) == _bits(
+        fig8_coloring(2.5, 2).colors)
+
+
 def _sphere_colorings():
     """(id, diagram, coloring) of star polygons, fig8 colorings and solver
     seeds, the three producers of sphere colorings."""

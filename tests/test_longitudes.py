@@ -1,11 +1,15 @@
 import decimal
+import gc
 import math
 import struct
+import sys
+import weakref
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from longmap import longitudes
 from longmap.colorings import (
     BASEPOINT,
     FIG8_PSI_HI,
@@ -31,6 +35,7 @@ from longmap.longitudes import (
     FIG8_BRANCH_SIGN,
     LAMBDA_TOL,
     LongitudeValue,
+    _conj_rows,
     eval_word,
     fig8_closed_form,
     galex_lift,
@@ -46,7 +51,14 @@ from longmap.quandles import (
     iso_sphere_to_conj,
 )
 from longmap.quaternions import Quaternion, distance, rotate
-from longmap.tangles import fig8, longitude_word, parse, torus2n
+from longmap.tangles import (
+    TangleDiagram,
+    WirtingerCode,
+    fig8,
+    longitude_word,
+    parse,
+    torus2n,
+)
 
 PI = math.pi
 
@@ -83,6 +95,10 @@ def test_t2n_closed_form_domain():
         t2n_closed_form(3, 0.1)
     with pytest.raises(BadParameter):
         t2n_closed_form(4, 1.0)
+    # 7.0 was accepted; a numpy integer is an integer
+    with pytest.raises(BadParameter, match="^n must be an integer, not 7.0$"):
+        t2n_closed_form(7.0, 1.6)
+    assert t2n_closed_form(np.int64(7), 1.6) == t2n_closed_form(7, 1.6)
 
 
 def test_fig8_closed_form_values():
@@ -180,6 +196,82 @@ def test_qn_check_fails_on_a_nan_arc():
     colors[0] = math.nan
     with pytest.raises(NotMinusOne, match="q\\^n"):
         qn_check(torus2n(7), Coloring(c.quandle, colors))
+
+
+_NOT_TORUS = [
+    (fig8(), fig8_coloring(2.5, 1)),
+    (parse("tangle n=4\nkappa=2,3,0,1\neps=+,-,+,-\n"),
+     fig8_coloring(2.5, 2)),
+    # the arcs of T(2,5), but one crossing of the other sign
+    (TangleDiagram(WirtingerCode(torus2n(5).code.kappa, (1, 1, 1, 1, -1))),
+     star_polygon(5, 1, 0.9 * PI)),
+]
+
+
+@pytest.mark.parametrize("d,c", _NOT_TORUS, ids=["fig8", "parsed", "mixed"])
+def test_qn_check_is_defined_on_torus_codes_only(d, c):
+    # on fig8 it raised NotMinusOne, the error of a verification breach
+    with pytest.raises(BadParameter, match="torus2n"):
+        qn_check(d, c)
+
+
+def test_the_routes_convert_a_coloring_once(monkeypatch):
+    calls, iso = [], longitudes.iso_sphere_to_conj
+
+    def counted(points, theta):
+        calls.append(theta)
+        return iso(points, theta)
+
+    monkeypatch.setattr(longitudes, "iso_sphere_to_conj", counted)
+    d, c = torus2n(7), star_polygon(7, 2, 0.8 * PI)
+    word, lift, qn = eval_word(d, c), galex_lift(d, c), qn_check(d, c)
+    assert len(calls) == 1
+    # a fresh, equal coloring converts again, to the same values
+    again = Coloring(c.quandle, c.colors.copy())
+    assert eval_word(d, again) == word and galex_lift(d, again) == lift
+    assert qn_check(d, again) == qn
+    assert len(calls) == 2
+    # to_conj_coloring stays a pure function: it converts on every call
+    assert _bits(to_conj_coloring(c).colors[1]) == _bits(_conj_rows(c)[1])
+    assert len(calls) == 3
+
+
+def test_the_kept_rows_are_a_fresh_tolist():
+    for d, c in _pinned_cases():
+        galex_lift(d, c)
+        kept = _conj_rows(c)
+        assert _conj_rows(c) is kept
+        fresh = np.asarray(to_conj_coloring(c).colors, dtype=float).tolist()
+        assert all(type(x) is float for row in kept for x in row)
+        assert [_bits(r) for r in kept] == [_bits(r) for r in fresh]
+
+
+def test_the_kept_rows_leave_the_coloring_as_it_was():
+    d, c = fig8(), fig8_coloring(1.1 * PI, 1)
+    before = repr(c)
+    eval_word(d, c)
+    assert repr(c) == before and c == c
+    # a coloring with hashable colors keeps its == and hash
+    rows = tuple(map(tuple, c.colors.tolist()))
+    c, twin = Coloring(c.quandle, rows), Coloring(c.quandle, rows)
+    before = repr(c), hash(c)
+    assert eval_word(d, c) == eval_word(d, twin)
+    assert (repr(c), hash(c)) == before == (repr(twin), hash(twin))
+    assert c == twin and twin == c
+    assert "_conj_rows" not in repr(c)
+
+
+def test_the_kept_rows_die_with_their_coloring():
+    d, c = torus2n(7), star_polygon(7, 2, 0.8 * PI)
+    eval_word(d, c)
+    rows = _conj_rows(c)
+    held = sys.getrefcount(rows)
+    entry = weakref.ref(c)
+    del c
+    gc.collect()
+    assert entry() is None
+    # the coloring was the only holder of the rows besides this test
+    assert sys.getrefcount(rows) == held - 1
 
 
 def test_rotation_invariance():

@@ -1,8 +1,13 @@
+import gc
+import re
+import weakref
+
 import numpy as np
 import pytest
 
 from longmap.errors import BadParameter, ParseError, ValidationError
 from longmap.tangles import (
+    LongitudeWord,
     TangleDiagram,
     WirtingerCode,
     fig8,
@@ -84,6 +89,26 @@ def test_longitude_word_trefoil():
     # as a free word with x0 = x1 = x2 it reduces to the identity
     collapsed = [(0, -1)] * 3 + [(0, 1)] * 3
     assert _reduce(collapsed) == ()
+
+
+def test_the_longitude_word_is_built_once_per_code():
+    code = torus2n(7).code
+    before = repr(code), hash(code)
+    word = longitude_word(code)
+    assert longitude_word(code) is word
+    assert (repr(code), hash(code)) == before
+    assert "word" not in repr(code)
+    # an equal code, built apart, keeps its own word, equal to this one
+    twin = parse(serialize(torus2n(7))).code
+    assert twin == code and code == twin and hash(twin) == hash(code)
+    assert longitude_word(twin) == word
+    assert longitude_word(twin) is not word
+    assert word == LongitudeWord(-code.writhe,
+                                 tuple(zip(code.kappa, code.eps)))
+    entry = weakref.ref(word)
+    del code, word
+    gc.collect()
+    assert entry() is None
 
 
 def test_schedule_validation():
@@ -190,6 +215,19 @@ def test_bad_torus_params():
         torus2n(1)
     with pytest.raises(BadParameter):
         torus2n(5, 2)
+
+
+@pytest.mark.parametrize("n", [7.0, 7.5, "7"], ids=["float", "half", "str"])
+def test_torus_n_must_be_an_integer(n):
+    # torus2n(7.0) raised range()'s TypeError
+    with pytest.raises(BadParameter,
+                       match=re.escape(f"n must be an integer, not {n!r}")):
+        torus2n(n)
+
+
+def test_torus_n_may_be_a_numpy_integer():
+    assert torus2n(np.int64(7)) == torus2n(7)
+    assert torus2n(np.int64(7), np.int64(-1)) == torus2n(7, -1)
 
 
 # n = 2: the bridges and the terminal arc define every arc, so the
