@@ -8,7 +8,9 @@ Subcommands:
 - ``intervals`` print the colorable psi/theta intervals of a torus knot
 
 Angles are radians by default; pass ``--deg`` to give them in degrees.
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+argparse parses the syntax and the handlers check the values, a suite name
+too.  Exit codes: 0 success, 1 verification failure (a check that raises is
+one), 2 usage or parse error.
 Each command returns its exit code and its output lines, and ``main``
 writes them; ``sweep``, and ``intervals`` and ``color`` in either format,
 are generators, so none of these reports is ever kept whole.  A reader
@@ -113,23 +115,20 @@ def _angle(value, args):
     return math.radians(value) if args.deg else value
 
 
-class _Suite(argparse.Action):
-    """The suite argument of ``verify``: argparse checks it against the
-    suites of ``verification``, imported once a suite is named."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        from .verification import SUITES
-
-        self.choices = [*sorted(SUITES), "all"]
-        parser._check_value(self, value)
-        setattr(namespace, self.dest, value)
-
-
 def cmd_verify(args):
-    from .verification import SUITES
+    from .verification import SUITES, CheckLine
 
+    if args.suite not in (*SUITES, "all"):
+        raise LongmapError(f"unknown suite {args.suite!r} (use "
+                           f"{', '.join(SUITES)} or all)")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    checks = [line for name in names for line in SUITES[name]()]
+    checks = []
+    for name in names:
+        try:
+            checks += SUITES[name]()
+        except (LongmapError, ValueError) as exc:  # a breach, not bad usage
+            checks.append(CheckLine(f"{name} suite raised {exc!r}",
+                                    math.inf, 0.0))
     code = 0 if all(line.passed for line in checks) else 1
     return code, [f"{line}\n" for line in checks]
 
@@ -196,6 +195,9 @@ def cmd_sweep(args):
     theta_max = _angle(args.theta_max, args)
     if not theta_min < theta_max:
         raise LongmapError("need theta_min < theta_max")
+    psis = 2.0 * math.pi - 2.0 * theta_min, 2.0 * math.pi - 2.0 * theta_max
+    if not all(map(math.isfinite, (theta_max - theta_min, *psis))):
+        raise LongmapError("theta and psi = 2*pi - 2*theta must stay finite")
     if not 2 <= args.steps <= MAX_STEPS:
         raise LongmapError(
             f"steps must lie in 2..{MAX_STEPS}, not {args.steps}"
@@ -212,11 +214,7 @@ def cmd_sweep(args):
     from .colorings import fig8_betas, star_beta
     from .longitudes import fig8_closed_form, t2n_closed_form
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        thetas = np.linspace(theta_min, theta_max, args.steps)
-        finite = np.isfinite(2.0 * math.pi - 2.0 * thetas).all()
-    if not finite:  # an infinite bound, or one that overflows on the way
-        raise LongmapError("theta and psi = 2*pi - 2*theta must stay finite")
+    thetas = np.linspace(theta_min, theta_max, args.steps)
     if knot is None:
         lines = _sweep_lines(thetas, branches,
                              lambda psi, b: fig8_betas(psi)[b - 1],
@@ -270,9 +268,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run an invariant suite")
-    pv.add_argument("suite", action=_Suite,
-                    help="which suite to run, or all; an unknown "
-                         "name lists the suites")
+    pv.add_argument("suite", help="which suite to run, or all")
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("color", help="solve for colorings at a given psi")

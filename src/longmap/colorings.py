@@ -127,13 +127,9 @@ def residual(coloring, diagram):
 def admissible_steps(n, psi, margin=0.0):
     """Steps h whose star-polygon interval contains psi (with margin)."""
     torus_interval(n, 1)  # BadParameter unless n is odd and >= 3
-    k = (n - 1) // 2
-    out = []
-    for h in range(1, k + 1):
-        lo, hi = torus_interval(n, h)
-        if lo + margin < psi < hi - margin:
-            out.append(h)
-    return out
+    return [h for h in range(1, (n - 1) // 2 + 1)
+            for lo, hi in [torus_interval(n, h)]
+            if lo + margin < psi < hi - margin]
 
 
 def _star_latitude(n, h, psi):
@@ -226,11 +222,17 @@ def fig8_betas(psi):
     return (beta1, beta2)
 
 
-def fig8_coloring(psi, branch):
-    """Figure-eight coloring over SphereQuandle(psi) for branch 1 or 2."""
+def _fig8_branch(branch):
+    """``branch`` as the int 1 or 2, or a BadParameter."""
     branch = _index(branch, "branch")
     if branch not in (1, 2):
         raise BadParameter("branch must be 1 or 2")
+    return branch
+
+
+def fig8_coloring(psi, branch):
+    """Figure-eight coloring over SphereQuandle(psi) for branch 1 or 2."""
+    branch = _fig8_branch(branch)
     beta = fig8_betas(psi)[branch - 1]
     diagram = fig8()
     quandle = SphereQuandle(psi)

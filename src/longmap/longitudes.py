@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .colorings import (BASEPOINT, FIG8_PSI_HI, FIG8_PSI_LO, Coloring,
-                        _check_arity)
+                        _check_arity, _fig8_branch)
 from .errors import BadParameter, NotInLambda, NotMinusOne, OutOfInterval
 from .quandles import ConjClassQuandle, SphereQuandle, iso_sphere_to_conj
 from .quaternions import Quaternion, distance
@@ -208,8 +208,7 @@ def fig8_closed_form(theta, branch):
 
     for theta in [pi/3, 2pi/3]; the sign follows the seed branch.
     """
-    if branch not in (1, 2):
-        raise BadParameter("branch must be 1 or 2")
+    branch = _fig8_branch(branch)
     if not FIG8_PSI_LO / 2.0 - 1e-12 <= theta <= FIG8_PSI_HI / 2.0 + 1e-12:
         raise OutOfInterval(
             f"theta={theta:.6f} admits no coloring of the figure-eight knot"

@@ -186,6 +186,7 @@ def torus2n(n, sign=1):
     recurrence q_(i+1) = q_i^-1 q_(i-1) q_i (indices mod n) for sign +1.
     """
     torus_interval(n, 1)  # BadParameter unless n is odd and >= 3
+    sign = _index(sign, "sign")
     if sign not in (1, -1):
         raise BadParameter("sign must be +1 or -1")
     k = (n - 1) // 2

@@ -25,10 +25,10 @@ from longmap.colorings import (
     star_polygon,
     torus_interval,
 )
-from longmap.errors import OutOfInterval
+from longmap.errors import NotInLambda, NotMinusOne, OutOfInterval
 from longmap.longitudes import wrap_angle
 from longmap.quaternions import distance, geodesic_distance
-from longmap.tangles import fig8, serialize, torus2n
+from longmap.tangles import fig8, parse, serialize, torus2n
 
 
 def run(capsys, *argv):
@@ -283,14 +283,42 @@ def test_verify_breach_prints_fail_and_exits_one(capsys, monkeypatch):
 
 
 def test_unknown_suite_lists_the_suites(capsys):
-    # argparse checks the suite, though `verification` is imported only
-    # once a suite is named
-    with pytest.raises(SystemExit) as exit_:
-        main(["verify", "bogus"])
-    err = capsys.readouterr().err
-    assert exit_.value.code == 2
-    assert "invalid choice: 'bogus'" in err
-    assert all(repr(name) in err for name in [*verification.SUITES, "all"])
+    # `verify` checks the name itself, so it exits through `main` as any
+    # bad value does; argparse's check raised SystemExit past it
+    code, out, err = run(capsys, "verify", "bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown suite 'bogus'")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert {*verification.SUITES, "all"} <= set(re.findall(r"\w+", err))
+
+
+# the benchmark's pattern for a verify line
+VERIFY_LINE = re.compile(
+    r"^\[(PASS|FAIL)\] (.+): max deviation (\S+) \(tol (\S+)\)$")
+
+
+@pytest.mark.parametrize("route,exc,failed", [
+    ("qn_check", NotMinusOne("q^n is 1, expected -1"), ["torus"]),
+    ("eval_word", NotInLambda("not in the circle group"),
+     ["torus", "fig8", "lift", "mirror"]),
+    ("galex_lift", ValueError("zero quaternion"), ["lift"]),
+], ids=["NotMinusOne", "NotInLambda", "ValueError"])
+def test_a_check_that_raises_fails_its_suite(capsys, monkeypatch, route, exc,
+                                             failed):
+    # a LongmapError raised inside a suite exited 2 with no report, and a
+    # route's ValueError escaped `main` as a traceback
+    def breach(*args):
+        raise exc
+
+    monkeypatch.setattr(verification, route, breach)
+    code, out, err = run(capsys, "verify", "all")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert all(VERIFY_LINE.match(line) for line in lines)
+    assert [l for l in lines if not l.startswith("[PASS] ")] == [
+        f"[FAIL] {name} suite raised {exc!r}: max deviation inf (tol 0.0e+00)"
+        for name in failed]
+    assert "mirror" in lines[-1]  # the suites after a breach still ran
 
 
 def test_unknown_knot_exits_two(capsys):
@@ -428,6 +456,9 @@ NUMPY_FREE = [
       "--branches", "3"], 2),
     (["color", "--knot", "fig8", "--psi", "nan"], 2),
     (["color", "--knot", "torus:99999999", "--psi", "2.5"], 2),
+    (["sweep", "--knot", "fig8", "--theta-min=-inf", "--theta-max", "2"], 2),
+    (["sweep", "--knot", "fig8", "--theta-min=-1e308", "--theta-max",
+      "1e308"], 2),
 ]
 
 
@@ -491,15 +522,21 @@ def test_lazy_exports():
         longmap.no_such_name
 
 
+def _readme_blocks():
+    """The fenced blocks of README.md, as (language, text) pairs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    return re.findall(r"^```(\w*)\n(.*?)^```", readme, re.S | re.M)
+
+
 def test_readme_library_tour_runs():
     # a public name the tour uses that is renamed or deleted fails here
-    root = Path(__file__).resolve().parents[1]
-    readme = (root / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    blocks = [b for lang, b in _readme_blocks() if lang == "python"]
     assert len(blocks) == 1
+    src = str(Path(longmap.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", blocks[0]], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
     # fig8's two seeds, each a beta and its longitude angle
@@ -508,26 +545,29 @@ def test_readme_library_tour_runs():
     assert all(len([*map(float, line.split())]) == 2 for line in lines)
 
 
-def test_readme_cli_block_runs(tmp_path):
-    # each command of README's CLI block, in a fresh interpreter from a
-    # scratch directory, where `--out fig8.csv` lands
-    root = Path(__file__).resolve().parents[1]
-    readme = (root / "README.md").read_text(encoding="utf-8")
-    blocks = [b for _, b in re.findall(r"^```(\w*)\n(.*?)^```", readme,
-                                       re.S | re.M)
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # each command of README's CLI block, from a temporary directory, where
+    # `--out fig8.csv` lands
+    blocks = [b for _, b in _readme_blocks()
               if all(line.startswith("longmap ") for line in b.splitlines())]
     assert len(blocks) == 1
     commands = [shlex.split(line, comments=True)
                 for line in blocks[0].splitlines()]
     assert len(commands) == 5
+    monkeypatch.chdir(tmp_path)
     for argv in commands:
-        proc = subprocess.run(
-            [sys.executable, "-m", "longmap.cli", *argv[1:]],
-            capture_output=True, text=True, cwd=tmp_path,
-            env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        )
-        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        code, out, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv
+        assert out or "--out" in argv, argv
     assert (tmp_path / "fig8.csv").read_text().startswith("theta,branch,")
+
+
+def test_readme_tangle_format_block_is_fig8():
+    blocks = [b for _, b in _readme_blocks() if b.startswith("tangle ")]
+    assert len(blocks) == 1
+    diagram = parse(blocks[0])
+    assert diagram == fig8() and diagram.schedule == fig8().schedule
+    assert serialize(fig8()) == blocks[0]
 
 
 def test_sweep_marks_uncolorable_rows(capsys):

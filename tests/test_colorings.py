@@ -978,12 +978,19 @@ def test_transforms_refuse_colorings_off_the_sphere(transform):
     (partial(admissible_steps, 7.0, 2.8), "n", 7.0),
     (partial(fig8_coloring, 2.5, 1.0), "branch", 1.0),
     (partial(fig8_coloring, 2.5, "1"), "branch", "1"),
+    (partial(fig8_closed_form, 1.6, 1.0), "branch", 1.0),
+    (partial(fig8_closed_form, 1.6, "1"), "branch", "1"),
+    (partial(torus2n, 7, 1.0), "sign", 1.0),
+    (partial(torus2n, 7, -1.0), "sign", -1.0),
 ], ids=["star_beta-h", "star_polygon-h", "star_polygon-n",
         "torus_interval-str", "admissible_steps-n", "fig8-branch",
-        "fig8-branch-str"])
+        "fig8-branch-str", "fig8_closed_form-branch",
+        "fig8_closed_form-branch-str", "torus2n-sign", "torus2n-sign-minus"])
 def test_integer_parameters_are_not_truncated(call, what, bad):
     # star_beta(7, 1.5, 2.8) returned 1.3089, star_polygon raised numpy's
-    # IndexError and fig8_coloring(2.5, 1.0) a TypeError
+    # IndexError and fig8_coloring(2.5, 1.0) a TypeError;
+    # fig8_closed_form(1.6, 1.0) answered for branch 1, and torus2n(7, 1.0)
+    # blamed its Wirtinger code's eps values
     with pytest.raises(BadParameter,
                        match=f"^{what} must be an integer, not {bad!r}$"):
         call()
@@ -998,6 +1005,11 @@ def test_numpy_integer_parameters_pass():
     assert admissible_steps(i(7), 2.8) == admissible_steps(7, 2.8)
     assert _bits(fig8_coloring(2.5, i(2)).colors) == _bits(
         fig8_coloring(2.5, 2).colors)
+    assert fig8_closed_form(1.6, i(1)) == fig8_closed_form(1.6, 1)
+    assert fig8_closed_form(1.6, True) == fig8_closed_form(1.6, 1)
+    for sign in (1, -1):
+        assert torus2n(7, i(sign)) == torus2n(7, sign)
+    assert torus2n(7, True) == torus2n(7, 1)
 
 
 def _sphere_colorings():
