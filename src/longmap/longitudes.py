@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .colorings import (BASEPOINT, FIG8_PSI_HI, FIG8_PSI_LO, Coloring,
-                        _check_arity, _fig8_branch)
+from .colorings import (BASEPOINT, Coloring, _check_arity, _fig8_branch,
+                        fig8_betas)
 from .errors import BadParameter, NotInLambda, NotMinusOne, OutOfInterval
 from .quandles import ConjClassQuandle, SphereQuandle, iso_sphere_to_conj
 from .quaternions import Quaternion, distance
-from .tangles import _torus_code, longitude_word, torus_theta_interval
+from .tangles import _torus_code, longitude_word, torus_interval
 
 LAMBDA_TOL = 1e-9
 
@@ -189,9 +189,11 @@ def galex_lift(diagram, coloring):
 def t2n_closed_form(n, theta, mirror=False):
     """Closed-form longitude of the (2, n) torus knot at basepoint angle
     theta: exp(pi - 2n*theta, i), independent of the particular coloring;
-    the mirror knot takes the inverse value."""
-    lo, hi = torus_theta_interval(n, (n - 1) // 2)
-    if not lo < theta < hi:
+    the mirror knot takes the inverse value.  Taken at theta = pi - psi/2,
+    it answers exactly on the widest star-polygon window
+    ``torus_interval(n, (n - 1) // 2)`` and raises OutOfInterval elsewhere."""
+    lo, hi = torus_interval(n, (n - 1) // 2)
+    if not lo < 2.0 * math.pi - 2.0 * theta < hi:
         raise OutOfInterval(
             f"theta={theta:.6f} admits no coloring of T(2,{n})"
         )
@@ -206,20 +208,19 @@ def fig8_closed_form(theta, branch):
 
         (cos 4t - cos 2t - 1) +- sqrt(-1 + 2 cos 4t - 4 cos 2t) sin(2t) i
 
-    for theta in [pi/3, 2pi/3]; the sign follows the seed branch.
+    at theta = pi - psi/2 exactly where ``fig8_betas(psi)`` answers, theta in
+    [pi/3, 2pi/3], and its OutOfInterval elsewhere; the sign follows the
+    seed branch.
     """
     branch = _fig8_branch(branch)
-    if not FIG8_PSI_LO / 2.0 - 1e-12 <= theta <= FIG8_PSI_HI / 2.0 + 1e-12:
-        raise OutOfInterval(
-            f"theta={theta:.6f} admits no coloring of the figure-eight knot"
-        )
+    fig8_betas(2.0 * math.pi - 2.0 * theta)  # OutOfInterval off the window
     disc = -1.0 + 2.0 * math.cos(4.0 * theta) - 4.0 * math.cos(2.0 * theta)
     if disc < 1e-12:
         # the discriminant (2c - 3)(2c + 1), c = cos 2theta, vanishes at
-        # theta = pi/3, 2pi/3 (at least -1.4e-11 within the 1e-12 slack of
-        # the window check) and rounding noise under the square root would
-        # fake an imaginary part ~1e-8; it grows away from the endpoints
-        # fast enough that this clamp only touches a ~1e-13 neighborhood
+        # theta = pi/3, 2pi/3 (about -7e-12 within fig8_betas' slack) and
+        # rounding noise under the square root would fake an imaginary part
+        # ~1e-8; it grows away from the endpoints fast enough that this
+        # clamp only touches a ~1e-13 neighborhood
         disc = 0.0
     re = math.cos(4.0 * theta) - math.cos(2.0 * theta) - 1.0
     im = FIG8_BRANCH_SIGN[branch] * math.sqrt(disc) * math.sin(2.0 * theta)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import BadParameter, MixedQuandleError
 from .quaternions import Quaternion, geodesic_distance, qdistance, qmul, rotate
-from .tangles import check_psi
+from .tangles import _index, check_psi
 
 __all__ = [
     "SphereQuandle",
@@ -166,7 +166,7 @@ class DihedralQuandle(Quandle):
     m: int
 
     def __post_init__(self):
-        if self.m < 3:
+        if _index(self.m, "m") < 3:
             raise BadParameter("m must be at least 3")
 
     def op_signed(self, a, b, sign):

@@ -141,40 +141,38 @@ def _fig8_cases(margin, samples):
                    fig8_coloring(2.0 * math.pi - 2.0 * theta, branch))
 
 
+def _worst(rows, *checks):
+    """A CheckLine per (name, tol) in ``checks``, whose deviation is the
+    largest in its column of the per-case ``rows``; ``np.maximum`` keeps a
+    NaN, so a NaN deviation fails its own check and no other."""
+    worst = np.maximum.reduce(np.array(rows, dtype=float), axis=0)
+    return [CheckLine(name, dev, tol)
+            for (name, tol), dev in zip(checks, worst, strict=True)]
+
+
 def suite_torus():
     """Longitude word vs the torus closed form, and q^n = -1."""
-    worst_cf = worst_qn = worst_res = 0.0
     minus_one = Quaternion(-1.0, 0.0, 0.0, 0.0)
-    for n, theta, diagram, coloring in _torus_cases():
-        worst_res = np.maximum(worst_res, residual(coloring, diagram))
-        value = eval_word(diagram, coloring)
-        closed = t2n_closed_form(n, theta)
-        worst_cf = np.maximum(worst_cf, distance(value.q, closed.q))
-        worst_qn = np.maximum(
-            worst_qn, distance(qn_check(diagram, coloring), minus_one)
-        )
-    return [
-        CheckLine("torus coloring residual", worst_res, 1e-9),
-        CheckLine("torus closed form", worst_cf, 1e-8),
-        CheckLine("torus q^n = -1", worst_qn, 1e-9),
-    ]
+    rows = [(residual(coloring, diagram),
+             distance(eval_word(diagram, coloring).q,
+                      t2n_closed_form(n, theta).q),
+             distance(qn_check(diagram, coloring), minus_one))
+            for n, theta, diagram, coloring in _torus_cases()]
+    return _worst(rows, ("torus coloring residual", 1e-9),
+                  ("torus closed form", 1e-8), ("torus q^n = -1", 1e-9))
 
 
 def suite_fig8():
     """Figure-eight closed forms against direct word evaluation."""
-    worst_cf = worst_res = 0.0
-    for branch, theta, diagram, coloring in _fig8_cases(0.02, 40):
-        worst_res = np.maximum(worst_res, residual(coloring, diagram))
-        value = eval_word(diagram, coloring)
-        closed = fig8_closed_form(theta, branch)
-        worst_cf = np.maximum(worst_cf, distance(value.q, closed.q))
+    rows = [(residual(coloring, diagram),
+             distance(eval_word(diagram, coloring).q,
+                      fig8_closed_form(theta, branch).q))
+            for branch, theta, diagram, coloring in _fig8_cases(0.02, 40)]
     dev = np.max(np.abs(np.subtract(fig8_betas(FIG8_PSI_LO),
                                     math.acos(-1.0 / 3.0))))
-    return [
-        CheckLine("fig8 coloring residual", worst_res, 1e-9),
-        CheckLine("fig8 closed form", worst_cf, 1e-8),
-        CheckLine("fig8 tetrahedral beta", dev, 1e-10),
-    ]
+    return [*_worst(rows, ("fig8 coloring residual", 1e-9),
+                    ("fig8 closed form", 1e-8)),
+            CheckLine("fig8 tetrahedral beta", dev, 1e-10)]
 
 
 def suite_lift():
@@ -182,29 +180,24 @@ def suite_lift():
     rotated colorings about the basepoint axis."""
     cases = [*_torus_cases(ns=(3, 5, 7), samples=5), *_fig8_cases(0.05, 10)]
     rng = np.random.default_rng(SEED)
-    worst = worst_rot = 0.0
+    rows = []
     for *_, diagram, coloring in cases:
         direct = eval_word(diagram, coloring).q
-        worst = np.maximum(worst,
-                           distance(galex_lift(diagram, coloring), direct))
         rotated = rotate_coloring(coloring, rng.uniform(0, 2 * math.pi))
-        worst_rot = np.maximum(
-            worst_rot, distance(eval_word(diagram, rotated).q, direct))
-    return [
-        CheckLine("galex lift = longitude word", worst, 1e-9),
-        CheckLine("rotation invariance", worst_rot, 1e-8),
-    ]
+        rows.append((distance(galex_lift(diagram, coloring), direct),
+                     distance(eval_word(diagram, rotated).q, direct)))
+    return _worst(rows, ("galex lift = longitude word", 1e-9),
+                  ("rotation invariance", 1e-8))
 
 
 def suite_mirror():
     """Mirror torus diagram evaluates to the inverse longitude."""
-    worst = 0.0
     mirrors = {n: torus2n(n, -1) for n in (3, 5, 7)}
-    for n, _, diagram, coloring in _torus_cases(ns=tuple(mirrors), samples=5):
-        lhs = eval_word(mirrors[n], reflect_coloring(coloring)).q
-        rhs = eval_word(diagram, coloring).q.inverse()
-        worst = np.maximum(worst, distance(lhs, rhs))
-    return [CheckLine("mirror inverse relation", worst, 1e-8)]
+    cases = _torus_cases(ns=tuple(mirrors), samples=5)
+    rows = [(distance(eval_word(mirrors[n], reflect_coloring(coloring)).q,
+                      eval_word(diagram, coloring).q.inverse()),)
+            for n, _, diagram, coloring in cases]
+    return _worst(rows, ("mirror inverse relation", 1e-8))
 
 
 SUITES = {

@@ -27,7 +27,7 @@ from longmap.colorings import (
 )
 from longmap.errors import NotInLambda, NotMinusOne, OutOfInterval
 from longmap.longitudes import wrap_angle
-from longmap.quaternions import distance, geodesic_distance
+from longmap.quaternions import Quaternion, distance, geodesic_distance
 from longmap.tangles import fig8, parse, serialize, torus2n
 
 
@@ -67,18 +67,35 @@ def test_verify_axioms_report(capsys):
     )
 
 
-def test_verify_nan_deviation_fails(capsys, monkeypatch):
+def _nan_once(real, nan):
+    """``real``, except that its second call returns ``nan``."""
     calls = []
 
-    def nan_once(p, q):
+    def patched(*args):
         calls.append(None)
-        return math.nan if len(calls) == 2 else distance(p, q)
+        return nan if len(calls) == 2 else real(*args)
+    return patched
 
-    monkeypatch.setattr(verification, "distance", nan_once)
+
+def test_verify_nan_deviation_fails(capsys, monkeypatch):
+    monkeypatch.setattr(verification, "distance",
+                        _nan_once(distance, math.nan))
     code, out, err = run(capsys, "verify", "mirror")
     assert code == 1 and err == ""
     assert out == (
         "[FAIL] mirror inverse relation: max deviation nan (tol 1.0e-08)\n"
+    )
+    # a NaN in one column of a suite fails that check alone
+    monkeypatch.undo()
+    monkeypatch.setattr(verification, "qn_check", _nan_once(
+        verification.qn_check, Quaternion(*[math.nan] * 4)))
+    code, out, err = run(capsys, "verify", "torus")
+    assert code == 1 and err == ""
+    assert out == (
+        "[PASS] torus coloring residual: max deviation 9.453e-16"
+        " (tol 1.0e-09)\n"
+        "[PASS] torus closed form: max deviation 5.363e-15 (tol 1.0e-08)\n"
+        "[FAIL] torus q^n = -1: max deviation nan (tol 1.0e-09)\n"
     )
 
 
@@ -487,6 +504,18 @@ def test_import_leaves_scipy_out():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         preexec_fn=_cap_memory, check=True)
     assert proc.stdout.splitlines() == ["[]"] * (len(NUMPY_FREE) + 1)
+
+
+def test_the_console_script_resolves(capsys):
+    # README's commands run `longmap`, the script pyproject.toml declares
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["longmap"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry(["intervals", "3"]) == 0
+    assert capsys.readouterr().out.startswith("T(2,3) colorable intervals")
 
 
 # every name `longmap/__init__.py` imported when it imported every module

@@ -48,6 +48,7 @@ from longmap.errors import (
     BadParameter,
     NoSchedule,
     OutOfInterval,
+    ResidualTooLarge,
 )
 from longmap.longitudes import (
     eval_word,
@@ -62,6 +63,7 @@ from longmap.quandles import (
     EisQuandle,
     GAlexQuandle,
     SphereQuandle,
+    axiom_check,
 )
 from longmap.quaternions import (
     Quaternion,
@@ -934,6 +936,14 @@ def test_fox_counts():
     assert len(fox_colorings(torus2n(3), 3)) == 2
 
 
+def test_fig8_coloring_refuses_a_beta_off_its_equations(monkeypatch):
+    beta1, beta2 = fig8_betas(2.5)
+    monkeypatch.setattr(colorings, "fig8_betas",
+                        lambda psi: (beta1 + 1e-3, beta2))
+    with pytest.raises(ResidualTooLarge, match="fails its own equations"):
+        fig8_coloring(2.5, 1)
+
+
 def test_fox_colorings_are_valid():
     for c in fox_colorings(fig8(), 5):
         assert residual(c, fig8()) == 0.0
@@ -982,15 +992,23 @@ def test_transforms_refuse_colorings_off_the_sphere(transform):
     (partial(fig8_closed_form, 1.6, "1"), "branch", "1"),
     (partial(torus2n, 7, 1.0), "sign", 1.0),
     (partial(torus2n, 7, -1.0), "sign", -1.0),
+    (partial(fox_colorings, torus2n(3), 3.0), "m", 3.0),
+    (partial(fox_colorings, torus2n(3), 5.5), "m", 5.5),
+    (partial(fox_colorings, torus2n(3), "5"), "m", "5"),
+    (partial(DihedralQuandle, 7.0), "m", 7.0),
 ], ids=["star_beta-h", "star_polygon-h", "star_polygon-n",
         "torus_interval-str", "admissible_steps-n", "fig8-branch",
         "fig8-branch-str", "fig8_closed_form-branch",
-        "fig8_closed_form-branch-str", "torus2n-sign", "torus2n-sign-minus"])
+        "fig8_closed_form-branch-str", "torus2n-sign", "torus2n-sign-minus",
+        "fox_colorings-m", "fox_colorings-m-frac", "fox_colorings-m-str",
+        "dihedral-m"])
 def test_integer_parameters_are_not_truncated(call, what, bad):
     # star_beta(7, 1.5, 2.8) returned 1.3089, star_polygon raised numpy's
     # IndexError and fig8_coloring(2.5, 1.0) a TypeError;
     # fig8_closed_form(1.6, 1.0) answered for branch 1, and torus2n(7, 1.0)
-    # blamed its Wirtinger code's eps values
+    # blamed its Wirtinger code's eps values; fox_colorings with m = 3.0 or
+    # 5.5 blamed its own elements, m = "5" raised a TypeError from `<`, and
+    # axiom_check(DihedralQuandle(7.0)) one from itertools.product
     with pytest.raises(BadParameter,
                        match=f"^{what} must be an integer, not {bad!r}$"):
         call()
@@ -1010,6 +1028,10 @@ def test_numpy_integer_parameters_pass():
     for sign in (1, -1):
         assert torus2n(7, i(sign)) == torus2n(7, sign)
     assert torus2n(7, True) == torus2n(7, 1)
+    assert fox_colorings(torus2n(3), i(3)) == fox_colorings(torus2n(3), 3)
+    assert axiom_check(DihedralQuandle(i(7))) == 0.0
+    with pytest.raises(BadParameter, match="^m must be at least 3$"):
+        DihedralQuandle(True)
 
 
 def _sphere_colorings():

@@ -50,3 +50,55 @@ def test_the_lint_sees_an_unused_import():
               "__all__ = ['c']\n"
               "x = math.pi\n")
     assert unused_imports(source) == [(2, "os"), (3, "osp"), (5, "b")]
+
+
+def unread_private_names(sources):
+    """The (module, name) of each module-level private function, class or
+    constant in ``sources``, a map of module names to source text, that no
+    source reads, whether by name, by attribute or through ``from ...
+    import``; dunder names are exempt."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return sorted(d for d in defined if d[1] not in read)
+
+
+def test_every_private_name_is_read():
+    # the package alone: a helper that only tests read is dead code
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unread_private_names(sources) == []
+
+
+def test_the_lint_sees_an_unread_private_name():
+    sources = {
+        "a": ("def _spare():\n    pass\n"
+              "def _used():\n    return _CONST\n"
+              "class _Kept:\n    pass\n"
+              "_CONST, _OTHER = 1, 2\n"
+              "__all__ = []\n"),
+        "b": ("from . import a\n"
+              "from .a import _used\n"
+              "x = a._Kept\n"
+              "a._OTHER = 3\n"),
+    }
+    assert unread_private_names(sources) == [("a", "_OTHER"), ("a", "_spare")]

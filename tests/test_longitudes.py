@@ -22,6 +22,7 @@ from longmap.colorings import (
     rotate_coloring,
     solve_colorings,
     star_polygon,
+    torus_interval,
     torus_theta_interval,
 )
 from longmap.errors import (
@@ -196,6 +197,46 @@ def test_qn_check_fails_on_a_nan_arc():
     colors[0] = math.nan
     with pytest.raises(NotMinusOne, match="q\\^n"):
         qn_check(torus2n(7), Coloring(c.quandle, colors))
+
+
+def test_qn_check_fails_when_the_word_disagrees(monkeypatch):
+    # q^n = -1 holds, but a longitude word turned by 1e-3 about the
+    # basepoint axis no longer equals q_0^(2 lead) q^n
+    d, c = torus2n(7), star_polygon(7, 2, 0.8 * PI)
+    word = eval_word(d, c)
+    turned = LongitudeValue(q=word.q * Quaternion.exp(1e-3, BASEPOINT),
+                            phi=word.phi + 1e-3)
+    monkeypatch.setattr(longitudes, "eval_word", lambda *_: turned)
+    with pytest.raises(NotMinusOne, match="does not reproduce the longitude"):
+        qn_check(d, c)
+
+
+def _raises_out_of_interval(call, *args):
+    try:
+        call(*args)
+    except OutOfInterval:
+        return True
+    return False
+
+
+def test_closed_forms_answer_exactly_where_a_coloring_exists():
+    # the closed forms kept their own theta windows: fig8's answered on 668
+    # of these 8004 (theta, branch) pairs where fig8_betas raises, and
+    # T(2,n)'s disagreed with torus_interval on 25 of the 16008 thetas
+    for end in (FIG8_PSI_LO / 2.0, FIG8_PSI_HI / 2.0):
+        for theta in np.linspace(end - 3e-12, end + 3e-12, 2001).tolist():
+            colors = not _raises_out_of_interval(fig8_betas,
+                                                 2.0 * PI - 2.0 * theta)
+            for branch in (1, 2):
+                assert colors != _raises_out_of_interval(
+                    fig8_closed_form, theta, branch), (theta, branch)
+    for n in (3, 7, 21, 101):
+        lo, hi = torus_interval(n, (n - 1) // 2)
+        for end in (0.5 * lo, 0.5 * hi):
+            for theta in np.linspace(end - 1e-13, end + 1e-13, 2001).tolist():
+                colors = lo < 2.0 * PI - 2.0 * theta < hi
+                assert colors != _raises_out_of_interval(
+                    t2n_closed_form, n, theta), (n, theta)
 
 
 _NOT_TORUS = [
