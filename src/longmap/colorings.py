@@ -202,6 +202,7 @@ def star_polygon(n, h, psi):
 
 FIG8_PSI_LO = 2.0 * math.pi / 3.0
 FIG8_PSI_HI = 4.0 * math.pi / 3.0
+_FIG8 = fig8()  # fig8_coloring's diagram, built once; fig8() stays fresh
 
 
 def fig8_betas(psi):
@@ -234,12 +235,11 @@ def fig8_coloring(psi, branch):
     """Figure-eight coloring over SphereQuandle(psi) for branch 1 or 2."""
     branch = _fig8_branch(branch)
     beta = fig8_betas(psi)[branch - 1]
-    diagram = fig8()
     quandle = SphereQuandle(psi)
     u2 = np.array([math.cos(beta), math.sin(beta), 0.0])
-    colors = np.array(propagate(diagram, quandle, (BASEPOINT, u2)))
+    colors = np.array(propagate(_FIG8, quandle, (BASEPOINT, u2)))
     out = Coloring(quandle, colors)
-    res = residual(out, diagram)
+    res = residual(out, _FIG8)
     if res > EPS_COLOR:
         raise ResidualTooLarge(
             f"closed-form beta fails its own equations (residual {res:.3e})"
@@ -352,7 +352,7 @@ def _run_words(steps, ends, bases, keys, psi, betas):
     """A ``_word_program`` run: the matrix of every syllable key at psi, x
     about _X_AXIS and y about each seed in betas, then the products."""
     cos_b, sin_b = np.cos(betas), np.sin(betas)
-    axis = np.stack([cos_b, sin_b, np.ones_like(cos_b)])
+    axis = np.array([cos_b, sin_b, np.ones_like(cos_b)])
     mats = []
     for letter, a in keys:
         c, s = math.cos(0.5 * a * psi), math.sin(0.5 * a * psi)
@@ -365,11 +365,11 @@ def _run_words(steps, ends, bases, keys, psi, betas):
             prods[parent] = None
 
     # b = (bx, by, 0) turned by W = s + v: b + s t + v x t, t = 2 v x b
-    s, v1, v2, v3 = np.stack([prods[end] for end in ends], axis=1)
+    s, v1, v2, v3 = np.array([prods[end] for end in ends]).transpose(1, 0, 2)
     del mats, prods  # freed before the color temporaries below
     bx, by = np.where(bases, cos_b, 1.0), np.where(bases, sin_b, 0.0)
     t1, t2, t3 = -2.0 * v3 * by, 2.0 * v3 * bx, 2.0 * (v1 * by - v2 * bx)
-    return np.stack([bx + s * t1 + v2 * t3 - v3 * t2,
+    return np.array([bx + s * t1 + v2 * t3 - v3 * t2,
                      by + s * t2 + v3 * t1 - v1 * t3,
                      s * t3 + v1 * t2 - v2 * t1])
 

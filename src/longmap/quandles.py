@@ -118,7 +118,7 @@ class SphereQuandle(Quandle):
     def validate(self, a):
         a = np.asarray(a)
         return a.shape[-1:] == (3,) and (
-            abs(np.linalg.norm(a, axis=-1) - 1.0) <= ELEMENT_TOL)
+            abs(np.sqrt((a * a).sum(axis=-1)) - 1.0) <= ELEMENT_TOL)
 
     def sample(self, rng):
         return random_sphere_point(rng)

@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 POLE_TOL = 1e-12
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # _cross's cycles
 
 __all__ = [
     "POLE_TOL",
@@ -49,15 +50,12 @@ def geodesic_distance(u, v):
 
 
 def _cross(a, b):
-    """a x b over the last axis, written out because np.cross's axis
-    handling costs more than the products on the small stacks used here;
-    bitwise equal to np.cross (the same products and differences, in
-    float64 either way)."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack(
-        [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1
-    )
+    """a x b over the last axis as one indexed expression, component i =
+    a[i+1] b[i+2] - a[i+2] b[i+1] (mod 3): np.cross's products and
+    differences, so bitwise np.cross, signed zeros included, without its
+    axis handling or a np.stack of the components, which cost more than
+    the arithmetic on the small stacks used here."""
+    return a[..., _NEXT] * b[..., _LAST] - a[..., _LAST] * b[..., _NEXT]
 
 
 def rotate(u, angle, v):
@@ -128,13 +126,15 @@ class Quaternion(NamedTuple):
 
     def pow(self, k):
         """Integer power exp(k*theta, v/|v|), theta = atan2(|v|, a) for the
-        pure part v; q^0 = 1, and q = +-1 (|v| < POLE_TOL) by scalar power."""
+        pure part v; q^0 = 1, and q = +-1 (|v| < POLE_TOL) by scalar power.
+        |v| is sqrt(v.v), which is what np.linalg.norm computes for a 1-D
+        float array, without its wrapper."""
         if not isinstance(k, (int, np.integer)):
             raise TypeError("only integer exponents are supported")
         if k == 0:
             return Quaternion.one()
         v = np.array(self[1:])
-        s = np.linalg.norm(v)
+        s = math.sqrt(v.dot(v))
         if s < POLE_TOL:
             # q is +-1 up to rounding
             if self.a > 0 or k % 2 == 0:

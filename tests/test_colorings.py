@@ -380,6 +380,39 @@ def test_solver_fig8_near_a_window_end_keeps_both_seeds(psi):
     assert all(abs(b - w) <= SEED_TOL for b, w in zip(betas, want)), betas
 
 
+def _step1_window_ends(eps):
+    """(n, psi) eps inside each end of the step-1 window of T(2, n)."""
+    return [pytest.param(n, psi, id=f"T{n}-{end}{eps:g}")
+            for n in (3, 7, 21)
+            for lo, hi in [torus_interval(n, 1)]
+            for end, psi in (("lo+", lo + eps), ("hi-", hi - eps))]
+
+
+def _assert_the_star_seed_is_found(n, psi):
+    want = star_beta(n, 1, psi)
+    betas = [beta for beta, _ in solve_colorings(torus2n(n), psi)]
+    assert any(abs(b - want) <= SEED_TOL for b in betas), (want, betas)
+
+
+@pytest.mark.parametrize("n, psi", _step1_window_ends(1e-4))
+def test_solver_finds_the_star_seed_near_a_torus_window_end(n, psi):
+    # 1e-4 inside, the step-1 seed lies 8e-3 to 2.6e-2 from beta = 0,
+    # several grid cells clear of the trivial root
+    _assert_the_star_seed_is_found(n, psi)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="next to the trivial root at beta = 0 the scan's "
+                   "only grid minimum is beta = 0 itself")
+@pytest.mark.parametrize("n, psi",
+                         _step1_window_ends(1e-6) + _step1_window_ends(1e-8))
+def test_solver_keeps_the_star_seed_at_a_torus_window_end(n, psi):
+    # 1e-6 inside an end the seed lies within about 1.7 grid cells of
+    # beta = 0, and the squared gaps rise from 0 across them, so the seed
+    # is dropped with the trivial coloring; no warning fires
+    _assert_the_star_seed_is_found(n, psi)
+
+
 def _double_the_grid_minima(monkeypatch):
     """Make the scan return every grid minimum twice."""
     minima = colorings._grid_minima
@@ -866,6 +899,39 @@ def test_solve_through_the_compiled_diagram_is_bitwise_fresh(make):
     assert found > 0
 
 
+def _stacked_run_words(steps, ends, bases, keys, psi, betas):
+    """``colorings._run_words`` with its stacks built by np.stack."""
+    cos_b, sin_b = np.cos(betas), np.sin(betas)
+    axis = np.stack([cos_b, sin_b, np.ones_like(cos_b)])
+    mats = []
+    for letter, a in keys:
+        c, s = math.cos(0.5 * a * psi), math.sin(0.5 * a * psi)
+        mats.append(colorings._syllables(axis if letter else
+                                         colorings._X_AXIS,
+                                         np.array([[s], [s], [c]])))
+    prods = [colorings._ONE + 0.0 * cos_b, *[None] * len(steps)]
+    for parent, key, node, _ in steps:
+        prods[node] = np.einsum("jk,jlk->lk", prods[parent], mats[key])
+    s, v1, v2, v3 = np.stack([prods[end] for end in ends], axis=1)
+    bx, by = np.where(bases, cos_b, 1.0), np.where(bases, sin_b, 0.0)
+    t1, t2, t3 = -2.0 * v3 * by, 2.0 * v3 * bx, 2.0 * (v1 * by - v2 * bx)
+    return np.stack([bx + s * t1 + v2 * t3 - v3 * t2,
+                     by + s * t2 + v3 * t1 - v1 * t3,
+                     s * t3 + v1 * t2 - v2 * t1])
+
+
+@pytest.mark.parametrize("make", _MAKERS, ids=_MAKER_IDS)
+def test_word_programs_are_bitwise_the_stacked_run(make):
+    gap_program, arc_program, degree = _solver(make())
+    rng = np.random.default_rng(19)
+    n = 2 * degree + 2
+    for psi in (0.7 * PI, 2.5, 1.3 * PI):
+        for betas in (2.0 * PI / n * np.arange(n), rng.uniform(0, PI, 5)):
+            for program in (gap_program, arc_program):
+                want = _stacked_run_words(*program.args, psi, betas)
+                assert program(psi, betas).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("make", _MAKERS, ids=_MAKER_IDS)
 def test_compiled_diagram_keeps_its_identity_and_dies_with_it(make):
     d, twin = make(), make()
@@ -934,6 +1000,22 @@ def test_fox_counts():
     assert len(fox_colorings(fig8(), 5)) == 4
     assert len(fox_colorings(fig8(), 7)) == 0
     assert len(fox_colorings(torus2n(3), 3)) == 2
+
+
+def test_fig8_coloring_builds_no_diagram(monkeypatch):
+    built = []
+    post_init = TangleDiagram.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TangleDiagram, "__post_init__", counted)
+    for i, psi in enumerate(np.linspace(2.2, 4.0, 10).tolist()):
+        fig8_coloring(psi, 1 + i % 2)
+    assert built == []
+    assert fig8() is not fig8()  # the public maker stays fresh
+    assert len(built) == 2
 
 
 def test_fig8_coloring_refuses_a_beta_off_its_equations(monkeypatch):

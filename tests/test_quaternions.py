@@ -8,6 +8,7 @@ from longmap.quandles import random_sphere_point
 from longmap.quaternions import (
     POLE_TOL,
     Quaternion,
+    _cross,
     distance,
     geodesic_distance,
     qdistance,
@@ -208,6 +209,13 @@ def test_pow_matches_the_axis_angle_route():
         for k in ks:
             assert (struct.pack("<4d", *q.pow(k))
                     == struct.pack("<4d", *_ref_pow(q, k))), (q, k)
+    # pow takes |v| as sqrt(v.v), what np.linalg.norm computes for a 1-D
+    # float array: bitwise on 2000 more quaternions
+    for q in [Quaternion.from_components(*rng.normal(size=4).tolist())
+              for _ in range(2000)]:
+        for k in (-7, -1, 2, 21):
+            assert (struct.pack("<4d", *q.pow(k))
+                    == struct.pack("<4d", *_ref_pow(q, k))), (q, k)
 
 
 def test_geodesic_distance_accuracy():
@@ -217,3 +225,55 @@ def test_geodesic_distance_accuracy():
     for t in (1e-8, 1e-10):
         u = rotate(I, t, K)
         assert abs(geodesic_distance(I, u) - t) < 1e-15
+
+
+def _stacked_cross(a, b):
+    """a x b spelled out a component at a time and joined by np.stack."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack(
+        [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1
+    )
+
+
+def _ref_rotate(u, angle, v):
+    cos_a = np.cos(angle)[..., np.newaxis]
+    sin_a = np.sin(angle)[..., np.newaxis]
+    dot = (u * v).sum(axis=-1, keepdims=True)
+    return u * cos_a + _stacked_cross(v, u) * sin_a + v * dot * (1.0 - cos_a)
+
+
+def _ref_geodesic_distance(u, v):
+    cross = _stacked_cross(u, v)
+    return np.arctan2(np.sqrt((cross * cross).sum(axis=-1)),
+                      (u * v).sum(axis=-1))
+
+
+def _signed_zero_stacks():
+    """(u, v) pairs of the shapes the kernels meet, from one point to
+    broadcast stacks; each stack holds rows with +-0.0 components."""
+    rng = np.random.default_rng(13)
+
+    def stack(*lead):
+        rows = rng.normal(size=(*lead, 3))
+        rows /= np.sqrt((rows * rows).sum(axis=-1, keepdims=True))
+        if lead:
+            flat = rows.reshape(-1, 3)
+            flat[0], flat[-1] = I, (0.0, -0.0, 1.0)
+        return rows
+
+    return [(I, np.array([0.0, -0.0, 1.0])), (stack(), stack()),
+            (stack(7), stack(7)), (stack(4, 7), stack(4, 7)),
+            (stack(), stack(7)), (stack(7), stack())]
+
+
+def test_sphere_kernels_are_bitwise_the_stacked_cross_product():
+    rng = np.random.default_rng(17)
+    for u, v in _signed_zero_stacks():
+        lead = np.broadcast_shapes(u.shape, v.shape)[:-1]
+        for angle in (2.5, rng.uniform(-7.0, 7.0, size=lead)):
+            assert (rotate(u, angle, v).tobytes()
+                    == _ref_rotate(u, np.asarray(angle), v).tobytes())
+        assert (geodesic_distance(u, v).tobytes()
+                == _ref_geodesic_distance(u, v).tobytes())
+        assert _cross(u, v).tobytes() == np.cross(u, v).tobytes()
