@@ -18,17 +18,17 @@ that closes stdout early, as ``| head`` does, does not change the exit code,
 and ``verify`` prints after all its checks, so a breach exits 1 even then.
 
 Importing this module imports no numpy: each handler imports the layers it
-runs after the checks that need none of them.  So ``intervals`` never
-imports numpy, nor does a command that fails on its knot, its tangle file,
-``--branches``, in ``color``, psi or the arc bound MAX_ARCS, or, in
-``sweep``, the theta range or ``--steps``.
+runs after the checks that need none of them.  So ``intervals`` and
+``sweep``, whose rows are the closed forms of ``longmap.scalar`` in plain
+floats, never import numpy, nor does a command that fails on its knot, its
+tangle file, ``--branches``, or, in ``color``, psi or the arc bound
+MAX_ARCS.  ``json`` too is imported only by the reports that print it.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
@@ -38,7 +38,7 @@ from .tangles import (check_psi, fig8, parse, torus2n, torus_interval,
                       torus_theta_interval)
 
 FMT = "{:.17g}"
-MAX_STEPS = 100_000  # the theta grid is allocated up front
+MAX_STEPS = 100_000  # bounds the rows; the grid is yielded a value at a time
 # color's output grows as arcs^2, up to (n - 1)/2 seeds of n + 1 arcs for
 # T(2,n): T(2,1001) prints 35 MB of text or 50 MB of JSON, each in 1.4 s
 # (medians of 5, 2-CPU machine), both at the solver's own 90 MB peak RSS
@@ -160,6 +160,8 @@ def _color_json(psi, betas, colors, residuals):
     ``_json_lines`` does: json's indenting encoder is pure Python.  Every
     number is finite (psi passes ``check_psi``, and a NaN color fails the
     solver's acceptance), so ``repr`` prints what json prints."""
+    import json
+
     yield f'{{\n  "psi": {json.dumps(psi)},\n  "seeds": ['
     sep = "\n    "
     for i, (beta, res) in enumerate(zip(betas.tolist(), residuals.tolist())):
@@ -209,12 +211,10 @@ def cmd_sweep(args):
         n, sign = knot
         torus_interval(n, 1)  # BadParameter unless n is odd and >= 3
         branches = _parse_branches(args.branches, range(1, (n - 1) // 2 + 1))
-    import numpy as np
+    from .scalar import (fig8_betas, fig8_closed_form, linspace, star_beta,
+                         t2n_closed_form)
 
-    from .colorings import fig8_betas, star_beta
-    from .longitudes import fig8_closed_form, t2n_closed_form
-
-    thetas = np.linspace(theta_min, theta_max, args.steps)
+    thetas = linspace(theta_min, theta_max, args.steps)
     if knot is None:
         lines = _sweep_lines(thetas, branches,
                              lambda psi, b: fig8_betas(psi)[b - 1],
@@ -236,6 +236,8 @@ def _json_lines(rows):
     """The (h, psi, theta) rows as ``json.dumps(..., indent=2)`` and a
     newline, a row at a time, laid out here: json indents in pure Python,
     which leaves a reference cycle behind each call.  ``rows`` is not empty."""
+    import json
+
     head = "["
     for h, *ends in rows:
         a, b, c, d = map(json.dumps, ends)

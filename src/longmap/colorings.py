@@ -5,7 +5,9 @@ the two-branch figure-eight family), a numeric solver that colors 2-bridge
 diagrams over spherical quandles by words in the bridge generators (their
 free-quandle coloring), scanning and refining the seed angle on the
 Fourier coefficients of the crossing relations' gaps, and an exhaustive
-Fox-coloring oracle over dihedral quandles.
+Fox-coloring oracle over dihedral quandles.  The closed-form seed angles,
+``star_beta`` and ``fig8_betas``, and their windows live in
+``longmap.scalar``, which imports no numpy, and are re-exported here.
 
 Basepoint convention: the initial arc is always colored x = (1, 0, 0), and
 the second bridge color is sought on the half-equator
@@ -26,18 +28,25 @@ from .errors import (
     ArityMismatch,
     BadParameter,
     NoSchedule,
-    OutOfInterval,
     ResidualTooLarge,
 )
 from .quandles import DihedralQuandle, SphereQuandle
 from .quaternions import rotate
+from .scalar import (
+    FIG8_PSI_HI,
+    FIG8_PSI_LO,
+    SPREAD_TOL,
+    _fig8_branch,
+    _star_latitude,
+    fig8_betas,
+    star_beta,
+)
 from .tangles import _index, fig8, torus_interval, torus_theta_interval
 
 EPS_COLOR = 1e-8        # residual acceptance for a valid coloring
 SEED_TOL = 1e-6         # dedup tolerance between solver seeds
 DEFAULT_GRID = 2000
 MAX_GRID = 100_000      # scan memory grows with the grid
-SPREAD_TOL = 1e-6       # a seed angle at most this is the trivial coloring
 
 BASEPOINT = np.array([1.0, 0.0, 0.0])
 
@@ -55,6 +64,8 @@ __all__ = [
     "admissible_steps",
     "star_polygon",
     "star_beta",
+    "FIG8_PSI_LO",
+    "FIG8_PSI_HI",
     "fig8_betas",
     "fig8_coloring",
     "solve_colorings",
@@ -132,55 +143,12 @@ def admissible_steps(n, psi, margin=0.0):
             if lo + margin < psi < hi - margin]
 
 
-def _star_latitude(n, h, psi):
-    """Height r and radius s = sqrt(1 - r^2) of the circle of latitude that
-    carries the step-h spherical star n-gon with vertex angle psi, the half
-    step angle a = pi*h/n and the seed angle beta between two vertices a
-    step h apart.
-
-    Napier's rule on the right triangle formed by the pole, a vertex and the
-    midpoint of a step-h side gives r = cot(a) * cot(theta) with
-    theta = pi - psi/2, so |r| < 1 exactly on the open psi-window.  Near a
-    window end the polygon shrinks to a point and its vertices move by
-    orders of magnitude more than r, so r is evaluated as
-    -cot(a) * cot(psi/2), which never forms the rounded pi - psi/2, with
-    cot(a) taken from a tangent argument in (0, pi/4].
-
-    The solver's rule for the trivial coloring applies: a beta at most
-    SPREAD_TOL, as where |r| rounds to 1 or more and s clamps to 0, raises
-    OutOfInterval.
-    """
-    lo, hi = torus_interval(n, h)
-    if not lo < psi < hi:
-        raise OutOfInterval(
-            f"psi={psi:.6f} outside ({lo:.6f}, {hi:.6f}) for n={n}, h={h}"
-        )
-    a = math.pi * h / n
-    if 4 * h <= n:
-        cot_a = 1.0 / math.tan(a)
-    else:
-        cot_a = math.tan(math.pi * (n - 2 * h) / (2 * n))
-    half = 0.5 * psi
-    r = -cot_a * math.cos(half) / math.sin(half)
-    s = math.sqrt(max(0.0, (1.0 - r) * (1.0 + r)))
-    beta = 2.0 * math.atan2(s * math.sin(a), math.hypot(r, s * math.cos(a)))
-    if beta <= SPREAD_TOL:  # psi within rounding of a window end
-        raise OutOfInterval(f"psi={psi!r} rounds onto a window end")
-    return r, s, a, beta
-
-
-def star_beta(n, h, psi):
-    """Seed angle of ``star_polygon(n, h, psi)``: the geodesic distance
-    between its two bridge colors, two vertices a step h apart."""
-    return _star_latitude(n, h, psi)[3]
-
-
 def star_polygon(n, h, psi):
     """Star-polygon coloring of torus2n(n, +1) over SphereQuandle(psi).
 
     The step-h spherical star n-gon with vertex angle psi, at the latitude
-    given by ``_star_latitude``, placed so that the initial arc is colored
-    (1, 0, 0) and the second bridge lands on the upper half-equator.
+    given by ``scalar._star_latitude``, placed so that the initial arc is
+    colored (1, 0, 0) and the second bridge lands on the upper half-equator.
     """
     r, s, a, _ = _star_latitude(n, h, psi)
     # vertex m is the basepoint turned by 2*pi*m/n about the pole p; p.x = r
@@ -197,38 +165,10 @@ def star_polygon(n, h, psi):
 
 
 # ---------------------------------------------------------------------------
-# figure-eight closed forms
+# figure-eight colorings
 
 
-FIG8_PSI_LO = 2.0 * math.pi / 3.0
-FIG8_PSI_HI = 4.0 * math.pi / 3.0
 _FIG8 = fig8()  # fig8_coloring's diagram, built once; fig8() stays fresh
-
-
-def fig8_betas(psi):
-    """The two half-equator seed angles of the figure-eight coloring family.
-
-    Defined for 2*pi/3 <= psi <= 4*pi/3; both branches coincide at
-    arccos(-1/3) at the endpoints.
-    """
-    if not FIG8_PSI_LO - 1e-12 <= psi <= FIG8_PSI_HI + 1e-12:
-        raise OutOfInterval(
-            f"psi={psi:.6f} outside [{FIG8_PSI_LO:.6f}, {FIG8_PSI_HI:.6f}]"
-        )
-    c = math.cos(psi)
-    root = math.sqrt(max(4.0 * c * c - 4.0 * c - 3.0, 0.0))
-    denom = 2.0 * (c - 1.0)
-    beta1 = math.pi - math.acos(min(1.0, max(-1.0, (-1.0 + root) / denom)))
-    beta2 = math.acos(min(1.0, max(-1.0, (1.0 + root) / denom)))
-    return (beta1, beta2)
-
-
-def _fig8_branch(branch):
-    """``branch`` as the int 1 or 2, or a BadParameter."""
-    branch = _index(branch, "branch")
-    if branch not in (1, 2):
-        raise BadParameter("branch must be 1 or 2")
-    return branch
 
 
 def fig8_coloring(psi, branch):

@@ -17,31 +17,34 @@ array converted once per coloring and kept on it (``_conj_rows``), and one
 in its own loop with the arithmetic and renormalization of
 ``Quaternion.__mul__``, and builds one ``Quaternion`` at the end.  Closed
 forms for the (2, n) torus knots, their mirrors, and the figure-eight knot
-are the third route.
+are the third route; they, ``LongitudeValue`` and ``wrap_angle`` live in
+``longmap.scalar``, which imports no numpy, and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .colorings import (BASEPOINT, Coloring, _check_arity, _fig8_branch,
-                        fig8_betas)
-from .errors import BadParameter, NotInLambda, NotMinusOne, OutOfInterval
+from .colorings import Coloring, _check_arity
+from .errors import BadParameter, NotMinusOne
 from .quandles import ConjClassQuandle, SphereQuandle, iso_sphere_to_conj
-from .quaternions import Quaternion, distance
-from .tangles import _torus_code, longitude_word, torus_interval
-
-LAMBDA_TOL = 1e-9
-
-# sign of the closed-form imaginary part matched to the figure-eight seed
-# branches, established numerically at theta = 0.45*pi
-FIG8_BRANCH_SIGN = {1: -1.0, 2: 1.0}
+from .scalar import (
+    FIG8_BRANCH_SIGN,
+    LAMBDA_TOL,
+    LongitudeValue,
+    Quaternion,
+    distance,
+    fig8_closed_form,
+    t2n_closed_form,
+    wrap_angle,
+)
+from .tangles import _torus_code, longitude_word
 
 __all__ = [
     "LAMBDA_TOL",
+    "FIG8_BRANCH_SIGN",
     "LongitudeValue",
     "to_conj_coloring",
     "eval_word",
@@ -51,40 +54,6 @@ __all__ = [
     "qn_check",
     "wrap_angle",
 ]
-
-
-def wrap_angle(phi):
-    """Reduce an angle to (-pi, pi]."""
-    phi = math.fmod(phi, 2.0 * math.pi)
-    if phi > math.pi:
-        phi -= 2.0 * math.pi
-    elif phi <= -math.pi:
-        phi += 2.0 * math.pi
-    return phi
-
-
-@dataclass(frozen=True)
-class LongitudeValue:
-    """Element of the longitudinal circle group, with q = exp(phi, i)."""
-
-    q: Quaternion
-    phi: float
-
-    @staticmethod
-    def from_quaternion(q, basepoint):
-        """Wrap a quaternion, checking that it commutes with the basepoint
-        and lies on exp(phi, i), each within LAMBDA_TOL."""
-        # written as `not <=` so that a NaN distance fails
-        if not distance(q * basepoint, basepoint * q) <= LAMBDA_TOL:
-            raise NotInLambda(
-                "longitude value does not commute with the basepoint"
-            )
-        phi = math.atan2(q.b, q.a)
-        if distance(Quaternion.exp(phi, BASEPOINT), q) > LAMBDA_TOL:
-            raise NotInLambda(
-                "longitude value does not lie on the circle about i"
-            )
-        return LongitudeValue(q=q, phi=phi)
 
 
 def to_conj_coloring(coloring):
@@ -184,48 +153,6 @@ def galex_lift(diagram, coloring):
             raise ValueError("zero quaternion")
         ga, gb, gc, gd = a / nrm, b / nrm, c / nrm, d / nrm
     return Quaternion._make((ga, gb, gc, gd))
-
-
-def t2n_closed_form(n, theta, mirror=False):
-    """Closed-form longitude of the (2, n) torus knot at basepoint angle
-    theta: exp(pi - 2n*theta, i), independent of the particular coloring;
-    the mirror knot takes the inverse value.  Taken at theta = pi - psi/2,
-    it answers exactly on the widest star-polygon window
-    ``torus_interval(n, (n - 1) // 2)`` and raises OutOfInterval elsewhere."""
-    lo, hi = torus_interval(n, (n - 1) // 2)
-    if not lo < 2.0 * math.pi - 2.0 * theta < hi:
-        raise OutOfInterval(
-            f"theta={theta:.6f} admits no coloring of T(2,{n})"
-        )
-    phi = wrap_angle(math.pi - 2 * n * theta)
-    if mirror:
-        phi = wrap_angle(-phi)
-    return LongitudeValue(q=Quaternion.exp(phi, BASEPOINT), phi=phi)
-
-
-def fig8_closed_form(theta, branch):
-    """Closed-form longitude of the figure-eight knot:
-
-        (cos 4t - cos 2t - 1) +- sqrt(-1 + 2 cos 4t - 4 cos 2t) sin(2t) i
-
-    at theta = pi - psi/2 exactly where ``fig8_betas(psi)`` answers, theta in
-    [pi/3, 2pi/3], and its OutOfInterval elsewhere; the sign follows the
-    seed branch.
-    """
-    branch = _fig8_branch(branch)
-    fig8_betas(2.0 * math.pi - 2.0 * theta)  # OutOfInterval off the window
-    disc = -1.0 + 2.0 * math.cos(4.0 * theta) - 4.0 * math.cos(2.0 * theta)
-    if disc < 1e-12:
-        # the discriminant (2c - 3)(2c + 1), c = cos 2theta, vanishes at
-        # theta = pi/3, 2pi/3 (about -7e-12 within fig8_betas' slack) and
-        # rounding noise under the square root would fake an imaginary part
-        # ~1e-8; it grows away from the endpoints fast enough that this
-        # clamp only touches a ~1e-13 neighborhood
-        disc = 0.0
-    re = math.cos(4.0 * theta) - math.cos(2.0 * theta) - 1.0
-    im = FIG8_BRANCH_SIGN[branch] * math.sqrt(disc) * math.sin(2.0 * theta)
-    q = Quaternion.from_components(re, im, 0.0, 0.0)
-    return LongitudeValue(q=q, phi=math.atan2(im, re))
 
 
 def qn_check(diagram, coloring):

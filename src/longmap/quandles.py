@@ -1,8 +1,9 @@
 """Quandle instances used for tangle colorings.
 
 Five concrete quandles, each defining op_signed(a, b, sign), which is a*b
-for sign 1 and its inverse for sign -1, validate, sample and distance (the
-base class adds ``op`` and ``op_inv``, the two signs, ``stack`` and a check):
+for sign 1 and its inverse for sign -1, validate, samples and distance (the
+base class adds ``op`` and ``op_inv``, the two signs, ``sample``, one of
+``samples``, ``stack`` and a check):
 
 - ``SphereQuandle(psi)``       : S^2 with u*v = rotate(u, psi, v)
 - ``ConjClassQuandle(theta)``  : the SU(2) conjugacy class {exp(theta, u)}
@@ -50,16 +51,22 @@ ELEMENT_TOL = 1e-9
 AXIOM_SAMPLES = 500  # random triples per axiom_check
 
 
-# Both draws divide by math.sqrt(v.dot(v)), which is what np.linalg.norm
-# computes for a 1-D array, so the points are bitwise its quotient.
-def random_unit_quaternion(rng):
-    v = rng.normal(size=4)
-    return Quaternion(*(v / math.sqrt(v.dot(v))).tolist())
+# Each list is one sized draw, which is bitwise m draws of one element and
+# leaves the generator in the same state.  Every row is divided by
+# math.sqrt(v.dot(v)), which is what np.linalg.norm computes for a 1-D
+# array, so the points are bitwise its quotient; a stacked sum of squares
+# rounds differently.
+def random_unit_quaternions(rng, m):
+    return [Quaternion._make((v / math.sqrt(v.dot(v))).tolist())
+            for v in rng.normal(size=(m, 4))]
+
+
+def random_sphere_points(rng, m):
+    return [v / math.sqrt(v.dot(v)) for v in rng.normal(size=(m, 3))]
 
 
 def random_sphere_point(rng):
-    v = rng.normal(size=3)
-    return v / math.sqrt(v.dot(v))
+    return random_sphere_points(rng, 1)[0]
 
 
 def _is_quaternion(a):
@@ -93,6 +100,9 @@ class Quandle:
     def op_inv(self, a, b):
         return self.op_signed(a, b, -1)
 
+    def sample(self, rng):
+        return self.samples(rng, 1)[0]
+
     def stack(self, elements):
         """The elements as one stacked element, a row each."""
         return np.asarray(elements)
@@ -120,8 +130,8 @@ class SphereQuandle(Quandle):
         return a.shape[-1:] == (3,) and (
             abs(np.sqrt((a * a).sum(axis=-1)) - 1.0) <= ELEMENT_TOL)
 
-    def sample(self, rng):
-        return random_sphere_point(rng)
+    def samples(self, rng, m):
+        return random_sphere_points(rng, m)
 
     def distance(self, a, b):
         return geodesic_distance(a, b)
@@ -152,8 +162,9 @@ class ConjClassQuandle(Quandle):
                    - self.theta) <= ELEMENT_TOL)
         )
 
-    def sample(self, rng):
-        return Quaternion.exp(self.theta, random_sphere_point(rng))
+    def samples(self, rng, m):
+        return [Quaternion.exp(self.theta, u)
+                for u in random_sphere_points(rng, m)]
 
     def distance(self, a, b):
         return qdistance(a, b)
@@ -177,8 +188,8 @@ class DihedralQuandle(Quandle):
         a = np.asarray(a)
         return a.dtype.kind in "iu" and (0 <= a) & (a < self.m)
 
-    def sample(self, rng):
-        return int(rng.integers(self.m))
+    def samples(self, rng, m):
+        return rng.integers(self.m, size=m).tolist()
 
     def distance(self, a, b):
         return (a != b) * 1.0
@@ -201,8 +212,8 @@ class GAlexQuandle(Quandle):
         w, x, y, z = a if isinstance(a, Quaternion) else np.moveaxis(a, -1, 0)
         return abs(np.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= ELEMENT_TOL
 
-    def sample(self, rng):
-        return random_unit_quaternion(rng)
+    def samples(self, rng, m):
+        return random_unit_quaternions(rng, m)
 
     def distance(self, a, b):
         return qdistance(a, b)
@@ -233,9 +244,9 @@ class EisQuandle(Quandle):
             return False
         return qdistance(pa, _mul(_pow(ga, -1), self.x, ga)) <= 1e-8
 
-    def sample(self, rng):
-        g = random_unit_quaternion(rng)
-        return (g.inverse() * self.x * g, g)
+    def samples(self, rng, m):
+        return [(g.inverse() * self.x * g, g)
+                for g in random_unit_quaternions(rng, m)]
 
     def stack(self, elements):
         """The pairs as one pair of stacks."""
@@ -277,16 +288,16 @@ def axiom_check(q, rng=None):
     self-distributivity (a*b)*c = (a*c)*(b*c), and op/op_inv
     cancellation.
 
-    Samples are drawn one element at a time, a, b, c per triple, and then
-    stacked, so that each axiom is one pass of op and distance over all
-    the triples.  A NaN violation is returned as NaN.
+    The samples are drawn as one list, a, b, c per triple in turn, and
+    then stacked, so that each axiom is one pass of op and distance over
+    all the triples.  A NaN violation is returned as NaN.
     """
     if isinstance(q, DihedralQuandle) and q.m <= 13:
         triples = itertools.product(range(q.m), repeat=3)
     else:
         rng = np.random.default_rng(0) if rng is None else rng
-        triples = [(q.sample(rng), q.sample(rng), q.sample(rng))
-                   for _ in range(AXIOM_SAMPLES)]
+        drawn = q.samples(rng, 3 * AXIOM_SAMPLES)
+        triples = zip(drawn[0::3], drawn[1::3], drawn[2::3])
     a, b, c = map(q.stack, zip(*triples))
     ab = q.op(a, b)
     return float(np.max([

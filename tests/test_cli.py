@@ -28,6 +28,7 @@ from longmap.colorings import (
 from longmap.errors import NotInLambda, NotMinusOne, OutOfInterval
 from longmap.longitudes import wrap_angle
 from longmap.quaternions import Quaternion, distance, geodesic_distance
+from longmap.scalar import linspace
 from longmap.tangles import fig8, parse, serialize, torus2n
 
 
@@ -462,8 +463,18 @@ def test_sweep_beta_is_the_star_polygon_seed(capsys):
     assert seen >= 300
 
 
-# commands that exit before they compute anything, with their exit codes
+# commands that import no numpy, with their exit codes: intervals, every
+# well-formed sweep (plain floats) and the commands that exit before they
+# compute anything
 NUMPY_FREE = [
+    (["sweep", "--knot", "fig8", "--theta-min", "0.5", "--theta-max", "2.6",
+      "--steps", "50"], 0),
+    (["sweep", "--knot", "torus:21", "--theta-min", "0.1", "--theta-max",
+      "3.0", "--steps", "40"], 0),
+    (["sweep", "--knot", "torus:7:-1", "--theta-min", "10", "--theta-max",
+      "170", "--steps", "30", "--deg"], 0),
+    (["sweep", "--knot", "torus:9", "--theta-min", "0.1", "--theta-max",
+      "3.0", "--branches", "1"], 0),
     (["intervals", "7"], 0),
     (["intervals", "7", "--json"], 0),
     (["color", "--knot", "torus:x", "--psi", "2.8"], 2),
@@ -496,14 +507,38 @@ for argv, code in json.loads(sys.argv[1]):
 """
 
 
-def test_import_leaves_scipy_out():
+def test_import_leaves_scipy_out(tmp_path):
     # numpy is imported by the handlers that compute, not by `longmap.cli`
     src = str(Path(longmap.__file__).resolve().parents[1])
+    out = tmp_path / "sweep.csv"
+    cases = [*NUMPY_FREE, (["sweep", "--knot", "fig8", "--theta-min", "0.5",
+                            "--theta-max", "2.6", "--out", str(out)], 0)]
     proc = subprocess.run(
-        [sys.executable, "-c", IMPORTED, json.dumps(NUMPY_FREE)],
+        [sys.executable, "-c", IMPORTED, json.dumps(cases)],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         preexec_fn=_cap_memory, check=True)
-    assert proc.stdout.splitlines() == ["[]"] * (len(NUMPY_FREE) + 1)
+    assert proc.stdout.splitlines() == ["[]"] * (len(cases) + 1)
+    assert len(out.read_text().splitlines()) == 1 + 200 * 2  # both branches
+
+
+@pytest.mark.parametrize("lo, hi, steps", [
+    (0.0, 5e-324, 3),         # the step underflows to 0: numpy's branch
+    (0.0, 1e-323, 5),         # the same, with the quarter rounding to 0
+    (1e-310, 1.00001e-310, 7),  # a subnormal step
+    (-3.0, -1.0, 11),
+    (-3.0, 9.0, 1001),
+    (-1e-300, 3e-300, 50),
+    (0.1, 3.0, 2),
+    (0.1, 3.0, MAX_STEPS),
+])
+def test_theta_grid_is_numpy_linspace(lo, hi, steps):
+    want = np.linspace(lo, hi, steps)
+    got = list(linspace(lo, hi, steps))
+    assert all(type(x) is float for x in got)
+    # bitwise, signed zeros included
+    assert np.array(got).view(np.uint64).tolist() == \
+        want.view(np.uint64).tolist()
+    assert got[-1] == hi
 
 
 def test_the_console_script_resolves(capsys):

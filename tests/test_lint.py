@@ -102,3 +102,67 @@ def test_the_lint_sees_an_unread_private_name():
               "a._OTHER = 3\n"),
     }
     assert unread_private_names(sources) == [("a", "_OTHER"), ("a", "_spare")]
+
+
+# the modules a numpy-free command loads: the package, its errors, the
+# tangle format, the CLI and the closed forms
+NUMPY_FREE = ("__init__", "errors", "tangles", "cli", "scalar")
+
+
+def module_level_imports(source):
+    """The (line, module) of each import that runs when ``source`` is
+    imported: those outside function bodies, relative ones as ``.name``."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((child.lineno, alias.name)
+                             for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                dots = "." * child.level
+                if child.module is not None:
+                    found.append((child.lineno, dots + child.module))
+                else:  # from . import name
+                    found.extend((child.lineno, dots + alias.name)
+                                 for alias in child.names)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def numpy_imports(source):
+    """The module-level imports of ``source`` that load numpy or scipy, by
+    name or through a package module outside NUMPY_FREE."""
+    return [(line, name) for line, name in module_level_imports(source)
+            if name.split(".")[0] in ("numpy", "scipy")
+            or (name.startswith(".") and name.lstrip(".").split(".")[0]
+                not in NUMPY_FREE)]
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE)
+def test_numpy_free_modules_import_no_numpy(name):
+    path = Path(longmap.__file__).resolve().parent / f"{name}.py"
+    assert numpy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_lint_sees_a_numpy_import():
+    source = ("import math\n"
+              "import numpy as np\n"
+              "from .tangles import parse\n"
+              "from .colorings import star_polygon\n"
+              "from . import quandles\n"
+              "if math.pi:\n"
+              "    from scipy import optimize\n"
+              "class A:\n"
+              "    import numpy.linalg\n"
+              "def f():\n"
+              "    import numpy\n"
+              "    from .quaternions import rotate\n")
+    assert numpy_imports(source) == [
+        (2, "numpy"), (4, ".colorings"), (5, ".quandles"), (7, "scipy"),
+        (9, "numpy.linalg")]

@@ -12,7 +12,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 given = hypothesis.given
 
+import numpy as np  # noqa: E402
+
+from longmap.cli import MAX_STEPS  # noqa: E402
 from longmap.quaternions import Quaternion, distance  # noqa: E402
+from longmap.scalar import linspace  # noqa: E402
 from longmap.tangles import fig8, parse, serialize, torus2n  # noqa: E402
 
 settings = hypothesis.settings(derandomize=True, deadline=None,
@@ -77,3 +81,20 @@ def test_parse_inverts_serialize(d):
     assert back.code == d.code
     assert back.bridge_arcs == d.bridge_arcs
     assert back.schedule == d.schedule
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@hypothesis.settings(settings, max_examples=100)  # up to 1e5 values each
+@given(finite, finite, st.integers(2, MAX_STEPS))
+def test_theta_grid_is_numpy_linspace(lo, hi, steps):
+    # sweep's grid: bitwise the numpy linspace of this installed numpy
+    lo, hi = min(lo, hi), max(lo, hi)
+    hypothesis.assume(lo < hi and math.isfinite(hi - lo))
+    got = np.fromiter(linspace(lo, hi, steps), dtype=float, count=steps)
+    with np.errstate(over="ignore"):
+        # numpy also forms value steps - 1 as a product, which may round
+        # to inf near the float maximum, and then overwrites it with hi
+        want = np.linspace(lo, hi, steps)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

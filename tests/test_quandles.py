@@ -15,7 +15,7 @@ from longmap.quandles import (
     eis_to_galex,
     iso_sphere_to_conj,
     random_sphere_point,
-    random_unit_quaternion,
+    random_unit_quaternions,
 )
 from longmap.quaternions import Quaternion, distance, qdistance, rotate
 
@@ -114,9 +114,40 @@ def test_random_draws_equal_the_numpy_norm():
         v = ref.normal(size=3)
         assert np.array_equal(random_sphere_point(rng), v / np.linalg.norm(v))
         v = ref.normal(size=4)
-        assert random_unit_quaternion(rng) == tuple(
+        assert random_unit_quaternions(rng, 1)[0] == tuple(
             (v / np.linalg.norm(v)).tolist()
         )
+
+
+def _one_row_draw(q, rng):
+    """One element of ``q`` from a draw of one element: one integer, or
+    one normal row normalized by np.linalg.norm."""
+    if isinstance(q, DihedralQuandle):
+        return int(rng.integers(q.m))
+    if isinstance(q, (SphereQuandle, ConjClassQuandle)):
+        v = rng.normal(size=3)
+        u = v / np.linalg.norm(v)
+        return u if isinstance(q, SphereQuandle) else Quaternion.exp(q.theta,
+                                                                     u)
+    v = rng.normal(size=4)
+    g = Quaternion(*(v / np.linalg.norm(v)).tolist())
+    return g if isinstance(q, GAlexQuandle) else (g.inverse() * q.x * g, g)
+
+
+@pytest.mark.parametrize(
+    "q", [*instances(), DihedralQuandle(17)], ids=lambda q: repr(q)[:40])
+def test_drawn_lists_equal_one_row_draws(q):
+    # axiom_check draws its 3 * AXIOM_SAMPLES elements as one list
+    for seed in (0, 11, 20240915):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = q.samples(rng, 3 * AXIOM_SAMPLES)
+        want = [_one_row_draw(q, ref) for _ in range(3 * AXIOM_SAMPLES)]
+        assert rng.bit_generator.state == ref.bit_generator.state
+        if isinstance(q, SphereQuandle):
+            assert np.array_equal(drawn, want)
+        else:
+            assert drawn == want
+        assert all(type(x) is type(y) for x, y in zip(drawn, want))
 
 
 def test_axiom_check_keeps_a_nan_violation(monkeypatch):
