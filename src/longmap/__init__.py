@@ -7,17 +7,18 @@ so ``import longmap`` imports no numpy; ``longmap.cli`` relies on this.
 import importlib
 
 _EXPORTS = {
-    "quaternions": ("Quaternion", "rotate"),
+    "scalar": ("Quaternion", "star_beta", "fig8_betas", "LongitudeValue",
+               "t2n_closed_form", "fig8_closed_form"),
+    "quaternions": ("rotate",),
     "quandles": ("SphereQuandle", "ConjClassQuandle", "DihedralQuandle",
                  "GAlexQuandle", "EisQuandle", "iso_sphere_to_conj",
                  "eis_to_galex", "axiom_check"),
     "tangles": ("WirtingerCode", "TangleDiagram", "torus2n", "fig8",
                 "longitude_word", "torus_interval", "torus_theta_interval"),
-    "colorings": ("Coloring", "star_polygon", "star_beta", "fig8_betas",
-                  "fig8_coloring", "solve_colorings", "fox_colorings",
-                  "rotate_coloring", "reflect_coloring", "residual"),
-    "longitudes": ("LongitudeValue", "eval_word", "galex_lift",
-                   "t2n_closed_form", "fig8_closed_form", "qn_check"),
+    "colorings": ("Coloring", "star_polygon", "fig8_coloring",
+                  "solve_colorings", "fox_colorings", "rotate_coloring",
+                  "reflect_coloring", "residual"),
+    "longitudes": ("eval_word", "galex_lift", "qn_check"),
 }
 _MODULES = (*_EXPORTS, "errors", "verification")
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -7,7 +7,7 @@ free-quandle coloring), scanning and refining the seed angle on the
 Fourier coefficients of the crossing relations' gaps, and an exhaustive
 Fox-coloring oracle over dihedral quandles.  The closed-form seed angles,
 ``star_beta`` and ``fig8_betas``, and their windows live in
-``longmap.scalar``, which imports no numpy, and are re-exported here.
+``longmap.scalar``.
 
 Basepoint convention: the initial arc is always colored x = (1, 0, 0), and
 the second bridge color is sought on the half-equator
@@ -32,16 +32,8 @@ from .errors import (
 )
 from .quandles import DihedralQuandle, SphereQuandle
 from .quaternions import rotate
-from .scalar import (
-    FIG8_PSI_HI,
-    FIG8_PSI_LO,
-    SPREAD_TOL,
-    _fig8_branch,
-    _star_latitude,
-    fig8_betas,
-    star_beta,
-)
-from .tangles import _index, fig8, torus_interval, torus_theta_interval
+from .scalar import SPREAD_TOL, _fig8_branch, _star_latitude, fig8_betas
+from .tangles import _index, fig8, torus_interval
 
 EPS_COLOR = 1e-8        # residual acceptance for a valid coloring
 SEED_TOL = 1e-6         # dedup tolerance between solver seeds
@@ -59,14 +51,8 @@ __all__ = [
     "Coloring",
     "propagate",
     "residual",
-    "torus_interval",
-    "torus_theta_interval",
     "admissible_steps",
     "star_polygon",
-    "star_beta",
-    "FIG8_PSI_LO",
-    "FIG8_PSI_HI",
-    "fig8_betas",
     "fig8_coloring",
     "solve_colorings",
     "fox_colorings",

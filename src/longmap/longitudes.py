@@ -17,8 +17,7 @@ array converted once per coloring and kept on it (``_conj_rows``), and one
 in its own loop with the arithmetic and renormalization of
 ``Quaternion.__mul__``, and builds one ``Quaternion`` at the end.  Closed
 forms for the (2, n) torus knots, their mirrors, and the figure-eight knot
-are the third route; they, ``LongitudeValue`` and ``wrap_angle`` live in
-``longmap.scalar``, which imports no numpy, and are re-exported here.
+are the third route; they and ``LongitudeValue`` live in ``longmap.scalar``.
 """
 
 from __future__ import annotations
@@ -30,30 +29,10 @@ import numpy as np
 from .colorings import Coloring, _check_arity
 from .errors import BadParameter, NotMinusOne
 from .quandles import ConjClassQuandle, SphereQuandle, iso_sphere_to_conj
-from .scalar import (
-    FIG8_BRANCH_SIGN,
-    LAMBDA_TOL,
-    LongitudeValue,
-    Quaternion,
-    distance,
-    fig8_closed_form,
-    t2n_closed_form,
-    wrap_angle,
-)
+from .scalar import LAMBDA_TOL, LongitudeValue, Quaternion, distance
 from .tangles import _torus_code, longitude_word
 
-__all__ = [
-    "LAMBDA_TOL",
-    "FIG8_BRANCH_SIGN",
-    "LongitudeValue",
-    "to_conj_coloring",
-    "eval_word",
-    "galex_lift",
-    "t2n_closed_form",
-    "fig8_closed_form",
-    "qn_check",
-    "wrap_angle",
-]
+__all__ = ["to_conj_coloring", "eval_word", "galex_lift", "qn_check"]
 
 
 def to_conj_coloring(coloring):

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, MixedQuandleError
-from .quaternions import Quaternion, geodesic_distance, qdistance, qmul, rotate
+from .quaternions import geodesic_distance, qdistance, qmul, rotate
+from .scalar import Quaternion
 from .tangles import _index, check_psi
 
 __all__ = [

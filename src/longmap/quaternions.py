@@ -4,10 +4,8 @@ Conventions
 -----------
 - Quaternions are written a + b*i + c*j + d*k and kept unit-norm
   (renormalized after every product).
-- ``Quaternion``, ``distance`` and ``POLE_TOL`` live in ``longmap.scalar``,
-  which imports no numpy, and are re-exported here: the same objects under
-  either path.  ``qmul`` and ``qdistance`` are ``Quaternion``'s ``*`` and
-  ``distance`` over (..., 4) stacks, row by row bitwise.
+- ``qmul`` and ``qdistance`` are ``Quaternion``'s ``*`` and ``distance``
+  (``longmap.scalar``) over (..., 4) stacks, row by row bitwise.
 - Points of S^2 are pure unit quaternions, stored as length-3 numpy arrays.
 - Rotations act on the *right* of their argument with the right-hand rule:
   ``rotate(u, angle, v)`` rotates u about the axis v.  Conjugation by
@@ -18,17 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scalar import POLE_TOL, Quaternion, distance
+from .scalar import Quaternion
 
 _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])  # _cross's cycles
 
-__all__ = [
-    "POLE_TOL",
-    "Quaternion",
-    "distance",
-    "geodesic_distance",
-    "rotate",
-]
+__all__ = ["geodesic_distance", "rotate"]
 
 
 def geodesic_distance(u, v):

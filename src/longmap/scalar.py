@@ -15,12 +15,12 @@ it is called, and ``sweep`` never calls it.
   angle theta = atan2(|v|, a) in [0, pi] straight from the components (v
   the pure part) and returns exp(k*theta, v/|v|); at +-1, where the axis is
   undefined, it takes the scalar power.  ``quaternions`` adds the stacked
-  (numpy) kernels and re-exports these names.
+  (numpy) kernels.
 - The seed angles of the closed-form colorings, ``star_beta`` (T(2, n)) and
   ``fig8_betas``, with the windows they answer on; ``colorings`` builds the
-  colorings from them and re-exports them.
+  colorings from them.
 - The closed-form longitudes ``t2n_closed_form`` and ``fig8_closed_form``
-  and the ``LongitudeValue`` they return; ``longitudes`` re-exports them.
+  and the ``LongitudeValue`` they return.
 - ``linspace``, the theta grid of ``sweep``, bitwise ``numpy.linspace``.
 """
 

@@ -19,9 +19,14 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 from .errors import BadParameter, ParseError, ValidationError
+
+# the largest torus n whose 2*pi*n is a finite float, the bound of the
+# interval ends here and of 2*n*theta in ``scalar.t2n_closed_form``
+_MAX_TORUS_N = sys.float_info.max / (2.0 * math.pi)
 
 __all__ = [
     "WirtingerCode",
@@ -228,6 +233,9 @@ def torus_interval(n, h):
     n, h = _index(n, "n"), _index(h, "h")
     if n < 3 or n % 2 == 0:
         raise BadParameter("n must be an odd integer >= 3")
+    if n > _MAX_TORUS_N:  # exact: ints compare with floats without rounding
+        raise BadParameter(f"n must be at most {_MAX_TORUS_N:.6g}; above it "
+                           "2*pi*n overflows a float")
     if not 1 <= h <= (n - 1) // 2:
         raise BadParameter(f"h must lie in 1..{(n - 1) // 2}")
     return ((n - 2 * h) * math.pi / n, (n + 2 * h) * math.pi / n)

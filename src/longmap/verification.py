@@ -14,22 +14,13 @@ import numpy as np
 
 from .colorings import (
     BASEPOINT,
-    FIG8_PSI_HI,
-    FIG8_PSI_LO,
-    fig8_betas,
     fig8_coloring,
     reflect_coloring,
     residual,
     rotate_coloring,
     star_polygon,
 )
-from .longitudes import (
-    eval_word,
-    fig8_closed_form,
-    galex_lift,
-    qn_check,
-    t2n_closed_form,
-)
+from .longitudes import eval_word, galex_lift, qn_check
 from .quandles import (
     ConjClassQuandle,
     DihedralQuandle,
@@ -41,7 +32,16 @@ from .quandles import (
     iso_sphere_to_conj,
     random_sphere_point,
 )
-from .quaternions import Quaternion, distance, qdistance, qmul, rotate
+from .quaternions import qdistance, qmul, rotate
+from .scalar import (
+    FIG8_PSI_HI,
+    FIG8_PSI_LO,
+    Quaternion,
+    distance,
+    fig8_betas,
+    fig8_closed_form,
+    t2n_closed_form,
+)
 from .tangles import fig8, torus2n, torus_theta_interval
 
 SEED = 20240915

@@ -14,24 +14,14 @@ import pytest
 from longmap.cli import main as cli_main
 from longmap.colorings import (
     admissible_steps,
-    fig8_betas,
     fig8_coloring,
     fox_colorings,
     reflect_coloring,
     rotate_coloring,
     solve_colorings,
     star_polygon,
-    torus_interval,
-    torus_theta_interval,
 )
-from longmap.longitudes import (
-    eval_word,
-    fig8_closed_form,
-    galex_lift,
-    qn_check,
-    t2n_closed_form,
-    wrap_angle,
-)
+from longmap.longitudes import eval_word, galex_lift, qn_check
 from longmap.quandles import (
     ConjClassQuandle,
     DihedralQuandle,
@@ -43,8 +33,16 @@ from longmap.quandles import (
     iso_sphere_to_conj,
     random_sphere_point,
 )
-from longmap.quaternions import Quaternion, distance, rotate
-from longmap.tangles import fig8, torus2n
+from longmap.quaternions import rotate
+from longmap.scalar import (
+    Quaternion,
+    distance,
+    fig8_betas,
+    fig8_closed_form,
+    t2n_closed_form,
+    wrap_angle,
+)
+from longmap.tangles import fig8, torus2n, torus_interval, torus_theta_interval
 
 PI = math.pi
 MINUS_ONE = Quaternion(-1.0, 0.0, 0.0, 0.0)

@@ -21,15 +21,18 @@ from longmap.colorings import (
     admissible_steps,
     residual,
     solve_colorings,
-    star_beta,
     star_polygon,
-    torus_interval,
 )
 from longmap.errors import NotInLambda, NotMinusOne, OutOfInterval
-from longmap.longitudes import wrap_angle
-from longmap.quaternions import Quaternion, distance, geodesic_distance
-from longmap.scalar import linspace
-from longmap.tangles import fig8, parse, serialize, torus2n
+from longmap.quaternions import geodesic_distance
+from longmap.scalar import (
+    Quaternion,
+    distance,
+    linspace,
+    star_beta,
+    wrap_angle,
+)
+from longmap.tangles import fig8, parse, serialize, torus2n, torus_interval
 
 
 def run(capsys, *argv):
@@ -521,6 +524,22 @@ def test_import_leaves_scipy_out(tmp_path):
     assert len(out.read_text().splitlines()) == 1 + 200 * 2  # both branches
 
 
+def test_top_level_closed_forms_import_no_numpy():
+    # they were routed through quaternions, colorings and longitudes, so
+    # each import loaded numpy and the solver stack
+    src = str(Path(longmap.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from longmap import (Quaternion, star_beta, fig8_betas,\n"
+            "    LongitudeValue, t2n_closed_form, fig8_closed_form)\n"
+            "print(sorted({'numpy', 'longmap.colorings', 'longmap.quandles'}\n"
+            "             & set(sys.modules)))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), preexec_fn=_cap_memory,
+        check=True)
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("lo, hi, steps", [
     (0.0, 5e-324, 3),         # the step underflows to 0: numpy's branch
     (0.0, 1e-323, 5),         # the same, with the quarter rounding to 0
@@ -554,19 +573,20 @@ def test_the_console_script_resolves(capsys):
 
 
 # every name `longmap/__init__.py` imported when it imported every module
+# (their homes: the modules that define them)
 EXPORTS = {
-    "quaternions": ["Quaternion", "rotate"],
+    "scalar": ["Quaternion", "star_beta", "fig8_betas", "LongitudeValue",
+               "t2n_closed_form", "fig8_closed_form"],
+    "quaternions": ["rotate"],
     "quandles": ["SphereQuandle", "ConjClassQuandle", "DihedralQuandle",
                  "GAlexQuandle", "EisQuandle", "iso_sphere_to_conj",
                  "eis_to_galex", "axiom_check"],
     "tangles": ["WirtingerCode", "TangleDiagram", "torus2n", "fig8",
-                "longitude_word"],
-    "colorings": ["Coloring", "star_polygon", "star_beta", "torus_interval",
-                  "torus_theta_interval", "fig8_betas", "fig8_coloring",
+                "longitude_word", "torus_interval", "torus_theta_interval"],
+    "colorings": ["Coloring", "star_polygon", "fig8_coloring",
                   "solve_colorings", "fox_colorings", "rotate_coloring",
                   "reflect_coloring", "residual"],
-    "longitudes": ["LongitudeValue", "eval_word", "galex_lift",
-                   "t2n_closed_form", "fig8_closed_form", "qn_check"],
+    "longitudes": ["eval_word", "galex_lift", "qn_check"],
 }
 
 
@@ -920,6 +940,19 @@ def test_intervals_n3(capsys):
 def test_intervals_bad_n(capsys):
     code, _, err = run(capsys, "intervals", "6")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["intervals", str(10**400 + 1)],
+    ["sweep", "--knot", f"torus:{10**400 + 1}", "--theta-min", "1",
+     "--theta-max", "2"],
+], ids=["intervals", "sweep"])
+def test_torus_n_past_the_float_range_exits_two(capsys, argv):
+    # torus_interval's (n - 2h) * pi raised OverflowError: a traceback and
+    # exit 1, which is kept for a verification breach
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n", ["1", "-3", "2"])

@@ -13,11 +13,8 @@ from longmap.colorings import (
     BASEPOINT,
     DEFAULT_GRID,
     EPS_COLOR,
-    FIG8_PSI_HI,
-    FIG8_PSI_LO,
     MAX_GRID,
     SEED_TOL,
-    SPREAD_TOL,
     Coloring,
     _POLISH_STEPS,
     _arc_words,
@@ -30,7 +27,6 @@ from longmap.colorings import (
     _solver,
     _word_program,
     admissible_steps,
-    fig8_betas,
     fig8_coloring,
     fox_colorings,
     propagate,
@@ -38,10 +34,7 @@ from longmap.colorings import (
     residual,
     rotate_coloring,
     solve_colorings,
-    star_beta,
     star_polygon,
-    torus_interval,
-    torus_theta_interval,
 )
 from longmap.errors import (
     ArityMismatch,
@@ -50,13 +43,7 @@ from longmap.errors import (
     OutOfInterval,
     ResidualTooLarge,
 )
-from longmap.longitudes import (
-    eval_word,
-    fig8_closed_form,
-    galex_lift,
-    t2n_closed_form,
-    to_conj_coloring,
-)
+from longmap.longitudes import eval_word, galex_lift, to_conj_coloring
 from longmap.quandles import (
     ConjClassQuandle,
     DihedralQuandle,
@@ -65,11 +52,17 @@ from longmap.quandles import (
     SphereQuandle,
     axiom_check,
 )
-from longmap.quaternions import (
+from longmap.quaternions import geodesic_distance, rotate
+from longmap.scalar import (
+    FIG8_PSI_HI,
+    FIG8_PSI_LO,
+    SPREAD_TOL,
     Quaternion,
     distance,
-    geodesic_distance,
-    rotate,
+    fig8_betas,
+    fig8_closed_form,
+    star_beta,
+    t2n_closed_form,
 )
 from longmap.tangles import (
     TangleDiagram,
@@ -78,6 +71,8 @@ from longmap.tangles import (
     parse,
     serialize,
     torus2n,
+    torus_interval,
+    torus_theta_interval,
 )
 
 PI = math.pi

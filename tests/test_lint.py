@@ -12,8 +12,7 @@ MODULES = sorted(Path(longmap.__file__).resolve().parent.glob("*.py"))
 
 def unused_imports(source):
     """The names that ``source`` imports and never reads, with their line
-    numbers; a name listed in a literal ``__all__`` counts as read, and
-    ``from __future__`` imports are exempt."""
+    numbers; ``from __future__`` imports are exempt."""
     tree = ast.parse(source)
     imported, read = {}, set()
     for node in ast.walk(tree):
@@ -26,12 +25,6 @@ def unused_imports(source):
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__"
-                      for t in node.targets)
-              and isinstance(node.value, (ast.List, ast.Tuple))):
-            read.update(e.value for e in node.value.elts
-                        if isinstance(e, ast.Constant))
     return sorted((line, name) for name, line in imported.items()
                   if name not in read)
 
@@ -49,7 +42,25 @@ def test_the_lint_sees_an_unused_import():
               "from .a import b, c\n"
               "__all__ = ['c']\n"
               "x = math.pi\n")
-    assert unused_imports(source) == [(2, "os"), (3, "osp"), (5, "b")]
+    # listing a name in __all__ does not read it: a module lists only what
+    # it defines
+    assert unused_imports(source) == [
+        (2, "os"), (3, "osp"), (5, "b"), (5, "c")]
+
+
+def definitions(tree):
+    """The names that the top level of a module defines: its functions,
+    classes and assigned names, not those it imports."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names += [t.id for target in targets for t in ast.walk(target)
+                      if isinstance(t, ast.Name)]
+    return names
 
 
 def unread_private_names(sources):
@@ -60,18 +71,8 @@ def unread_private_names(sources):
     defined, read = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                names = [t.id for target in targets for t in ast.walk(target)
-                         if isinstance(t, ast.Name)]
-            else:
-                continue
-            defined += [(module, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
+        defined += [(module, name) for name in definitions(tree)
+                    if name.startswith("_") and not name.startswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -102,6 +103,54 @@ def test_the_lint_sees_an_unread_private_name():
               "a._OTHER = 3\n"),
     }
     assert unread_private_names(sources) == [("a", "_OTHER"), ("a", "_spare")]
+
+
+def borrowed_names(sources):
+    """The (module, line, name) of each name that a module of ``sources``, a
+    map of module names to source text, lists in a literal ``__all__`` or
+    imports by ``from .m import name`` although the module or m does not
+    define it: each name has one home, and every import path leads there."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {module: set(definitions(tree)) for module, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)
+                    and isinstance(node.value, (ast.List, ast.Tuple))):
+                found += [(module, e.lineno, e.value) for e in node.value.elts
+                          if e.value not in defined[module]]
+            elif (isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module is not None):
+                home = defined.get(node.module, set())
+                found += [(module, node.lineno, alias.name)
+                          for alias in node.names if alias.name not in home]
+    return sorted(found)
+
+
+def test_every_name_has_one_home():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert borrowed_names(sources) == []
+
+
+def test_the_lint_sees_a_borrowed_name():
+    sources = {
+        "a": ("import math\n"
+              "from .b import g\n"
+              "X = 1\n"
+              "def f():\n"
+              "    from .b import X, h\n"
+              "__all__ = ['X', 'f', 'g', 'math']\n"),
+        "b": ("from . import a\n"
+              "from .a import X, f, math\n"
+              "def h():\n"
+              "    pass\n"
+              "__all__ = ('h', 'X')\n"),
+    }
+    assert borrowed_names(sources) == [
+        ("a", 2, "g"), ("a", 5, "X"), ("a", 6, "g"), ("a", 6, "math"),
+        ("b", 2, "math"), ("b", 5, "X")]
 
 
 # the modules a numpy-free command loads: the package, its errors, the

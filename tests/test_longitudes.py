@@ -12,18 +12,13 @@ import pytest
 from longmap import longitudes
 from longmap.colorings import (
     BASEPOINT,
-    FIG8_PSI_HI,
-    FIG8_PSI_LO,
     Coloring,
-    fig8_betas,
     fig8_coloring,
     fox_colorings,
     reflect_coloring,
     rotate_coloring,
     solve_colorings,
     star_polygon,
-    torus_interval,
-    torus_theta_interval,
 )
 from longmap.errors import (
     ArityMismatch,
@@ -33,17 +28,11 @@ from longmap.errors import (
     OutOfInterval,
 )
 from longmap.longitudes import (
-    FIG8_BRANCH_SIGN,
-    LAMBDA_TOL,
-    LongitudeValue,
     _conj_rows,
     eval_word,
-    fig8_closed_form,
     galex_lift,
     qn_check,
-    t2n_closed_form,
     to_conj_coloring,
-    wrap_angle,
 )
 from longmap.quandles import (
     ConjClassQuandle,
@@ -51,7 +40,20 @@ from longmap.quandles import (
     SphereQuandle,
     iso_sphere_to_conj,
 )
-from longmap.quaternions import Quaternion, distance, rotate
+from longmap.quaternions import rotate
+from longmap.scalar import (
+    FIG8_BRANCH_SIGN,
+    FIG8_PSI_HI,
+    FIG8_PSI_LO,
+    LAMBDA_TOL,
+    LongitudeValue,
+    Quaternion,
+    distance,
+    fig8_betas,
+    fig8_closed_form,
+    t2n_closed_form,
+    wrap_angle,
+)
 from longmap.tangles import (
     TangleDiagram,
     WirtingerCode,
@@ -59,6 +61,8 @@ from longmap.tangles import (
     longitude_word,
     parse,
     torus2n,
+    torus_interval,
+    torus_theta_interval,
 )
 
 PI = math.pi
@@ -100,6 +104,13 @@ def test_t2n_closed_form_domain():
     with pytest.raises(BadParameter, match="^n must be an integer, not 7.0$"):
         t2n_closed_form(7.0, 1.6)
     assert t2n_closed_form(np.int64(7), 1.6) == t2n_closed_form(7, 1.6)
+    # 2*n*theta stays finite up to the largest n that torus_interval takes,
+    # at theta just below pi, the top of its window
+    n = int(sys.float_info.max / (2.0 * math.pi))
+    n -= 1 - n % 2
+    assert math.isfinite(t2n_closed_form(n, math.nextafter(PI, 0.0)).phi)
+    with pytest.raises(BadParameter, match="overflows a float"):
+        t2n_closed_form(n + 2, 1.6)
 
 
 def test_fig8_closed_form_values():

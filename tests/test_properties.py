@@ -15,8 +15,7 @@ given = hypothesis.given
 import numpy as np  # noqa: E402
 
 from longmap.cli import MAX_STEPS  # noqa: E402
-from longmap.quaternions import Quaternion, distance  # noqa: E402
-from longmap.scalar import linspace  # noqa: E402
+from longmap.scalar import Quaternion, distance, linspace  # noqa: E402
 from longmap.tangles import fig8, parse, serialize, torus2n  # noqa: E402
 
 settings = hypothesis.settings(derandomize=True, deadline=None,

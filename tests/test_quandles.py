@@ -17,7 +17,8 @@ from longmap.quandles import (
     random_sphere_point,
     random_unit_quaternions,
 )
-from longmap.quaternions import Quaternion, distance, qdistance, rotate
+from longmap.quaternions import qdistance, rotate
+from longmap.scalar import Quaternion, distance
 
 X = Quaternion.exp(0.7, [1.0, 0.0, 0.0])
 

@@ -6,15 +6,13 @@ import pytest
 
 from longmap.quandles import random_sphere_point
 from longmap.quaternions import (
-    POLE_TOL,
-    Quaternion,
     _cross,
-    distance,
     geodesic_distance,
     qdistance,
     qmul,
     rotate,
 )
+from longmap.scalar import POLE_TOL, Quaternion, distance
 
 I = np.array([1.0, 0.0, 0.0])
 J = np.array([0.0, 1.0, 0.0])

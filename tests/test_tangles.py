@@ -1,5 +1,7 @@
 import gc
+import math
 import re
+import sys
 import weakref
 
 import numpy as np
@@ -15,6 +17,7 @@ from longmap.tangles import (
     parse,
     serialize,
     torus2n,
+    torus_interval,
 )
 
 
@@ -215,6 +218,20 @@ def test_bad_torus_params():
         torus2n(1)
     with pytest.raises(BadParameter):
         torus2n(5, 2)
+
+
+def test_torus_n_past_the_float_range():
+    # (n - 2h) * pi raised OverflowError at 10**400 + 1 and gave (inf, inf)
+    # at 10**308 + 1; the largest n accepted keeps finite ends
+    for n in (10**308 + 1, 10**400 + 1):
+        with pytest.raises(BadParameter, match="overflows a float"):
+            torus_interval(n, 1)
+    n = int(sys.float_info.max / (2.0 * math.pi))
+    n -= 1 - n % 2
+    with pytest.raises(BadParameter, match="overflows a float"):
+        torus_interval(n + 2, 1)
+    for h in (1, (n - 1) // 2):
+        assert all(map(math.isfinite, torus_interval(n, h)))
 
 
 @pytest.mark.parametrize("n", [7.0, 7.5, "7"], ids=["float", "half", "str"])
