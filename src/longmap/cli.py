@@ -38,7 +38,7 @@ from .tangles import (check_psi, fig8, parse, torus2n, torus_interval,
                       torus_theta_interval)
 
 FMT = "{:.17g}"
-MAX_STEPS = 100_000  # bounds the rows; the grid is yielded a value at a time
+MAX_STEPS = 100_000  # bounds the theta grid; a sweep has steps x branches rows
 # color's output grows as arcs^2, up to (n - 1)/2 seeds of n + 1 arcs for
 # T(2,n): T(2,1001) prints 35 MB of text or 50 MB of JSON, each in 1.4 s
 # (medians of 5, 2-CPU machine), both at the solver's own 90 MB peak RSS

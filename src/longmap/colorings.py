@@ -28,6 +28,7 @@ from .errors import (
     ArityMismatch,
     BadParameter,
     NoSchedule,
+    OutOfInterval,
     ResidualTooLarge,
 )
 from .quandles import DihedralQuandle, SphereQuandle
@@ -121,12 +122,19 @@ def residual(coloring, diagram):
 # torus knot star polygons
 
 
-def admissible_steps(n, psi, margin=0.0):
-    """Steps h whose star-polygon interval contains psi (with margin)."""
+def admissible_steps(n, psi):
+    """The steps h at which ``star_beta(n, h, psi)`` answers: as the windows
+    nest and beta grows with h, those from the least, bisected, to (n-1)/2."""
     torus_interval(n, 1)  # BadParameter unless n is odd and >= 3
-    return [h for h in range(1, (n - 1) // 2 + 1)
-            for lo, hi in [torus_interval(n, h)]
-            if lo + margin < psi < hi - margin]
+    lo, hi = 1, (n + 1) // 2  # the least step that colors lies in lo..hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            _star_latitude(n, mid, psi)
+            hi = mid
+        except OutOfInterval:
+            lo = mid + 1
+    return list(range(lo, (n + 1) // 2))
 
 
 def star_polygon(n, h, psi):

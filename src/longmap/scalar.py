@@ -265,14 +265,10 @@ class LongitudeValue:
 def t2n_closed_form(n, theta, mirror=False):
     """Closed-form longitude of the (2, n) torus knot at basepoint angle
     theta: exp(pi - 2n*theta, i), independent of the particular coloring;
-    the mirror knot takes the inverse value.  Taken at theta = pi - psi/2,
-    it answers exactly on the widest star-polygon window
-    ``torus_interval(n, (n - 1) // 2)`` and raises OutOfInterval elsewhere."""
-    lo, hi = torus_interval(n, (n - 1) // 2)
-    if not lo < 2.0 * math.pi - 2.0 * theta < hi:
-        raise OutOfInterval(
-            f"theta={theta:.6f} admits no coloring of T(2,{n})"
-        )
+    the mirror knot takes the inverse value.  At theta = pi - psi/2 it
+    answers exactly where ``star_beta`` answers at the widest step (n - 1)/2
+    and raises its OutOfInterval elsewhere."""
+    star_beta(n, (n - 1) // 2, 2.0 * math.pi - 2.0 * theta)
     phi = wrap_angle(math.pi - 2 * n * theta)
     if mirror:
         phi = wrap_angle(-phi)

@@ -19,14 +19,9 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass, field
 
 from .errors import BadParameter, ParseError, ValidationError
-
-# the largest torus n whose 2*pi*n is a finite float, the bound of the
-# interval ends here and of 2*n*theta in ``scalar.t2n_closed_form``
-_MAX_TORUS_N = sys.float_info.max / (2.0 * math.pi)
 
 __all__ = [
     "WirtingerCode",
@@ -128,8 +123,11 @@ class TangleDiagram:
     def __post_init__(self):
         n, kappa, eps = self.code.n, self.code.kappa, self.code.eps
         bridges = _ints(self.bridge_arcs, "bridge arcs")
-        schedule = tuple(_ints((a, c), "schedule entries")
-                         for a, c in self.schedule)
+        schedule = tuple(_ints(entry, "schedule entries")
+                         for entry in self.schedule)
+        if any(len(entry) != 2 for entry in schedule):
+            raise ValidationError("schedule entries must be (arc, crossing) "
+                                  f"pairs, not {schedule}")
         object.__setattr__(self, "bridge_arcs", bridges)
         object.__setattr__(self, "schedule", schedule)
         steps, terminal = [], False
@@ -233,9 +231,9 @@ def torus_interval(n, h):
     n, h = _index(n, "n"), _index(h, "h")
     if n < 3 or n % 2 == 0:
         raise BadParameter("n must be an odd integer >= 3")
-    if n > _MAX_TORUS_N:  # exact: ints compare with floats without rounding
-        raise BadParameter(f"n must be at most {_MAX_TORUS_N:.6g}; above it "
-                           "2*pi*n overflows a float")
+    if n >= 2**52:
+        raise BadParameter("n must be below 2**52, where n - 2h, n and n + 2h "
+                           "stay exact floats")
     if not 1 <= h <= (n - 1) // 2:
         raise BadParameter(f"h must lie in 1..{(n - 1) // 2}")
     return ((n - 2 * h) * math.pi / n, (n + 2 * h) * math.pi / n)

@@ -184,7 +184,9 @@ def test_criterion_6_existence_intervals():
         for psi in samples:
             if psi <= 0:
                 continue
-            expected = len(admissible_steps(n, psi, margin=margin))
+            expected = len([h for h in admissible_steps(n, psi)
+                            for lo, hi in [torus_interval(n, h)]
+                            if lo + margin < psi < hi - margin])
             got = len(solve_colorings(d, psi))
             assert got == expected, (n, psi, got, expected)
             checked += 1

@@ -101,10 +101,42 @@ def test_admissible_steps():
     assert admissible_steps(7, 0.6 * PI) == [2, 3]
     assert admissible_steps(7, 0.1 * PI) == []
     assert admissible_steps(3, PI) == [1]
-    # margin shrinks the intervals from both ends
-    psi = 5 * PI / 7 + 0.01
-    assert 1 in admissible_steps(7, psi)
-    assert 1 not in admissible_steps(7, psi, margin=0.05)
+    # step 1 of T(2, 10**7 + 1) is the constant coloring across its whole
+    # window, a seed angle at most 2*pi/n < SPREAD_TOL; it was listed
+    assert admissible_steps(10**7 + 1, PI)[:2] == [2, 3]
+
+
+def _ends_and_offsets():
+    """(n, psi) within 1e-15 to 1e-10 of every window end of T(2, n), on
+    both sides: 12800 of them."""
+    for n in (3, 7, 21, 101):
+        ends = {e for h in range(1, (n + 1) // 2)
+                for e in torus_interval(n, h)}
+        for end in sorted(ends):
+            for d in np.logspace(-15, -10, 50).tolist():
+                yield n, end - d
+                yield n, end + d
+
+
+def test_admissible_steps_are_the_steps_star_beta_answers_on():
+    # admissible_steps tested only the open windows: it disagreed with
+    # star_beta at 3029 of these psi, listing steps that round onto an end
+    def answers(n, h, psi):
+        try:
+            star_beta(n, h, psi)
+        except OutOfInterval:
+            return False
+        return True
+    for n, psi in _ends_and_offsets():
+        want = [h for h in range(1, (n + 1) // 2) if answers(n, h, psi)]
+        assert admissible_steps(n, psi) == want, (n, psi)
+
+
+def _steps_with_margin(n, psi, margin=0.05):
+    """The steps whose window holds psi at least ``margin`` inside."""
+    return [h for h in range(1, (n + 1) // 2)
+            for lo, hi in [torus_interval(n, h)]
+            if lo + margin < psi < hi - margin]
 
 
 @pytest.mark.parametrize("n", [4, 2, 1, 0, -3])
@@ -293,7 +325,7 @@ def test_solver_oracle_beyond_small_n(n, sign, frac):
     # against the star-polygon closed forms, on knots with long arc chains
     d = torus2n(n, sign)
     for psi in _band_psis(n, frac):
-        assert admissible_steps(n, psi) == admissible_steps(n, psi, 0.05)
+        assert admissible_steps(n, psi) == _steps_with_margin(n, psi)
         want = sorted(star_beta(n, h, psi) for h in admissible_steps(n, psi))
         seeds = solve_colorings(d, psi)
         assert len(seeds) == len(want), psi
@@ -330,7 +362,7 @@ def test_solver_oracle_sweep_torus(n, sign):
     # star-polygon seed angles of the windows containing psi
     d = torus2n(n, sign)
     for psi in _oracle_psis([(2 * i + 1) * PI / n for i in range(n)]):
-        assert admissible_steps(n, psi) == admissible_steps(n, psi, 0.05)
+        assert admissible_steps(n, psi) == _steps_with_margin(n, psi)
         want = sorted(star_beta(n, h, psi) for h in admissible_steps(n, psi))
         _assert_oracle_seeds(d, psi, want)
 
@@ -359,16 +391,27 @@ def test_solver_fig8_window_end_double_root(psi):
         assert distance(got, closed) <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="both seeds lie inside one grid cell")
+def _fig8_near_the_ends(eps, marks=()):
+    """psi ``eps`` (a string) inside each end of the figure-eight window."""
+    return [pytest.param(psi, id=f"{end}{eps}", marks=marks)
+            for end, psi in (("lo+", FIG8_PSI_LO + float(eps)),
+                             ("hi-", FIG8_PSI_HI - float(eps)))]
+
+
+_ONE_GRID_CELL = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="both seeds lie inside one grid cell")
+
+
 @pytest.mark.parametrize("psi", [
-    FIG8_PSI_LO + 1e-8, FIG8_PSI_LO + 1e-10,
-    FIG8_PSI_HI - 1e-8, FIG8_PSI_HI - 1e-10,
-], ids=["lo+1e-8", "lo+1e-10", "hi-1e-8", "hi-1e-10"])
+    *_fig8_near_the_ends("1e-5"),
+    *(p for eps in ("1e-6", "1e-7", "1e-8", "1e-9", "1e-10")
+      for p in _fig8_near_the_ends(eps, _ONE_GRID_CELL)),
+])
 def test_solver_fig8_near_a_window_end_keeps_both_seeds(psi):
-    # from 1e-6 inside an end on, both seeds lie inside one grid cell and
-    # the warning about it never fires: 1e-8 inside, no seed comes back,
-    # and 1e-10 inside, one seed about 1e-5 from both
+    # 1e-5 inside an end both seeds come back, within 1.6e-14 of
+    # fig8_betas; from 1e-6 inside on, both lie inside one grid cell and the
+    # warning about it never fires: one seed comes back, or none at 1e-8
     betas = [beta for beta, _ in solve_colorings(fig8(), psi)]
     want = sorted(fig8_betas(psi))
     assert len(betas) == 2, betas
@@ -448,7 +491,7 @@ def test_solver_oracle_sweep_long_chain():
     n = 31
     d = torus2n(n)
     for psi in _oracle_psis([(2 * i + 1) * PI / n for i in range(n)]):
-        assert admissible_steps(n, psi) == admissible_steps(n, psi, 0.05)
+        assert admissible_steps(n, psi) == _steps_with_margin(n, psi)
         want = sorted(star_beta(n, h, psi) for h in admissible_steps(n, psi))
         _assert_oracle_seeds(d, psi, want)
 

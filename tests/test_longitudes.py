@@ -51,6 +51,7 @@ from longmap.scalar import (
     distance,
     fig8_betas,
     fig8_closed_form,
+    star_beta,
     t2n_closed_form,
     wrap_angle,
 )
@@ -61,7 +62,6 @@ from longmap.tangles import (
     longitude_word,
     parse,
     torus2n,
-    torus_interval,
     torus_theta_interval,
 )
 
@@ -104,13 +104,10 @@ def test_t2n_closed_form_domain():
     with pytest.raises(BadParameter, match="^n must be an integer, not 7.0$"):
         t2n_closed_form(7.0, 1.6)
     assert t2n_closed_form(np.int64(7), 1.6) == t2n_closed_form(7, 1.6)
-    # 2*n*theta stays finite up to the largest n that torus_interval takes,
-    # at theta just below pi, the top of its window
-    n = int(sys.float_info.max / (2.0 * math.pi))
-    n -= 1 - n % 2
-    assert math.isfinite(t2n_closed_form(n, math.nextafter(PI, 0.0)).phi)
-    with pytest.raises(BadParameter, match="overflows a float"):
-        t2n_closed_form(n + 2, 1.6)
+    # the largest n that torus_interval takes, 2**52 - 1, and one past it
+    assert math.isfinite(t2n_closed_form(2**52 - 1, 1.6).phi)
+    with pytest.raises(BadParameter, match=r"below 2\*\*52"):
+        t2n_closed_form(2**52 + 1, 1.6)
 
 
 def test_fig8_closed_form_values():
@@ -233,7 +230,8 @@ def _raises_out_of_interval(call, *args):
 def test_closed_forms_answer_exactly_where_a_coloring_exists():
     # the closed forms kept their own theta windows: fig8's answered on 668
     # of these 8004 (theta, branch) pairs where fig8_betas raises, and
-    # T(2,n)'s disagreed with torus_interval on 25 of the 16008 thetas
+    # T(2,n)'s, which tested the open window only, on 2232 of the 16008
+    # thetas where star_beta at the widest step raises
     for end in (FIG8_PSI_LO / 2.0, FIG8_PSI_HI / 2.0):
         for theta in np.linspace(end - 3e-12, end + 3e-12, 2001).tolist():
             colors = not _raises_out_of_interval(fig8_betas,
@@ -242,10 +240,11 @@ def test_closed_forms_answer_exactly_where_a_coloring_exists():
                 assert colors != _raises_out_of_interval(
                     fig8_closed_form, theta, branch), (theta, branch)
     for n in (3, 7, 21, 101):
-        lo, hi = torus_interval(n, (n - 1) // 2)
-        for end in (0.5 * lo, 0.5 * hi):
+        top = (n - 1) // 2
+        for end in torus_theta_interval(n, top):
             for theta in np.linspace(end - 1e-13, end + 1e-13, 2001).tolist():
-                colors = lo < 2.0 * PI - 2.0 * theta < hi
+                colors = not _raises_out_of_interval(star_beta, n, top,
+                                                     2.0 * PI - 2.0 * theta)
                 assert colors != _raises_out_of_interval(
                     t2n_closed_form, n, theta), (n, theta)
 

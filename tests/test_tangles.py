@@ -1,7 +1,6 @@
 import gc
 import math
 import re
-import sys
 import weakref
 
 import numpy as np
@@ -202,6 +201,18 @@ def test_diagram_fields_are_not_truncated(bridges, schedule, message):
         TangleDiagram(torus2n(3).code, bridges, schedule)
 
 
+@pytest.mark.parametrize("schedule,message", [
+    (((1, 1, 1), (3, 4)), r"\(arc, crossing\) pairs, not \(\(1, 1, 1\),"),
+    (((1,), (3, 4)), r"\(arc, crossing\) pairs, not \(\(1,\),"),
+    ((5,), "schedule entries must be"),
+], ids=["triple", "single", "int"])
+def test_a_schedule_entry_is_an_arc_crossing_pair(schedule, message):
+    # tuple unpacking raised ValueError on the first two and TypeError on 5
+    d = fig8()
+    with pytest.raises(ValidationError, match=message):
+        TangleDiagram(d.code, d.bridge_arcs, schedule)
+
+
 def test_numpy_integers_are_integers():
     code = WirtingerCode(np.array([2, 0, 1]), np.array([1, 1, 1]))
     d = TangleDiagram(code, np.array([0, 2]), np.array([[1, 1], [3, 3]]),
@@ -222,16 +233,15 @@ def test_bad_torus_params():
 
 def test_torus_n_past_the_float_range():
     # (n - 2h) * pi raised OverflowError at 10**400 + 1 and gave (inf, inf)
-    # at 10**308 + 1; the largest n accepted keeps finite ends
-    for n in (10**308 + 1, 10**400 + 1):
-        with pytest.raises(BadParameter, match="overflows a float"):
+    # at 10**308 + 1, and from about 2**55 on the small-h windows rounded
+    # empty; below 2**52, n - 2h and n + 2h are exact floats
+    for n in (2**52 + 1, 2**55 + 1, 10**308 + 1, 10**400 + 1):
+        with pytest.raises(BadParameter, match=r"below 2\*\*52"):
             torus_interval(n, 1)
-    n = int(sys.float_info.max / (2.0 * math.pi))
-    n -= 1 - n % 2
-    with pytest.raises(BadParameter, match="overflows a float"):
-        torus_interval(n + 2, 1)
+    n = 2**52 - 1
     for h in (1, (n - 1) // 2):
-        assert all(map(math.isfinite, torus_interval(n, h)))
+        lo, hi = torus_interval(n, h)
+        assert 0.0 < lo < hi <= 2.0 * math.pi
 
 
 @pytest.mark.parametrize("n", [7.0, 7.5, "7"], ids=["float", "half", "str"])
